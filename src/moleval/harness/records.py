@@ -11,6 +11,8 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from ..predmetrics import EmbeddingMatrix
 from ..transition import MODALITIES, TaskResult
 
@@ -227,7 +229,11 @@ def _read_binary_embeddings(raw: bytes, path) -> EmbeddingMatrix:
     data_end = 12 + rows * dim * 4
     if len(raw) < data_end:
         raise FormatError(f"{path}: truncated vector data")
-    values = struct.unpack_from(f"<{rows * dim}f", raw, 12)
+    vectors = (
+        np.frombuffer(raw, "<f4", count=rows * dim, offset=12)
+        .reshape(rows, dim)
+        .astype(np.float64)
+    )
     try:
         id_block = raw[data_end:].decode("utf-8")
     except UnicodeDecodeError:
@@ -235,7 +241,6 @@ def _read_binary_embeddings(raw: bytes, path) -> EmbeddingMatrix:
     ids = id_block.splitlines()
     if len(ids) != rows:
         raise FormatError(f"{path}: {len(ids)} ids for {rows} rows")
-    vectors = [list(values[i * dim : (i + 1) * dim]) for i in range(rows)]
     return _make_matrix(ids, vectors, path)
 
 
@@ -265,21 +270,17 @@ def _make_matrix(ids, vectors, path) -> EmbeddingMatrix:
     if not ids:
         raise FormatError(f"{path}: no embedding rows")
     try:
-        return EmbeddingMatrix(tuple(ids), tuple(tuple(v) for v in vectors))
+        return EmbeddingMatrix(ids, vectors)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def write_embeddings(path, matrix: EmbeddingMatrix):
-    dim = matrix.dim
-    blob = bytearray(_EMB_MAGIC)
-    blob += struct.pack("<II", len(matrix.ids), dim)
-    for row in matrix.vectors:
-        blob += struct.pack(f"<{dim}f", *row)
-    blob += "\n".join(matrix.ids).encode("utf-8")
-    if matrix.ids:
-        blob += b"\n"
-    Path(path).write_bytes(bytes(blob))
+    blob = _EMB_MAGIC + struct.pack("<II", len(matrix.ids), matrix.dim)
+    with np.errstate(over="raise"):  # a value beyond the f32 range
+        blob += np.asarray(matrix.vectors, "<f4").tobytes()
+    blob += "".join(item_id + "\n" for item_id in matrix.ids).encode("utf-8")
+    Path(path).write_bytes(blob)
 
 
 # tokens dropped from mapping matrices unless the user supplies a stoplist

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 class DegenerateLabels(ValueError):
@@ -122,40 +124,77 @@ def pool(seq: list[list[float]], mode: str) -> list[float]:
     raise ValueError(f"unknown pooling mode {mode!r}")
 
 
-@dataclass(frozen=True)
 class EmbeddingMatrix:
-    ids: tuple[str, ...]
-    vectors: tuple[tuple[float, ...], ...]
+    """Embedding rows keyed by id, held as one read-only C-contiguous
+    (n, dim) float64 array. Accepts an array or nested sequences of equal
+    length; values must be finite."""
 
-    def __post_init__(self):
-        if len(self.ids) != len(self.vectors):
+    __slots__ = ("ids", "vectors", "_rows")
+
+    def __init__(self, ids, vectors):
+        ids = tuple(ids)
+        if len(ids) != len(vectors):
             raise LengthMismatch("ids and vectors differ in length")
-        if len(set(self.ids)) != len(self.ids):
+        rows = {item_id: i for i, item_id in enumerate(ids)}
+        if len(rows) != len(ids):
             raise ValueError("ids must be unique")
-        if self.vectors:
-            dim = len(self.vectors[0])
-            if dim < 1:
-                raise DimMismatch("dimension must be at least 1")
-            if any(len(v) != dim for v in self.vectors):
-                raise DimMismatch("rows differ in dimension")
+        if not isinstance(vectors, np.ndarray) and len({len(v) for v in vectors}) > 1:
+            raise DimMismatch("rows differ in dimension")
+        array = np.ascontiguousarray(vectors, dtype=np.float64)
+        if not ids:
+            array = array.reshape(0, 0)
+        elif array.ndim != 2:
+            raise DimMismatch("vectors must form an (n, dim) matrix")
+        elif array.shape[1] < 1:
+            raise DimMismatch("dimension must be at least 1")
+        finite = np.isfinite(array).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite value in row {ids[int(np.argmin(finite))]!r}")
+        self.ids = ids
+        # a read-only view: row() hands out slices of it, and the array may
+        # be the caller's own
+        self.vectors = array.view()
+        self.vectors.flags.writeable = False
+        self._rows = rows
 
     @property
     def dim(self) -> int:
-        return len(self.vectors[0]) if self.vectors else 0
+        return self.vectors.shape[1]
 
-    def row(self, item_id: str) -> tuple[float, ...]:
+    def __contains__(self, item_id) -> bool:
+        return item_id in self._rows
+
+    def index(self, item_id: str) -> int:
         try:
-            return self.vectors[self.ids.index(item_id)]
-        except ValueError:
+            return self._rows[item_id]
+        except KeyError:
             raise MissingId(f"id {item_id!r} not present") from None
 
+    def row(self, item_id: str) -> np.ndarray:
+        return self.vectors[self.index(item_id)]
 
-def _cosine(u, v) -> float:
-    nu = math.sqrt(sum(x * x for x in u))
-    nv = math.sqrt(sum(x * x for x in v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return sum(a * b for a, b in zip(u, v)) / (nu * nv)
+
+# query rows scored per matrix product; bounds the score block at
+# _QUERY_BLOCK x n_targets float64 values
+_QUERY_BLOCK = 256
+
+
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; zero rows stay zero and so score 0."""
+    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))[:, None]
+    norms[norms == 0.0] = 1.0
+    return vectors / norms
+
+
+def _distinct_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct value, row -> distinct index), comparing
+    rows by their bytes after folding -0.0 into 0.0."""
+    if not vectors.all():
+        vectors = vectors + 0.0
+    keys = vectors.view(np.dtype((np.void, vectors.shape[1] * 8))).ravel().tolist()
+    slot = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    inverse = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
 def retrieval_eval(
@@ -164,24 +203,38 @@ def retrieval_eval(
     gold: dict[str, str],
     ks: list[int] = (1, 5, 10),
 ) -> dict:
-    """Cosine-ranked retrieval; rank ties break by target id ascending."""
+    """Cosine-ranked retrieval. A gold target's rank is 1 + the targets
+    scoring higher + the targets scoring equal with a smaller id."""
     if queries.dim != targets.dim:
         raise DimMismatch(f"query dim {queries.dim} vs target dim {targets.dim}")
     if not gold:
         raise EmptySequence("no gold annotations")
     for qid, tid in gold.items():
-        if qid not in queries.ids:
+        if qid not in queries:
             raise MissingId(f"query id {qid!r} not present")
-        if tid not in targets.ids:
+        if tid not in targets:
             raise MissingId(f"target id {tid!r} not present")
-    ranks = []
-    for qid, tid in sorted(gold.items()):
-        qvec = queries.row(qid)
-        scored = sorted(
-            ((-_cosine(qvec, vec), t) for t, vec in zip(targets.ids, targets.vectors)),
+    pairs = sorted(gold.items())
+    q_unit = _unit_rows(queries.vectors[[queries.index(q) for q, _ in pairs]])
+    gold_rows = np.array([targets.index(t) for _, t in pairs], dtype=np.intp)
+    # Equal rows must tie exactly, and BLAS may round the same row
+    # differently at different tile positions: score each distinct row
+    # once and copy its score to the duplicates.
+    firsts, inverse = _distinct_rows(targets.vectors)
+    t_unit_t = _unit_rows(targets.vectors[firsts]).T
+    n_targets = len(targets.ids)
+    id_rank = np.empty(n_targets, dtype=np.intp)
+    id_rank[sorted(range(n_targets), key=targets.ids.__getitem__)] = np.arange(n_targets)
+    ranks: list[int] = []
+    for start in range(0, len(pairs), _QUERY_BLOCK):
+        block = slice(start, start + _QUERY_BLOCK)
+        scores = (q_unit[block] @ t_unit_t)[:, inverse]
+        cols = gold_rows[block]
+        gold_scores = scores[np.arange(len(cols)), cols][:, None]
+        ahead = (scores > gold_scores) | (
+            (scores == gold_scores) & (id_rank < id_rank[cols][:, None])
         )
-        rank = next(pos for pos, (_, t) in enumerate(scored, start=1) if t == tid)
-        ranks.append(rank)
+        ranks.extend((1 + ahead.sum(axis=1)).tolist())
     mrr = sum(1.0 / r for r in ranks) / len(ranks)
     recall_at = {k: sum(1 for r in ranks if r <= k) / len(ranks) for k in ks}
     return {"mrr": mrr, "recall_at": recall_at, "ranks": ranks}

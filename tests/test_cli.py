@@ -279,6 +279,14 @@ def test_retrieval_cli(tmp_path, capsys):
     assert data["metrics"]["r@10"] == 1.0
 
 
+def test_retrieval_non_finite_is_data_error(tmp_path, capsys):
+    tp = tmp_path / "t.csv"
+    tp.write_text("a,1.0,0.0\nb,nan,1.0\n")
+    gold = _write_jsonl(tmp_path / "gold.jsonl", [{"query": "a", "target": "a"}])
+    assert main(["eval", "retrieval", "--queries", str(tp), "--targets", str(tp), "--gold", gold]) == 2
+    assert "non-finite value in row 'b'" in capsys.readouterr().err
+
+
 def test_property_cli(tmp_path, capsys):
     rows = [
         {"task": "a", "label": 1, "score": 0.9},

@@ -1,6 +1,8 @@
 import json
 import math
+import struct
 
+import numpy as np
 import pytest
 
 from moleval.harness.evaluate import (
@@ -192,14 +194,14 @@ class TestEmbeddings:
         loaded = read_embeddings(str(path))
         assert loaded.ids == ("a", "b")
         # values chosen exactly representable in f32
-        assert loaded.vectors == matrix.vectors
+        assert loaded.vectors.tolist() == matrix.vectors.tolist()
 
     def test_csv_reader(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("q1,1.0,0.0\nq2,0.0,1.0\n")
         loaded = read_embeddings(str(path))
         assert loaded.ids == ("q1", "q2")
-        assert loaded.vectors[1] == (0.0, 1.0)
+        assert loaded.vectors[1].tolist() == [0.0, 1.0]
 
     def test_truncated_binary(self, tmp_path):
         path = tmp_path / "e.emb"
@@ -228,6 +230,42 @@ class TestEmbeddings:
         with pytest.raises(FormatError):
             read_embeddings(str(path))
 
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_binary_names_row(self, tmp_path, bad):
+        path = tmp_path / "e.emb"
+        matrix = EmbeddingMatrix(("a", "b", "c"), ((1.0, 2.0), (3.0, 4.0), (5.0, 6.0)))
+        write_embeddings(path, matrix)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<f", data, 12 + 3 * 4, bad)  # row "b", column 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="non-finite value in row 'b'"):
+            read_embeddings(str(path))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_csv_names_row(self, tmp_path, bad):
+        path = tmp_path / "e.csv"
+        path.write_text(f"a,1.0,2.0\nb,{bad},0.5\n")
+        with pytest.raises(FormatError, match="non-finite value in row 'b'"):
+            read_embeddings(str(path))
+
+    def test_ragged_csv_is_dimension_error(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("a,1.0,2.0\nb,3.0,4.0\nc,5.0\n")
+        with pytest.raises(FormatError, match="rows differ in dimension"):
+            read_embeddings(str(path))
+
+    def test_reader_widens_f32_values(self, tmp_path):
+        path = tmp_path / "e.emb"
+        write_embeddings(path, EmbeddingMatrix(("a",), ((0.1, -1e-3),)))
+        loaded = read_embeddings(str(path))
+        assert loaded.vectors.dtype == np.float64 and loaded.vectors.flags.c_contiguous
+        want = np.array([[0.1, -1e-3]], dtype=np.float32).astype(np.float64)
+        assert loaded.vectors.tobytes() == want.tobytes()
+
+    def test_write_rejects_values_beyond_f32(self, tmp_path):
+        with pytest.raises(FloatingPointError):
+            write_embeddings(tmp_path / "e.emb", EmbeddingMatrix(("a",), ((1e300,),)))
 
 class TestEvalRetrieval:
     def _files(self, tmp_path, queries, targets, gold):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -228,6 +229,65 @@ def test_retrieval_oracle_and_l2_invariance():
         )
         assert normed["ranks"] == out["ranks"]
 
+
+def test_retrieval_exact_ties_across_tiles_and_blocks():
+    # Duplicate target rows, some among the last rows where BLAS kernels
+    # switch to edge tiles, and more queries than one scoring block; queries
+    # equal to a duplicated target put the gold in an exact tie at rank 1 or 2.
+    rng = random.Random(2402)
+    nt, nq, dim = 500, 300, 32
+    t_ids = [f"t{i:03d}" for i in range(nt)]
+    t_vecs = [[rng.gauss(0.0, 1.0) for _ in range(dim)] for _ in range(nt)]
+    copies = [nt - 1, nt - 2, nt - 5, nt - 7] + rng.sample(range(1, nt - 7), 56)
+    sources = [0] + rng.sample([i for i in range(1, nt) if i not in copies], 59)
+    for dst, src in zip(copies, sources):
+        t_vecs[dst] = list(t_vecs[src])
+    # rows equal up to the sign of a zero must tie too
+    t_vecs[copies[0]][3] = 0.0
+    t_vecs[sources[0]][3] = -0.0
+    q_ids = [f"q{i:03d}" for i in range(nq)]
+    gold = {}
+    q_vecs = []
+    for i, qid in enumerate(q_ids):
+        if i % 25 == 0:
+            pair = (copies[i // 25], sources[i // 25])
+            q_vecs.append(list(t_vecs[pair[0]]))
+            gold[qid] = t_ids[pair[i % 2]]
+        else:
+            # half the golds are duplicated rows, whose rank needs the tie
+            target = rng.choice(copies + sources) if i % 2 else rng.randrange(nt)
+            q_vecs.append([x + rng.gauss(0.0, 1.5) for x in t_vecs[target]])
+            gold[qid] = t_ids[target]
+    out = retrieval_eval(_matrix(q_ids, q_vecs), _matrix(t_ids, t_vecs), gold)
+    want = oracle.retrieval_ranks_reference(
+        dict(zip(q_ids, q_vecs)), dict(zip(t_ids, t_vecs)), gold
+    )
+    assert out["ranks"] == [want[q] for q in sorted(gold)]
+    tied = [want[q] for i, q in enumerate(q_ids) if i % 25 == 0]
+    assert set(tied) == {1, 2}
+
+
+def test_embedding_matrix_storage_and_validation():
+    m = _matrix(["a", "b"], [[1, 2], [3, 4]])
+    assert m.vectors.dtype == np.float64 and m.vectors.flags.c_contiguous
+    assert m.vectors.shape == (2, 2) and m.dim == 2
+    assert m.row("b").tolist() == [3.0, 4.0]
+    with pytest.raises(ValueError, match="read-only"):
+        m.row("b")[0] = 0.0
+    with pytest.raises(MissingId):
+        m.row("c")
+    with pytest.raises(DimMismatch, match="rows differ in dimension"):
+        _matrix(["a", "b"], [[1.0, 2.0], [3.0]])
+    with pytest.raises(DimMismatch):
+        _matrix(["a"], [[]])
+    with pytest.raises(ValueError, match="unique"):
+        _matrix(["a", "a"], [[1.0], [2.0]])
+    with pytest.raises(LengthMismatch):
+        _matrix(["a"], [[1.0], [2.0]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite value in row 'b'"):
+            _matrix(["a", "b"], [[1.0, 0.0], [0.0, bad]])
+    assert EmbeddingMatrix((), ()).dim == 0
 
 def test_scored_labels_validation():
     with pytest.raises(LengthMismatch):
