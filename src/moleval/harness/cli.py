@@ -26,7 +26,7 @@ from ..transition import MODALITIES, build_matrix, export_matrix, export_provena
 from .evaluate import eval_generation, eval_property, eval_retrieval, merge_reports
 from .profile import profile_dataset
 from .records import DEFAULT_STOPLIST, read_pairs, read_results, read_stoplist
-from .reports import provenance_for, render, resolve_out
+from .reports import RENDERERS, provenance_for, render, resolve_out
 
 
 class UsageError(Exception):
@@ -64,22 +64,6 @@ def _setting(args, config, key: str, fallback, cast=str):
     return fallback
 
 
-def _emit(payload: dict, out: str | None):
-    fmt, path = resolve_out(out)
-    text = render(payload, fmt)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _write_or_print(text: str, path: str | None):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _input_strings(args) -> list[str]:
     items = list(args.items)
     if getattr(args, "infile", None):
@@ -109,12 +93,11 @@ def _cmd_parse(args, config):
             entry["canonical"] = canonical_smiles(graph)
             entry.update(descriptors(graph))
         molecules.append(entry)
-    payload = {
+    return {
         "task": "parse",
         "molecules": molecules,
         "counts": {"given": len(molecules), "valid": valid_count},
     }
-    _emit(payload, _setting(args, config, "out", None))
 
 
 def _cmd_convert(args, config):
@@ -130,73 +113,40 @@ def _cmd_convert(args, config):
         except ValueError as exc:
             raise ValueError(f"input {index}: {exc}") from None
         results.append({"input": text, "output": converted})
-    out = _setting(args, config, "out", None)
-    fmt, path = resolve_out(out)
-    if out is None or (path is not None and Path(path).suffix.lstrip(".").lower() not in ("json", "md", "csv")):
-        _write_or_print("".join(r["output"] + "\n" for r in results), path)
-        return
-    _emit({"task": "convert", "results": results, "counts": {"converted": len(results)}}, out)
+    _, path = resolve_out(args.out)
+    if args.out is None or (path is not None and Path(path).suffix.lstrip(".").lower() not in RENDERERS):
+        return "".join(r["output"] + "\n" for r in results)
+    return {"task": "convert", "results": results, "counts": {"converted": len(results)}}
 
 
 def _cmd_profile(args, config):
-    payload = profile_dataset(args.records)
-    _emit(payload, _setting(args, config, "out", None))
+    return profile_dataset(args.records)
 
 
-def _merge_paths(args):
-    return getattr(args, "repeat_merge", None)
-
-
-def _cmd_eval_gen(args, config):
-    merge = _merge_paths(args)
-    if merge:
-        payloads = [json.loads(Path(p).read_text(encoding="utf-8")) for p in merge]
-        payload = merge_reports(payloads, provenance_for(merge))
-    elif args.records is None:
-        raise UsageError("eval gen needs --records (or --repeat-merge)")
-    else:
+def _cmd_eval(args, config):
+    if args.repeat_merge:
+        payloads = [json.loads(Path(p).read_text(encoding="utf-8")) for p in args.repeat_merge]
+        return merge_reports(payloads, provenance_for(args.repeat_merge))
+    if args.eval_command == "gen":
+        if args.records is None:
+            raise UsageError("eval gen needs --records (or --repeat-merge)")
         target_kind = _setting(args, config, "target_kind", None)
         if target_kind is None:
             raise UsageError("eval gen needs --target-kind molecule|text")
-        threads = _setting(args, config, "threads", 1, int)
-        report = eval_generation(args.records, target_kind, threads=threads)
-        payload = report.payload()
-        _attach_seed(payload, args, config)
-    _emit(payload, _setting(args, config, "out", None))
-
-
-def _cmd_eval_retrieval(args, config):
-    merge = _merge_paths(args)
-    if merge:
-        payloads = [json.loads(Path(p).read_text(encoding="utf-8")) for p in merge]
-        payload = merge_reports(payloads, provenance_for(merge))
-    elif not (args.queries and args.targets and args.gold):
-        raise UsageError("eval retrieval needs --queries, --targets and --gold")
-    else:
+        report = eval_generation(args.records, target_kind)
+    elif args.eval_command == "retrieval":
+        if not (args.queries and args.targets and args.gold):
+            raise UsageError("eval retrieval needs --queries, --targets and --gold")
         report = eval_retrieval(args.queries, args.targets, args.gold)
-        payload = report.payload()
-        _attach_seed(payload, args, config)
-    _emit(payload, _setting(args, config, "out", None))
-
-
-def _cmd_eval_property(args, config):
-    merge = _merge_paths(args)
-    if merge:
-        payloads = [json.loads(Path(p).read_text(encoding="utf-8")) for p in merge]
-        payload = merge_reports(payloads, provenance_for(merge))
-    elif args.records is None:
-        raise UsageError("eval property needs --records (or --repeat-merge)")
     else:
+        if args.records is None:
+            raise UsageError("eval property needs --records (or --repeat-merge)")
         report = eval_property(args.records)
-        payload = report.payload()
-        _attach_seed(payload, args, config)
-    _emit(payload, _setting(args, config, "out", None))
-
-
-def _attach_seed(payload: dict, args, config):
+    payload = report.payload()
     seed = _setting(args, config, "seed", None, int)
     if seed is not None:
-        payload.setdefault("provenance", {})["seed"] = seed
+        payload["provenance"]["seed"] = seed
+    return payload
 
 
 def _cmd_transition_build(args, config):
@@ -204,11 +154,8 @@ def _cmd_transition_build(args, config):
     matrix = build_matrix(results)
     if args.provenance:
         Path(args.provenance).write_text(export_provenance(matrix), encoding="utf-8")
-    out = _setting(args, config, "out", None)
-    fmt, path = resolve_out(out)
-    if fmt == "csv":
-        _write_or_print(export_matrix(matrix), path)
-        return
+    if resolve_out(args.out)[0] == "csv":
+        return export_matrix(matrix)
     cells = {}
     for row in MODALITIES:
         cells[row] = {
@@ -218,13 +165,12 @@ def _cmd_transition_build(args, config):
             }
             for col in MODALITIES
         }
-    payload = {
+    return {
         "task": "transition-build",
         "modalities": list(MODALITIES),
         "cells": cells,
         "provenance": provenance_for([args.results]),
     }
-    _emit(payload, out)
 
 
 def _load_mapping_matrix(args, config) -> interpret.MappingMatrix:
@@ -272,9 +218,7 @@ def _matrix_sources(args) -> list[str]:
 
 def _cmd_tokenmap_build(args, config):
     matrix = interpret.sort_matrix(_load_mapping_matrix(args, config))
-    out = _setting(args, config, "out", None)
-    fmt, path = resolve_out(out)
-    if fmt == "csv":
+    if resolve_out(args.out)[0] == "csv":
         import csv
         import io
 
@@ -283,11 +227,10 @@ def _cmd_tokenmap_build(args, config):
         writer.writerow([""] + list(matrix.col_tokens))
         for token, row in zip(matrix.row_tokens, matrix.counts):
             writer.writerow([token] + [f"{v:g}" for v in row])
-        _write_or_print(buffer.getvalue(), path)
-        return
+        return buffer.getvalue()
     peak = float(matrix.counts.max())
     normalized = matrix.counts / peak if peak > 0 else matrix.counts
-    payload = {
+    return {
         "task": "tokenmap-build",
         "row_tokens": list(matrix.row_tokens),
         "col_tokens": list(matrix.col_tokens),
@@ -297,7 +240,6 @@ def _cmd_tokenmap_build(args, config):
         "degraded": matrix.degraded,
         "provenance": provenance_for(_matrix_sources(args)),
     }
-    _emit(payload, out)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -325,7 +267,7 @@ def _cmd_tokenmap_sweep(args, config):
     matrix = _load_mapping_matrix(args, config)
     grid = _parse_grid(_setting(args, config, "grid", "0:5:0.25"))
     rows = interpret.sweep_threshold(matrix, grid)
-    payload = {
+    return {
         "task": "tokenmap-sweep",
         "rows": [
             {
@@ -339,7 +281,6 @@ def _cmd_tokenmap_sweep(args, config):
         ],
         "provenance": provenance_for(_matrix_sources(args)),
     }
-    _emit(payload, _setting(args, config, "out", None))
 
 
 def _cmd_tokenmap_select(args, config):
@@ -363,7 +304,7 @@ def _cmd_tokenmap_select(args, config):
                 "value": pair.value,
             }
         )
-    payload = {
+    return {
         "task": "tokenmap-select",
         "threshold_T": stats.threshold_T,
         "z": stats.z,
@@ -384,12 +325,12 @@ def _cmd_tokenmap_select(args, config):
         ],
         "provenance": provenance_for(_matrix_sources(args)),
     }
-    _emit(payload, _setting(args, config, "out", None))
 
 
 def _add_common(parser):
     parser.add_argument("--out", default=None, help="json|md|csv for stdout, or an output path")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; evaluation runs sequentially")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--config", default=None, help="flat key=value defaults, overridden by flags")
 
@@ -435,7 +376,7 @@ def build_parser() -> _Parser:
     p.add_argument("--repeat-merge", dest="repeat_merge", nargs="+", default=None,
                    help="merge previously produced JSON reports (mean and std)")
     _add_common(p)
-    p.set_defaults(handler=_cmd_eval_gen)
+    p.set_defaults(handler=_cmd_eval)
 
     p = ev_sub.add_parser("retrieval", help="embedding retrieval")
     p.add_argument("--queries", default=None)
@@ -443,13 +384,13 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", default=None)
     p.add_argument("--repeat-merge", dest="repeat_merge", nargs="+", default=None)
     _add_common(p)
-    p.set_defaults(handler=_cmd_eval_retrieval)
+    p.set_defaults(handler=_cmd_eval)
 
     p = ev_sub.add_parser("property", help="property prediction records")
     p.add_argument("--records", default=None)
     p.add_argument("--repeat-merge", dest="repeat_merge", nargs="+", default=None)
     _add_common(p)
-    p.set_defaults(handler=_cmd_eval_property)
+    p.set_defaults(handler=_cmd_eval)
 
     tr = sub.add_parser("transition", help="modal transition matrix")
     tr_sub = tr.add_subparsers(dest="transition_command", required=True)
@@ -487,7 +428,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _read_config(args.config) if args.config else {}
-        args.handler(args, config)
+        args.out = _setting(args, config, "out", None)
+        result = args.handler(args, config)
+        fmt, path = resolve_out(args.out)
+        text = result if isinstance(result, str) else render(result, fmt)
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            Path(path).write_text(text, encoding="utf-8")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

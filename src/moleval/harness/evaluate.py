@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..fingerprint import morgan_fp, path_fp, tanimoto
@@ -20,7 +19,7 @@ from ..predmetrics import (
 from ..textmetrics import (
     bleu,
     bleu_sentence,
-    exact_match,
+    exact_match_graphs,
     exact_match_raw,
     levenshtein,
     meteor_lite,
@@ -70,25 +69,25 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
+def _parse_or_none(smiles: str):
+    try:
+        return parse_smiles(smiles)
+    except SmilesError:
+        return None
+
+
 def _molecule_record(pred: str, ref: str) -> dict:
-    try:
-        pred_graph = parse_smiles(pred)
-        pred_ok = True
-    except SmilesError:
-        pred_graph = None
-        pred_ok = False
-    try:
-        ref_graph = parse_smiles(ref)
-    except SmilesError:
-        ref_graph = None
+    """Per-record molecule metrics; each side is parsed once."""
+    pred_graph = _parse_or_none(pred)
+    ref_graph = _parse_or_none(ref)
     rdk = morgan = 0.0
     if pred_graph is not None and ref_graph is not None:
         rdk = tanimoto(path_fp(pred_graph), path_fp(ref_graph))
         morgan = tanimoto(morgan_fp(pred_graph), morgan_fp(ref_graph))
     return {
-        "valid": 1.0 if pred_ok and validity(pred_graph) else 0.0,
-        "parseable": pred_ok,
-        "exact": 1.0 if exact_match(pred, ref) else 0.0,
+        "valid": 1.0 if pred_graph is not None and validity(pred_graph) else 0.0,
+        "parseable": pred_graph is not None,
+        "exact": 1.0 if exact_match_graphs(pred_graph, ref_graph) else 0.0,
         "exact_raw": 1.0 if exact_match_raw(pred, ref) else 0.0,
         "lev": float(levenshtein(pred, ref)),
         "rdk": rdk,
@@ -107,14 +106,7 @@ def _text_record(cand_tokens, ref_tokens) -> dict:
     }
 
 
-def _map_records(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def eval_generation(records_path, target_kind: str, threads: int = 1) -> Report:
+def eval_generation(records_path, target_kind: str) -> Report:
     """Metric bundle over a generation record file. Metrics compare each
     prediction with the record's first reference; invalid or unparseable
     predictions score zero where chemistry is needed but stay counted."""
@@ -138,7 +130,7 @@ def eval_generation(records_path, target_kind: str, threads: int = 1) -> Report:
         }
     }
     if target_kind == "molecule":
-        rows = _map_records(lambda pr: _molecule_record(*pr), list(zip(preds, refs)), threads)
+        rows = [_molecule_record(pred, ref) for pred, ref in zip(preds, refs)]
         metrics["exact-match"] = _mean(r["exact"] for r in rows)
         metrics["exact-match-raw"] = _mean(r["exact_raw"] for r in rows)
         metrics["levenshtein"] = _mean(r["lev"] for r in rows)
@@ -147,9 +139,7 @@ def eval_generation(records_path, target_kind: str, threads: int = 1) -> Report:
         metrics["morgan-fts"] = _mean(r["morgan"] for r in rows)
         details["unparseable_predictions"] = sum(1 for r in rows if not r["parseable"])
     else:
-        rows = _map_records(
-            lambda pr: _text_record(*pr), list(zip(cand_seqs, ref_seqs)), threads
-        )
+        rows = [_text_record(cand, ref) for cand, ref in zip(cand_seqs, ref_seqs)]
         for name in ("rouge-1", "rouge-2", "rouge-l", "meteor"):
             metrics[name] = _mean(r[name] for r in rows)
 

@@ -19,14 +19,11 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def provenance_for(paths, seed=None) -> dict:
-    prov = {
+def provenance_for(paths) -> dict:
+    return {
         "inputs": {str(p): sha256_file(p) for p in paths},
         "tool": {"name": "moleval", "version": __version__},
     }
-    if seed is not None:
-        prov["seed"] = seed
-    return prov
 
 
 def _clean(value):

@@ -1,6 +1,6 @@
 """Molecular graphs: SMILES parsing, canonical form, descriptors, scaffolds."""
 
-from .canon import UnsupportedFeature, canonical_ranks, canonical_smiles
+from .canon import UnsupportedFeature, canonical_smiles
 from .elements import (
     AROMATIC_SUBSET,
     ORGANIC_SUBSET,
@@ -46,7 +46,6 @@ __all__ = [
     "UnsupportedFeature",
     "allowed_valences",
     "atomic_weight",
-    "canonical_ranks",
     "canonical_smiles",
     "default_valence",
     "descriptors",

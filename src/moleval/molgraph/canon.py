@@ -35,24 +35,6 @@ def canonical_smiles(graph: MolGraph) -> str:
     return _canonical_from(graph, ranks)
 
 
-def canonical_ranks(graph: MolGraph) -> list[int]:
-    """Discrete canonical atom ranks (the ordering behind the string)."""
-    if not graph.atoms:
-        return []
-    ranks = _refine(graph, _initial_ranks(graph))
-    if _is_discrete(ranks):
-        return ranks
-    # resolve ties exactly as the string search does, then recover the
-    # ranking that produced the winning string
-    best = None
-    for forked in _tie_forks(graph, ranks):
-        s = _canonical_from(graph, forked)
-        if best is None or s < best[0]:
-            best = (s, forked)
-    assert best is not None
-    return _final_ranks(graph, best[1])
-
-
 # -- ranking ---------------------------------------------------------------
 
 
@@ -115,18 +97,6 @@ def _canonical_from(graph: MolGraph, ranks: list[int]) -> str:
     if _is_discrete(ranks):
         return _write(graph, ranks)
     return min(_canonical_from(graph, forked) for forked in _tie_forks(graph, ranks))
-
-
-def _final_ranks(graph: MolGraph, ranks: list[int]) -> list[int]:
-    ranks = _refine(graph, ranks)
-    if _is_discrete(ranks):
-        return ranks
-    best = None
-    for forked in _tie_forks(graph, ranks):
-        s = _canonical_from(graph, forked)
-        if best is None or s < best[0]:
-            best = (s, forked)
-    return _final_ranks(graph, best[1])
 
 
 # -- writing ---------------------------------------------------------------

@@ -50,7 +50,6 @@ def murcko_scaffold(graph: MolGraph) -> MolGraph:
     Non-ring atoms of degree <= 1 are deleted repeatedly until none
     remain; an acyclic molecule reduces to the empty graph.
     """
-    keep = list(range(len(graph.atoms)))
     current = graph
     while True:
         ring = current.ring_atoms()
@@ -63,7 +62,6 @@ def murcko_scaffold(graph: MolGraph) -> MolGraph:
             return current
         remaining = [i for i in range(len(current.atoms)) if i not in set(drop)]
         current = current.subgraph(remaining)
-        keep = [keep[i] for i in remaining]
 
 
 def summarize_descriptors(values: list[float]) -> dict:

@@ -38,7 +38,6 @@ class TokenKind(Enum):
     BONDED_ATOM = "bonded_atom"
     RING = "ring"
     BRANCH = "branch"
-    INDEX = "index"  # reserved: every index digit doubles as another kind
 
 
 @dataclass(frozen=True)
@@ -181,10 +180,7 @@ class _Decoder:
                 first_cap = None
             order_value = min(req, self.caps[cur], capacity)
             new = self.add_atom(element, charge)
-            order = {1: SINGLE, 2: DOUBLE, 3: TRIPLE}[order_value]
-            self.bonds.append(Bond(cur, new, order))
-            self.caps[cur] -= order_value
-            self.caps[new] -= order_value
+            self.add_bond(cur, new, {1: SINGLE, 2: DOUBLE, 3: TRIPLE}[order_value])
             cur = new
 
     def _read_index(self, tokens: list[str], idx: int, width: int) -> int:

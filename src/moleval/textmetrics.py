@@ -7,7 +7,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .molgraph import SmilesError, canonical_smiles, parse_smiles, validity
+from .molgraph import MolGraph, SmilesError, canonical_smiles, parse_smiles, validity
 from .selfies import tokenize_selfies
 
 
@@ -238,7 +238,14 @@ def exact_match(candidate: str, reference: str) -> bool:
         ref = parse_smiles(reference)
     except SmilesError:
         return False
-    if not validity(cand) or not validity(ref):
+    return exact_match_graphs(cand, ref)
+
+
+def exact_match_graphs(cand: MolGraph | None, ref: MolGraph | None) -> bool:
+    """The exact-match rule over parsed graphs, None standing for a string
+    that did not parse: both valid with equal canonical forms; a graph the
+    writer cannot express is simply False."""
+    if cand is None or ref is None or not validity(cand) or not validity(ref):
         return False
     try:
         return canonical_smiles(cand) == canonical_smiles(ref)

@@ -117,6 +117,47 @@ def test_convert_bad_input_names_position(capsys):
     assert "input 2" in capsys.readouterr().err
 
 
+def test_convert_unknown_extension_writes_plain_lines(tmp_path, capsys):
+    out = tmp_path / "result.txt"
+    assert main(["convert", "--from", "smiles", "--to", "selfies", "CCO", "C=C", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "[C][C][O]\n[C][=C]\n"
+
+
+def test_convert_out_json_emits_payload(capsys):
+    assert main(["convert", "--from", "smiles", "--to", "selfies", "CCO", "--out", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["task"] == "convert"
+    assert data["results"] == [{"input": "CCO", "output": "[C][C][O]"}]
+    assert data["counts"] == {"converted": 1}
+
+
+def test_transition_build_default_emits_cells(tmp_path, capsys):
+    rows = [{"input": "iupac", "output": "smiles", "metric": "bleu", "value": 0.5}]
+    res = _write_jsonl(tmp_path / "res.jsonl", rows)
+    assert main(["transition", "build", "--results", res]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["task"] == "transition-build"
+    assert data["cells"]["iupac"]["smiles"]["value"] == 0.5
+    assert set(data["cells"]) == set(data["modalities"])
+    assert res in data["provenance"]["inputs"]
+
+
+@pytest.mark.parametrize("command", ["parse", "profile", "tokenmap-build"])
+def test_threads_flag_is_accepted_and_changes_nothing(tmp_path, capsys, command):
+    if command == "parse":
+        argv = ["parse", "CCO", "c1ccccc1", "C1CC"]
+    elif command == "profile":
+        rows = [{"id": str(i), "smiles": s} for i, s in enumerate(["CCO", "c1ccccc1", "CC(=O)O"])]
+        argv = ["profile", "--records", _write_jsonl(tmp_path / "d.jsonl", rows)]
+    else:
+        argv = ["tokenmap", "build", "--pairs", _pairs_file(tmp_path)]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--threads", "3"]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_transition_build_csv_matches_library(tmp_path, capsys):
     rows = [
         {"input": "iupac", "output": "smiles", "metric": "bleu", "value": 0.881},

@@ -12,6 +12,8 @@ from moleval.harness.evaluate import (
     eval_retrieval,
     merge_reports,
 )
+from moleval.harness.cli import main
+from moleval.molgraph import parse_smiles
 from moleval.harness.profile import profile_dataset
 from moleval.harness.records import (
     EmptyFile,
@@ -160,11 +162,34 @@ class TestEvalGeneration:
         assert "exact-match" not in report.metrics
 
     def test_threads_do_not_change_result(self, tmp_path):
+        # --threads is accepted for compatibility; the report must not depend on it
         rows = [_gen_row(i, f"{'C' * (i % 5 + 1)}O", ["CCO"]) for i in range(20)]
         path = _write_jsonl(tmp_path / "g.jsonl", rows)
-        single = eval_generation(path, "molecule", threads=1)
-        multi = eval_generation(path, "molecule", threads=4)
-        assert to_json(single.payload()) == to_json(multi.payload())
+        reports = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"r{threads}.json"
+            argv = ["eval", "gen", "--records", path, "--target-kind", "molecule",
+                    "--threads", threads, "--out", str(out)]
+            assert main(argv) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_each_smiles_parsed_once(self, tmp_path, monkeypatch):
+        import moleval.harness.evaluate as evaluate
+        import moleval.textmetrics as textmetrics
+
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_smiles(text)
+
+        for module in (evaluate, textmetrics):
+            monkeypatch.setattr(module, "parse_smiles", counting_parse)
+        rows = [_gen_row(1, "CCO", ["OCC"]), _gen_row(2, "C1CC", ["c1ccccc1"])]
+        report = eval_generation(_write_jsonl(tmp_path / "g.jsonl", rows), "molecule")
+        assert sorted(parsed) == sorted(["CCO", "OCC", "C1CC", "c1ccccc1"])
+        assert report.metrics["exact-match"] == 0.5
 
     def test_deterministic_rendering(self, tmp_path):
         rows = [_gen_row(i, "CCO", ["OCC"]) for i in range(5)]
