@@ -379,3 +379,68 @@ def tanimoto_reference(features_a: set, features_b: set, width: int) -> float:
     if not union:
         return 1.0
     return len(bits_a & bits_b) / len(union)
+
+
+# -- path fingerprint features (string form, hashed after the walk) ------------
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = (1 << 64) - 1
+
+
+def _fnv1a_reference(data: bytes) -> int:
+    h = _FNV_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+def _atom_codes_reference(graph: MolGraph) -> list[int]:
+    codes = []
+    for idx, atom in enumerate(graph.atoms):
+        payload = "|".join(
+            (
+                atom.element,
+                str(graph.degree(idx)),
+                str(atom.charge),
+                str(graph.implicit_h(idx)),
+                str(int(graph.in_ring(idx))),
+                str(int(atom.aromatic)),
+            )
+        )
+        codes.append(_fnv1a_reference(payload.encode()))
+    return codes
+
+
+def path_features_reference(graph: MolGraph, max_len: int) -> set[int]:
+    """One feature per simple bond path of 1..max_len bonds: the path's
+    text (`-`-joined 16-hex atom codes and bond orders) in its smaller
+    direction, hashed with FNV-1a."""
+    atom_codes = _atom_codes_reference(graph)
+    encodings: set[str] = set()
+
+    def walk(path_atoms: list[int], path_bonds: list[int]):
+        if path_bonds:
+            forward = _path_text(path_atoms, path_bonds)
+            backward = _path_text(path_atoms[::-1], path_bonds[::-1])
+            encodings.add(min(forward, backward))
+        if len(path_bonds) == max_len:
+            return
+        last = path_atoms[-1]
+        for bi in graph.adjacency()[last]:
+            nbr = graph.bonds[bi].other(last)
+            if nbr in path_atoms:
+                continue
+            walk(path_atoms + [nbr], path_bonds + [bi])
+
+    def _path_text(atoms_seq: list[int], bonds_seq: list[int]) -> str:
+        parts = [f"{atom_codes[atoms_seq[0]]:016x}"]
+        for k, bi in enumerate(bonds_seq):
+            parts.append(str(graph.bonds[bi].order))
+            parts.append(f"{atom_codes[atoms_seq[k + 1]]:016x}")
+        return "-".join(parts)
+
+    for start in range(len(graph.atoms)):
+        walk([start], [])
+    return {_fnv1a_reference(text.encode()) for text in encodings}

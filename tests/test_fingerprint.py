@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from _oracles import random_molecule, tanimoto_reference
+from _oracles import path_features_reference, random_molecule, tanimoto_reference
 from moleval.fingerprint import (
     Fingerprint,
     KindMismatch,
@@ -14,6 +14,11 @@ from moleval.fingerprint import (
     tanimoto,
 )
 from moleval.molgraph import parse_smiles
+
+C60 = (
+    "c12c3c4c5c1c1c6c7c2c2c8c3c3c9c4c4c%10c5c5c1c1c6c6c%11c7c2c2c7c8c3c3c8c9"
+    "c4c4c9c%10c5c5c1c1c6c6c%11c2c2c7c3c3c8c4c4c9c5c1c1c6c2c3c41"
+)
 
 
 def test_methane_radius_zero_single_bit():
@@ -117,3 +122,68 @@ def test_fold_matches_set_reference():
                 morgan_features(g1, 2), morgan_features(g2, 2), width
             )
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_path_features_match_reference():
+    # the string-built features are the fingerprint's contract: bits must
+    # not move between versions
+    rng = random.Random(2024)
+    graphs = [random_molecule(rng, max_atoms=rng.choice((12, 24))) for _ in range(200)]
+    graphs += [
+        parse_smiles(text)
+        for text in (
+            C60,
+            "C" * 1500,
+            "C(C(C)(C)C)(C(C)(C)C)(C(C)(C)C)C(C)(C)C",
+            "C",
+            "[Na+].[Cl-]",
+        )
+    ]
+    for g in graphs:
+        for max_len in range(1, 8):
+            assert path_features(g, max_len) == path_features_reference(g, max_len)
+
+
+PINNED_PATH_FP = {
+    "aspirin": (
+        "0x40010018012000000008209000000040000000000010000820000000009000"
+        "4008082001000000000008800020280008110110000000000008000000000004"
+        "2000000010101000001000002100000000000108002000040000004000000000"
+        "0000000000000000004100101000400000200000000000044800000804001000"
+        "000000000c00000000000000000104000000010040001c000010000000008000"
+        "004100200000000000000000000000000804003000000800010c000000081000"
+        "0808081100000000001000000800021002000000000000000004000000000008"
+        "00080040400040000008080800005000104000080000000000001400040000"
+    ),
+    "caffeine": (
+        "0x42101111010000400101080240100040800400000960000004000000482830"
+        "0020000200004000240200200014000000110000046800000000802050000006"
+        "0000400410401000010001000080020041000000000180400010040080000100"
+        "30c0104000800020040000008014020080000008020480001000014220000000"
+        "0000020020200a00016044803100002040020002045000005000244088010200"
+        "4200042000000002030074000284010000800000003010028000010000004000"
+        "0801400110810030184201000400900800408400008044002004040000000020"
+        "000002801828024280820004300040000008a280028080020010808032020104"
+        "0"
+    ),
+    "c60": (
+        "0x80000000000000000000000000000000000000000000000000800000000080"
+        "0000000000000000000000800000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000080000000"
+        "0000000000800000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000008000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000"
+    ),
+}
+
+
+PINNED_SMILES = {
+    "aspirin": "CC(=O)Oc1ccccc1C(=O)O",
+    "caffeine": "Cn1cnc2c1c(=O)n(C)c(=O)n2C",
+    "c60": C60,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PATH_FP))
+def test_path_fp_pinned_bits(name):
+    assert hex(path_fp(parse_smiles(PINNED_SMILES[name])).bits) == PINNED_PATH_FP[name]
