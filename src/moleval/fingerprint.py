@@ -24,8 +24,8 @@ class KindMismatch(ValueError):
     pass
 
 
-def _fnv1a(data: bytes) -> int:
-    h = _FNV_OFFSET
+def _fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a of data, continuing from state h."""
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
@@ -47,6 +47,7 @@ class Fingerprint:
 
 
 def _initial_codes(graph: MolGraph) -> list[int]:
+    ring = graph.ring_atoms()
     codes = []
     for idx, atom in enumerate(graph.atoms):
         payload = "|".join(
@@ -55,7 +56,7 @@ def _initial_codes(graph: MolGraph) -> list[int]:
                 str(graph.degree(idx)),
                 str(atom.charge),
                 str(graph.implicit_h(idx)),
-                str(int(graph.in_ring(idx))),
+                str(int(idx in ring)),
                 str(int(atom.aromatic)),
             )
         )
@@ -85,35 +86,54 @@ def morgan_features(graph: MolGraph, radius: int) -> set[int]:
 
 
 def path_features(graph: MolGraph, max_len: int) -> set[int]:
-    """One feature per simple bond path of 1..max_len bonds; each path is
-    encoded in its lexicographically smaller traversal direction."""
-    atom_codes = _initial_codes(graph)
-    encodings: set[str] = set()
+    """One feature per simple bond path of 1..max_len bonds.
 
-    def walk(path_atoms: list[int], path_bonds: list[int]):
-        if path_bonds:
-            forward = _path_text(path_atoms, path_bonds)
-            backward = _path_text(path_atoms[::-1], path_bonds[::-1])
-            encodings.add(min(forward, backward))
-        if len(path_bonds) == max_len:
-            return
-        last = path_atoms[-1]
-        for bi in graph.adjacency()[last]:
-            nbr = graph.bonds[bi].other(last)
-            if nbr in path_atoms:
+    A path's text is its atom codes (16 lowercase hex digits) and bond
+    orders joined by "-", read in the direction whose text is smaller; the
+    feature is the FNV-1a hash of that text. One depth-first walk hashes
+    each path by extending its parent path's hash with the step's bytes.
+    """
+    codes = _initial_codes(graph)
+    # one step per directed bond: (neighbour, bytes the step appends to the
+    # text, its (order, code) tokens)
+    steps: list[list[tuple[int, bytes, int, int]]] = [[] for _ in codes]
+    for bond in graph.bonds:
+        for src, dst in ((bond.a, bond.b), (bond.b, bond.a)):
+            text = f"-{bond.order}-{codes[dst]:016x}".encode()
+            steps[src].append((dst, text, bond.order, codes[dst]))
+    # each path carries its atoms, its tokens (c0, o1, c1, ...) and the
+    # FNV-1a state of its forward text
+    stack = [
+        ((idx,), (code,), _fnv1a(f"{code:016x}".encode()))
+        for idx, code in enumerate(codes)
+    ]
+    # symmetric parts (tert-butyl, rings, CF3) reach one (state, step) many
+    # times: each extension is hashed once per call
+    extended: dict[tuple[int, bytes], int] = {}
+    features: set[int] = set()
+    while stack:
+        atoms, tokens, state = stack.pop()
+        longest = len(atoms) == max_len  # extensions have max_len bonds
+        for nbr, text, order, code in steps[atoms[-1]]:
+            if nbr in atoms:
                 continue
-            walk(path_atoms + [nbr], path_bonds + [bi])
-
-    def _path_text(atoms_seq: list[int], bonds_seq: list[int]) -> str:
-        parts = [f"{atom_codes[atoms_seq[0]]:016x}"]
-        for k, bi in enumerate(bonds_seq):
-            parts.append(str(graph.bonds[bi].order))
-            parts.append(f"{atom_codes[atoms_seq[k + 1]]:016x}")
-        return "-".join(parts)
-
-    for start in range(len(graph.atoms)):
-        walk([start], [])
-    return {_fnv1a(text.encode()) for text in encodings}
+            ext = tokens + (order, code)
+            # Codes are fixed-width 16-digit lowercase hex and bond orders
+            # single digits (1-4), so both directions' texts align token by
+            # token and tuple order equals text order. The walk reaches each
+            # path from both ends and keeps it where its text is not larger.
+            canonical = ext <= ext[::-1]
+            if longest and not canonical:
+                continue  # nothing extends it, so it is never hashed
+            key = (state, text)
+            h = extended.get(key)
+            if h is None:
+                h = extended[key] = _fnv1a(text, state)
+            if canonical:
+                features.add(h)
+            if not longest:
+                stack.append((atoms + (nbr,), ext, h))
+    return features
 
 
 def _fold(features: set[int], width: int, kind: str) -> Fingerprint:

@@ -50,18 +50,19 @@ def murcko_scaffold(graph: MolGraph) -> MolGraph:
     Non-ring atoms of degree <= 1 are deleted repeatedly until none
     remain; an acyclic molecule reduces to the empty graph.
     """
-    current = graph
-    while True:
-        ring = current.ring_atoms()
-        drop = [
-            i
-            for i in range(len(current.atoms))
-            if i not in ring and current.degree(i) <= 1
-        ]
-        if not drop:
-            return current
-        remaining = [i for i in range(len(current.atoms)) if i not in set(drop)]
-        current = current.subgraph(remaining)
+    # an atom of degree <= 1 lies on no ring, and deleting it breaks none,
+    # so one pass over a queue of leaves reaches the fixpoint
+    degree = [graph.degree(i) for i in range(len(graph.atoms))]
+    removed = [False] * len(graph.atoms)
+    queue = [i for i, d in enumerate(degree) if d <= 1]
+    for leaf in queue:
+        removed[leaf] = True
+        for nbr in graph.neighbors(leaf):
+            if not removed[nbr]:
+                degree[nbr] -= 1
+                if degree[nbr] == 1:
+                    queue.append(nbr)
+    return graph.subgraph([i for i, gone in enumerate(removed) if not gone])
 
 
 def summarize_descriptors(values: list[float]) -> dict:

@@ -444,3 +444,20 @@ def path_features_reference(graph: MolGraph, max_len: int) -> set[int]:
     for start in range(len(graph.atoms)):
         walk([start], [])
     return {_fnv1a_reference(text.encode()) for text in encodings}
+
+
+# -- Murcko scaffold (peel one layer per round, rebuild each round) ------------
+
+def murcko_scaffold_reference(graph: MolGraph) -> MolGraph:
+    current = graph
+    while True:
+        ring = current.ring_atoms()
+        drop = [
+            i
+            for i in range(len(current.atoms))
+            if i not in ring and current.degree(i) <= 1
+        ]
+        if not drop:
+            return current
+        remaining = [i for i in range(len(current.atoms)) if i not in set(drop)]
+        current = current.subgraph(remaining)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from _oracles import random_molecule
+from _oracles import murcko_scaffold_reference, random_molecule
 from moleval.molgraph import (
+    MolGraph,
     canonical_smiles,
     descriptors,
     murcko_scaffold,
@@ -71,6 +72,28 @@ def test_scaffold_idempotent_random():
         once = murcko_scaffold(g)
         twice = murcko_scaffold(once)
         assert canonical_smiles(once) == canonical_smiles(twice)
+
+
+def test_scaffold_matches_layer_peeling_reference():
+    rng = random.Random(9)
+    graphs = [random_molecule(rng, max_atoms=rng.choice((12, 30))) for _ in range(200)]
+    graphs += [MolGraph(), parse_smiles("CCO"), parse_smiles("C1CC1CC(C2CC2)CCC")]
+    for g in graphs:
+        assert murcko_scaffold(g) == murcko_scaffold_reference(g)
+
+
+def test_scaffold_long_tail_one_subgraph(monkeypatch):
+    calls = []
+    subgraph = MolGraph.subgraph
+
+    def counting(self, keep):
+        calls.append(len(keep))
+        return subgraph(self, keep)
+
+    monkeypatch.setattr(MolGraph, "subgraph", counting)
+    scaffold = murcko_scaffold(parse_smiles("C1CC1" + "C" * 2000))
+    assert (len(scaffold.atoms), len(scaffold.bonds)) == (3, 3)
+    assert calls == [3]
 
 
 def test_random_molecules_valid_by_construction():
