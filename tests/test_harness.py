@@ -1,10 +1,12 @@
 import json
 import math
+import random
 import struct
 
 import numpy as np
 import pytest
 
+import _oracles as oracle
 from moleval.harness.evaluate import (
     Report,
     eval_generation,
@@ -160,6 +162,40 @@ class TestEvalGeneration:
             assert name in report.metrics
             assert 0.0 <= report.metrics[name] <= 1.0
         assert "exact-match" not in report.metrics
+
+    @pytest.mark.parametrize("target_kind", ["text", "molecule"])
+    def test_bleu_and_rouge_match_oracles(self, tmp_path, target_kind):
+        # names each report key: a swapped corpus/sentence or order key fails
+        rng = random.Random(11)
+        if target_kind == "text":
+            words = "the acid is a ring of".split()
+            scheme = "whitespace"
+            make = lambda k: " ".join(rng.choice(words) for _ in range(k))
+        else:
+            words = ["C", "O", "N", "Cl", "Br", "(C)", "=O", "c1ccccc1", "[NH3+]"]
+            scheme = "smiles_regex"
+            make = lambda k: "".join(rng.choice(words) for _ in range(k))
+        rows = [
+            _gen_row(i, make(rng.randint(0, 12)), [make(rng.randint(1, 12))])
+            for i in range(40)
+        ]
+        report = eval_generation(_write_jsonl(tmp_path / "g.jsonl", rows), target_kind)
+        cands = [tokenize(r["prediction"], scheme).tokens for r in rows]
+        refs = [tokenize(r["references"][0], scheme).tokens for r in rows]
+        sentence = report.details["sentence_level"]
+        for max_n in (2, 4):
+            assert report.metrics[f"bleu-{max_n}"] == pytest.approx(
+                oracle.bleu_reference(cands, refs, max_n), abs=1e-9
+            )
+            assert sentence[f"bleu-{max_n}"] == pytest.approx(
+                oracle.bleu_sentence_reference(cands, refs, max_n), abs=1e-9
+            )
+        if target_kind == "text":
+            for n in (1, 2):
+                want = sum(oracle.rouge_n_reference(c, r, n) for c, r in zip(cands, refs))
+                assert report.metrics[f"rouge-{n}"] == pytest.approx(
+                    want / len(rows), abs=1e-9
+                )
 
     def test_threads_do_not_change_result(self, tmp_path):
         # --threads is accepted for compatibility; the report must not depend on it

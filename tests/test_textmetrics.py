@@ -96,11 +96,12 @@ def test_bleu_sentence_oracle_agreement():
         n = rng.randint(1, 4)
         cands = [_random_seq(rng) for _ in range(n)]
         refs = [_random_seq(rng) for _ in range(n)]
-        got = bleu_sentence(cands, refs, 2)
-        want = oracle.bleu_sentence_reference(
-            [c.tokens for c in cands], [r.tokens for r in refs], 2
-        )
-        assert got == pytest.approx(want, abs=1e-9)
+        for max_n in (2, 4):
+            got = bleu_sentence(cands, refs, max_n)
+            want = oracle.bleu_sentence_reference(
+                [c.tokens for c in cands], [r.tokens for r in refs], max_n
+            )
+            assert got == pytest.approx(want, abs=1e-9)
 
 
 # -- rouge ----------------------------------------------------------------------
