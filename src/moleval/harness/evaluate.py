@@ -17,8 +17,7 @@ from ..predmetrics import (
     roc_auc,
 )
 from ..textmetrics import (
-    bleu,
-    bleu_sentence,
+    bleu_scores,
     exact_match_graphs,
     exact_match_raw,
     levenshtein,
@@ -119,14 +118,12 @@ def eval_generation(records_path, target_kind: str) -> Report:
     cand_seqs = [tokenize(p, scheme) for p in preds]
     ref_seqs = [tokenize(r, scheme) for r in refs]
 
-    metrics = {
-        "bleu-2": bleu(cand_seqs, ref_seqs, 2),
-        "bleu-4": bleu(cand_seqs, ref_seqs, 4),
-    }
+    bleus = bleu_scores(cand_seqs, ref_seqs)
+    metrics = {"bleu-2": bleus["bleu-2"], "bleu-4": bleus["bleu-4"]}
     details: dict = {
         "sentence_level": {
-            "bleu-2": bleu_sentence(cand_seqs, ref_seqs, 2),
-            "bleu-4": bleu_sentence(cand_seqs, ref_seqs, 4),
+            "bleu-2": bleus["sentence-bleu-2"],
+            "bleu-4": bleus["sentence-bleu-4"],
         }
     }
     if target_kind == "molecule":

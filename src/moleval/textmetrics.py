@@ -55,37 +55,16 @@ def tokenize(text: str, scheme: str) -> TokenSeq:
     return TokenSeq(tokens=tokens, scheme=scheme)
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _clipped(cand, ref, n: int) -> tuple[int, int, int]:
+    """Clipped n-gram matches of `cand` against `ref`, then the number of
+    n-grams on each side. The only place n-grams are counted."""
+    cand_counts = Counter(zip(*(cand[i:] for i in range(n))))
+    ref_counts = Counter(zip(*(ref[i:] for i in range(n))))
+    hit = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+    return hit, max(0, len(cand) - n + 1), max(0, len(ref) - n + 1)
 
 
-def _check_bleu_inputs(candidates, references, max_n):
-    if max_n not in (2, 4):
-        raise ValueError("max_n must be 2 or 4")
-    if len(candidates) != len(references):
-        raise LengthMismatch(
-            f"{len(candidates)} candidates vs {len(references)} references"
-        )
-    if not candidates:
-        raise EmptyCorpus("no sentence pairs")
-
-
-def bleu(candidates: list[TokenSeq], references: list[TokenSeq], max_n: int) -> float:
-    """Corpus-level BLEU: geometric mean of clipped n-gram precisions times
-    the brevity penalty. A zero precision at any order gives 0."""
-    _check_bleu_inputs(candidates, references, max_n)
-    matched = [0] * max_n
-    total = [0] * max_n
-    cand_len = 0
-    ref_len = 0
-    for cand, ref in zip(candidates, references):
-        cand_len += len(cand)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            counts = _ngram_counts(cand.tokens, n)
-            ref_counts = _ngram_counts(ref.tokens, n)
-            total[n - 1] += sum(counts.values())
-            matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in counts.items())
+def _corpus_bleu(matched, total, cand_len: int, ref_len: int) -> float:
     # orders with no n-grams anywhere (corpus shorter than n) are skipped so
     # that identical inputs score 1.0 regardless of max_n
     pairs = [(m, t) for m, t in zip(matched, total) if t > 0]
@@ -96,38 +75,63 @@ def bleu(candidates: list[TokenSeq], references: list[TokenSeq], max_n: int) -> 
     return brevity * math.exp(log_sum / len(pairs))
 
 
-def bleu_sentence(
-    candidates: list[TokenSeq], references: list[TokenSeq], max_n: int
-) -> float:
-    """Mean per-sentence BLEU; zero precisions are smoothed to 1e-9 so
-    short sentences still produce a graded signal."""
-    _check_bleu_inputs(candidates, references, max_n)
+def bleu_scores(
+    candidates: list[TokenSeq], references: list[TokenSeq]
+) -> dict[str, float]:
+    """Corpus BLEU-2/4 (geometric mean of clipped n-gram precisions times
+    the brevity penalty; a zero precision at any order gives 0) and mean
+    sentence BLEU-2/4 (zero precisions smoothed to 1e-9 so short sentences
+    still produce a graded signal; an empty candidate scores 0), all from
+    one clipped count per order of each pair."""
+    if len(candidates) != len(references):
+        raise LengthMismatch(
+            f"{len(candidates)} candidates vs {len(references)} references"
+        )
+    if not candidates:
+        raise EmptyCorpus("no sentence pairs")
     eps = 1e-9
-    scores = []
+    matched = [0] * 4
+    total = [0] * 4
+    cand_len = ref_len = 0
+    sentence_2, sentence_4 = [], []
     for cand, ref in zip(candidates, references):
+        cand_len += len(cand)
+        ref_len += len(ref)
+        # running sums of log precisions: logs[k] covers orders 1..k
+        logs = [0.0]
+        for n in range(1, 5):
+            hit, count, _ = _clipped(cand.tokens, ref.tokens, n)
+            matched[n - 1] += hit
+            total[n - 1] += count
+            p = hit / count if count else eps
+            logs.append(logs[-1] + math.log(p if p > 0 else eps))
         if len(cand) == 0:
-            scores.append(0.0)
+            sentence_2.append(0.0)
+            sentence_4.append(0.0)
             continue
-        log_sum = 0.0
-        for n in range(1, max_n + 1):
-            counts = _ngram_counts(cand.tokens, n)
-            ref_counts = _ngram_counts(ref.tokens, n)
-            total = sum(counts.values())
-            hit = sum(min(c, ref_counts[g]) for g, c in counts.items())
-            p = hit / total if total else eps
-            log_sum += math.log(p if p > 0 else eps)
         brevity = math.exp(min(0.0, 1.0 - len(ref) / len(cand)))
-        scores.append(brevity * math.exp(log_sum / max_n))
-    return sum(scores) / len(scores)
+        sentence_2.append(brevity * math.exp(logs[2] / 2))
+        sentence_4.append(brevity * math.exp(logs[4] / 4))
+    return {
+        "bleu-2": _corpus_bleu(matched[:2], total[:2], cand_len, ref_len),
+        "bleu-4": _corpus_bleu(matched, total, cand_len, ref_len),
+        "sentence-bleu-2": sum(sentence_2) / len(sentence_2),
+        "sentence-bleu-4": sum(sentence_4) / len(sentence_4),
+    }
+
+
+def bleu(candidates: list[TokenSeq], references: list[TokenSeq], max_n: int) -> float:
+    """Corpus BLEU of order `max_n` (2 or 4); see `bleu_scores`."""
+    if max_n not in (2, 4):
+        raise ValueError("max_n must be 2 or 4")
+    return bleu_scores(candidates, references)[f"bleu-{max_n}"]
 
 
 def rouge(candidate: TokenSeq, reference: TokenSeq, variant: str) -> float:
     if len(candidate) == 0 or len(reference) == 0:
         raise EmptyInput("rouge needs non-empty sequences")
-    if variant == "r1":
-        return _rouge_n(candidate.tokens, reference.tokens, 1)
-    if variant == "r2":
-        return _rouge_n(candidate.tokens, reference.tokens, 2)
+    if variant in ("r1", "r2"):
+        return _f1(*_clipped(candidate.tokens, reference.tokens, int(variant[1])))
     if variant == "rl":
         return _rouge_l(candidate.tokens, reference.tokens)
     raise ValueError(f"unknown rouge variant {variant!r}")
@@ -139,13 +143,6 @@ def _f1(overlap: float, cand_total: float, ref_total: float) -> float:
     p = overlap / cand_total
     r = overlap / ref_total
     return 2 * p * r / (p + r)
-
-
-def _rouge_n(cand, ref, n: int) -> float:
-    c_counts = _ngram_counts(cand, n)
-    r_counts = _ngram_counts(ref, n)
-    overlap = sum(min(c, r_counts[g]) for g, c in c_counts.items())
-    return _f1(overlap, sum(c_counts.values()), sum(r_counts.values()))
 
 
 def _rouge_l(cand, ref) -> float:
@@ -180,17 +177,19 @@ def meteor_lite(candidate: TokenSeq, reference: TokenSeq) -> float:
     cand = list(candidate.tokens)
     ref = list(reference.tokens)
     pairs: list[tuple[int, int]] = []
+    used_cand: set[int] = set()
     used_ref: set[int] = set()
 
     def run_stage(key):
         keyed_ref = [key(t) for t in ref]
         for ci, token in enumerate(cand):
-            if any(c == ci for c, _ in pairs):
+            if ci in used_cand:
                 continue
             want = key(token)
             for ri, have in enumerate(keyed_ref):
                 if ri not in used_ref and have == want:
                     pairs.append((ci, ri))
+                    used_cand.add(ci)
                     used_ref.add(ri)
                     break
 

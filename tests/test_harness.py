@@ -2,6 +2,7 @@ import json
 import math
 import random
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -196,6 +197,27 @@ class TestEvalGeneration:
                 assert report.metrics[f"rouge-{n}"] == pytest.approx(
                     want / len(rows), abs=1e-9
                 )
+
+    @pytest.mark.parametrize("target_kind, per_record", [("text", 12), ("molecule", 8)])
+    def test_one_ngram_count_per_pair(self, tmp_path, monkeypatch, target_kind, per_record):
+        # orders 1-4 for all four BLEU values, plus orders 1-2 for ROUGE on text
+        import moleval.textmetrics as textmetrics
+
+        built = []
+
+        class CountingCounter(Counter):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(textmetrics, "Counter", CountingCounter)
+        if target_kind == "text":
+            pairs = [("the cat sat on the mat", "a cat sat"), ("acid", "an acid")]
+        else:
+            pairs = [("CCO", "OCC"), ("C1CC", "c1ccccc1"), ("CC(=O)O", "CC(=O)O")]
+        rows = [_gen_row(i, pred, [ref]) for i, (pred, ref) in enumerate(pairs)]
+        eval_generation(_write_jsonl(tmp_path / "g.jsonl", rows), target_kind)
+        assert len(built) == per_record * len(rows)
 
     def test_threads_do_not_change_result(self, tmp_path):
         # --threads is accepted for compatibility; the report must not depend on it

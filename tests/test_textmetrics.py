@@ -12,7 +12,7 @@ from moleval.textmetrics import (
     LengthMismatch,
     TokenSeq,
     bleu,
-    bleu_sentence,
+    bleu_scores,
     exact_match,
     exact_match_raw,
     levenshtein,
@@ -97,7 +97,7 @@ def test_bleu_sentence_oracle_agreement():
         cands = [_random_seq(rng) for _ in range(n)]
         refs = [_random_seq(rng) for _ in range(n)]
         for max_n in (2, 4):
-            got = bleu_sentence(cands, refs, max_n)
+            got = bleu_scores(cands, refs)[f"sentence-bleu-{max_n}"]
             want = oracle.bleu_sentence_reference(
                 [c.tokens for c in cands], [r.tokens for r in refs], max_n
             )
