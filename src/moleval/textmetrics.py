@@ -92,8 +92,10 @@ def bleu_scores(
     eps = 1e-9
     matched = [0] * 4
     total = [0] * 4
-    cand_len = ref_len = 0
-    sentence_2, sentence_4 = [], []
+    cand_len = 0
+    ref_len = 0
+    sentence_2 = []
+    sentence_4 = []
     for cand, ref in zip(candidates, references):
         cand_len += len(cand)
         ref_len += len(ref)
