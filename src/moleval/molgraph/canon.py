@@ -9,6 +9,9 @@ strings regardless of input atom order.
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
+
 from .elements import ORGANIC_SUBSET, default_valence
 from .model import AROMATIC, DOUBLE, SINGLE, TRIPLE, MolGraph
 
@@ -31,8 +34,15 @@ def canonical_smiles(graph: MolGraph) -> str:
     """
     if not graph.atoms:
         return ""
-    ranks = _initial_ranks(graph)
-    return _canonical_from(graph, ranks)
+    # everything the search and the writer read, derived once per call:
+    # each atom's token, and its (bond order, neighbour, bond token) links
+    tokens = [_atom_token(graph, idx) for idx in range(len(graph.atoms))]
+    links: list[list[tuple[int, int, str]]] = [[] for _ in graph.atoms]
+    for bond in graph.bonds:
+        token = _bond_token(graph, bond.a, bond.b, bond.order)
+        links[bond.a].append((bond.order, bond.b, token))
+        links[bond.b].append((bond.order, bond.a, token))
+    return _canonical_from(links, tokens, _initial_ranks(graph))
 
 
 # -- ranking ---------------------------------------------------------------
@@ -52,7 +62,7 @@ def _initial_ranks(graph: MolGraph) -> list[int]:
                 atom.aromatic,
             )
         )
-    return _dense([(inv,) for inv in invariants])
+    return _dense(invariants)
 
 
 def _dense(keys: list) -> list[int]:
@@ -60,15 +70,12 @@ def _dense(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
-def _refine(graph: MolGraph, ranks: list[int]) -> list[int]:
+def _refine(links, ranks: list[int]) -> list[int]:
     """Split rank classes by sorted neighbor (bond order, rank) profiles."""
     while True:
         keys = []
-        for idx in range(len(graph.atoms)):
-            profile = sorted(
-                (graph.bonds[bi].order, ranks[graph.bonds[bi].other(idx)])
-                for bi in graph.adjacency()[idx]
-            )
+        for idx, atom_links in enumerate(links):
+            profile = sorted((order, ranks[nbr]) for order, nbr, _ in atom_links)
             keys.append((ranks[idx], tuple(profile)))
         new = _dense(keys)
         if new == ranks:
@@ -76,11 +83,7 @@ def _refine(graph: MolGraph, ranks: list[int]) -> list[int]:
         ranks = new
 
 
-def _is_discrete(ranks: list[int]) -> bool:
-    return len(set(ranks)) == len(ranks)
-
-
-def _tie_forks(graph: MolGraph, ranks: list[int]):
+def _tie_forks(ranks: list[int]):
     """All single-atom promotions of the lowest tied rank class."""
     by_rank: dict[int, list[int]] = {}
     for idx, r in enumerate(ranks):
@@ -89,14 +92,14 @@ def _tie_forks(graph: MolGraph, ranks: list[int]):
     for atom in by_rank[tied_rank]:
         forked = [r * 2 for r in ranks]
         forked[atom] -= 1
-        yield _dense([(r,) for r in forked])
+        yield _dense(forked)
 
 
-def _canonical_from(graph: MolGraph, ranks: list[int]) -> str:
-    ranks = _refine(graph, ranks)
-    if _is_discrete(ranks):
-        return _write(graph, ranks)
-    return min(_canonical_from(graph, forked) for forked in _tie_forks(graph, ranks))
+def _canonical_from(links, tokens: list[str], ranks: list[int]) -> str:
+    ranks = _refine(links, ranks)
+    if len(set(ranks)) == len(ranks):
+        return _write(links, tokens, ranks)
+    return min(_canonical_from(links, tokens, forked) for forked in _tie_forks(ranks))
 
 
 # -- writing ---------------------------------------------------------------
@@ -161,81 +164,70 @@ def _bond_token(graph: MolGraph, a: int, b: int, order: int) -> str:
     return _BOND_TOKEN[order]
 
 
-def _write(graph: MolGraph, ranks: list[int]) -> str:
+def _write(links, tokens: list[str], ranks: list[int]) -> str:
     pieces = []
-    visited = [False] * len(graph.atoms)
-    order = sorted(range(len(graph.atoms)), key=lambda i: ranks[i])
+    position: dict[int, int] = {}  # visit position of each atom written so far
+    order = sorted(range(len(tokens)), key=lambda i: ranks[i])
     for start in order:
-        if visited[start]:
+        if start in position:
             continue
-        pieces.append(_write_component(graph, ranks, start, visited))
+        pieces.append(_write_component(links, tokens, ranks, start, position))
     return ".".join(sorted(pieces))
 
 
-def _write_component(graph, ranks, start, visited) -> str:
-    # pass 1: visit order, tree structure, ring closures
-    children: dict[int, list[int]] = {}
-    closures_at: dict[int, list[tuple[int, int]]] = {}  # atom -> [(other, bond order)]
-    position: dict[int, int] = {}
-    bond_used = set()
+def _write_component(links, tokens, ranks, start, position) -> str:
+    def by_rank(link):
+        return ranks[link[1]]
 
-    def explore(atom: int) -> None:
-        visited[atom] = True
-        position[atom] = len(position)
-        children[atom] = []
-        for nbr in sorted(graph.neighbors(atom), key=lambda i: ranks[i]):
-            bond = graph.bond_between(atom, nbr)
-            key = id(bond)
-            if key in bond_used:
-                continue
-            bond_used.add(key)
-            if visited[nbr]:
-                closures_at.setdefault(nbr, []).append((atom, bond.order))
-                closures_at.setdefault(atom, []).append((nbr, bond.order))
-            else:
-                children[atom].append(nbr)
-                explore(nbr)
+    # pass 1: depth-first walk on an explicit stack, neighbours in rank
+    # order. A visited neighbour other than the parent was reached earlier
+    # (a ring closure) or later (a closure already recorded at its end).
+    # children and closures_at: atom -> [(other atom, bond token)]
+    children: dict[int, list[tuple[int, str]]] = defaultdict(list)
+    closures_at: dict[int, list[tuple[int, str]]] = defaultdict(list)
+    position[start] = len(position)
+    stack = [(start, -1, iter(sorted(links[start], key=by_rank)))]
+    while stack:
+        atom, parent, pending = stack[-1]
+        for _, nbr, bond in pending:
+            if nbr not in position:
+                position[nbr] = len(position)
+                children[atom].append((nbr, bond))
+                stack.append((nbr, atom, iter(sorted(links[nbr], key=by_rank))))
+                break
+            if nbr != parent and position[nbr] < position[atom]:
+                closures_at[nbr].append((atom, bond))
+                closures_at[atom].append((nbr, bond))
+        else:
+            stack.pop()
 
-    explore(start)
-
-    # digits handed out in the order ring openings are emitted
-    digit_of: dict[tuple[int, int], int] = {}
+    # pass 2: emit in visit order, branches but the last in parentheses;
+    # ring digits are handed out in the order ring openings are emitted
     free = list(range(1, 100))
     open_now: dict[tuple[int, int], int] = {}
-
-    def closure_digits(atom: int) -> str:
-        out = []
-        pairs = sorted(
-            closures_at.get(atom, []),
-            key=lambda pair: (position[pair[0]], pair[1]),
-        )
-        for other, order in pairs:
+    out = []
+    work: list = [(start, "")]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        atom, bond = item
+        out.append(bond + tokens[atom])
+        for other, ring_bond in sorted(closures_at[atom], key=lambda c: position[c[0]]):
             key = (min(atom, other), max(atom, other))
             if key in open_now:
                 digit = open_now.pop(key)
-                free.append(digit)
-                free.sort()
+                heapq.heappush(free, digit)
             else:
                 if not free:
                     raise UnsupportedFeature("more than 99 open ring bonds")
-                digit = free.pop(0)
+                digit = heapq.heappop(free)
                 open_now[key] = digit
-            token = _bond_token(graph, atom, other, order)
-            out.append(token + (str(digit) if digit < 10 else f"%{digit:02d}"))
-        return "".join(out)
-
-    def emit(atom: int, parent: int | None) -> str:
-        parts = []
-        if parent is not None:
-            bond = graph.bond_between(parent, atom)
-            parts.append(_bond_token(graph, parent, atom, bond.order))
-        parts.append(_atom_token(graph, atom))
-        parts.append(closure_digits(atom))
+            out.append(ring_bond + (str(digit) if digit < 10 else f"%{digit:02d}"))
         kids = children[atom]
-        for kid in kids[:-1]:
-            parts.append("(" + emit(kid, atom) + ")")
         if kids:
-            parts.append(emit(kids[-1], atom))
-        return "".join(parts)
-
-    return emit(start, None)
+            work.append(kids[-1])
+            for kid in reversed(kids[:-1]):
+                work.extend((")", kid, "("))
+    return "".join(out)

@@ -128,9 +128,8 @@ class _Decoder:
 
     def add_bond(self, a: int, b: int, order: int) -> None:
         self.bonds.append(Bond(a, b, order))
-        value = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3}[order]
-        self.caps[a] -= value
-        self.caps[b] -= value
+        self.caps[a] -= order
+        self.caps[b] -= order
 
     def has_bond(self, a: int, b: int) -> bool:
         return any({bond.a, bond.b} == {a, b} for bond in self.bonds)
@@ -180,7 +179,7 @@ class _Decoder:
                 first_cap = None
             order_value = min(req, self.caps[cur], capacity)
             new = self.add_atom(element, charge)
-            self.add_bond(cur, new, {1: SINGLE, 2: DOUBLE, 3: TRIPLE}[order_value])
+            self.add_bond(cur, new, order_value)
             cur = new
 
     def _read_index(self, tokens: list[str], idx: int, width: int) -> int:
@@ -198,11 +197,10 @@ class _Decoder:
         target = max(0, cur - length)
         if target == cur or self.has_bond(cur, target):
             return
-        value = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3}[order]
-        value = min(value, self.caps[cur], self.caps[target])
+        value = min(order, self.caps[cur], self.caps[target])
         if value == 0:
             return
-        self.add_bond(cur, target, {1: SINGLE, 2: DOUBLE, 3: TRIPLE}[value])
+        self.add_bond(cur, target, value)
 
     def finish(self) -> MolGraph:
         graph = MolGraph(self.atoms, self.bonds)
@@ -260,9 +258,8 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
 
     sums = [0] * len(graph.atoms)
     for bi, bond in enumerate(graph.bonds):
-        value = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3}[orders[bi]]
-        sums[bond.a] += value
-        sums[bond.b] += value
+        sums[bond.a] += orders[bi]
+        sums[bond.b] += orders[bi]
     for idx, atom in enumerate(graph.atoms):
         allowed = allowed_valences(atom.element, atom.charge)
         target = next((v for v in allowed if v >= sums[idx]), None)
@@ -271,7 +268,6 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
         if target - sums[idx] != graph.total_h(idx):
             raise NotEncodable("hydrogen count is not at its derived default")
 
-    tokens: list[str] = []
     visited = [False] * len(graph.atoms)
     position: dict[int, int] = {}
     bond_done = [False] * len(graph.bonds)
@@ -298,12 +294,14 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
         digits = index_tokens(value)
         return [f"[{_ORDER_PREFIX[order]}{kind}{len(digits)}]"] + digits
 
-    def emit(idx: int, parent_order: int) -> list[str]:
+    def enter(idx: int, parent_order: int) -> tuple:
+        """Frame (atom, order, tokens, finished subtrees, bonds to try)."""
         visited[idx] = True
         position[idx] = len(position)
         out = [atom_token(idx, parent_order)]
+        adjacent = graph.adjacency()[idx]
         # ring closures back to already-derived atoms
-        for bi in graph.adjacency()[idx]:
+        for bi in adjacent:
             bond = graph.bonds[bi]
             nbr = bond.other(idx)
             if bond_done[bi] or not visited[nbr]:
@@ -312,25 +310,31 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
             out.extend(
                 struct_token("Ring", orders[bi], position[idx] - position[nbr] - 1)
             )
-        subtrees: list[tuple[int, list[str]]] = []
-        for bi in sorted(
-            graph.adjacency()[idx], key=lambda b: graph.bonds[b].other(idx)
-        ):
-            bond = graph.bonds[bi]
-            nbr = bond.other(idx)
+        pending = sorted(adjacent, key=lambda b: graph.bonds[b].other(idx))
+        return idx, parent_order, out, [], iter(pending)
+
+    # depth-first on an explicit stack: a frame whose bonds are all tried
+    # is finished, its branches written, and handed to its parent's subtrees
+    stack = [enter(0, SINGLE)]
+    while True:
+        idx, order, out, subtrees, pending = stack[-1]
+        for bi in pending:
+            nbr = graph.bonds[bi].other(idx)
             if bond_done[bi] or visited[nbr]:
                 continue
             bond_done[bi] = True
-            subtrees.append((orders[bi], emit(nbr, orders[bi])))
-        for order, body in subtrees[:-1]:
-            out.extend(struct_token("Branch", order, len(body) - 1))
-            out.extend(body)
-        if subtrees:
-            out.extend(subtrees[-1][1])
-        return out
-
-    tokens = emit(0, SINGLE)
-    return SelfiesStream(tuple(tokens))
+            stack.append(enter(nbr, orders[bi]))
+            break
+        else:
+            stack.pop()
+            for sub_order, body in subtrees[:-1]:
+                out.extend(struct_token("Branch", sub_order, len(body) - 1))
+                out.extend(body)
+            if subtrees:
+                out.extend(subtrees[-1][1])
+            if not stack:
+                return SelfiesStream(tuple(out))
+            stack[-1][3].append((order, out))
 
 
 def _resolve_aromatic(graph: MolGraph) -> list[int]:

@@ -293,6 +293,15 @@ def test_profile_cli(tmp_path, capsys):
     assert data["counts"]["profiled"] == 3
 
 
+def test_long_chain_convert_and_profile(tmp_path, capsys):
+    chain = "C" * 1500
+    assert main(["convert", "--from", "smiles", "--to", "selfies", chain]) == 0
+    assert capsys.readouterr().out == "[C]" * 1500 + "\n"
+    rec = _write_jsonl(tmp_path / "d.jsonl", [{"id": "0", "smiles": chain}])
+    assert main(["profile", "--records", rec]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["profiled"] == 1
+
+
 def test_markdown_and_csv_output(tmp_path, capsys):
     rec = _write_jsonl(tmp_path / "g.jsonl", _gen_rows(2))
     assert main(["eval", "gen", "--records", rec, "--target-kind", "molecule", "--out", "md"]) == 0

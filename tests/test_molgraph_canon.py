@@ -3,6 +3,7 @@ import random
 import pytest
 
 from _oracles import graphs_isomorphic, random_molecule
+from moleval.molgraph import canon
 from moleval.molgraph import (
     Atom,
     Bond,
@@ -119,3 +120,17 @@ def test_canonical_is_idempotent_on_random_molecules():
         g = random_molecule(rng)
         once = canonical_smiles(g)
         assert canonical_smiles(parse_smiles(once)) == once
+
+
+def test_atom_tokens_derived_once_per_call(monkeypatch):
+    # benzene's search writes one candidate per atom of its one tied class
+    calls = []
+    real = canon._atom_token
+
+    def counting(graph, idx):
+        calls.append(idx)
+        return real(graph, idx)
+
+    monkeypatch.setattr(canon, "_atom_token", counting)
+    assert canonical_smiles(parse_smiles("c1ccccc1")) == "c1ccccc1"
+    assert sorted(calls) == list(range(6))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +179,29 @@ def test_round_trip_random_supported_molecules():
         assert graphs_isomorphic(g, back), stream.text()
         done += 1
     assert done >= 200
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize(
+    "write, expected",
+    [(canonical_smiles, "C" * 400), (lambda g: encode_selfies(g).text(), "[C]" * 400)],
+    ids=["canonical_smiles", "encode_selfies"],
+)
+def test_writers_do_not_recurse(write, expected):
+    # a writer that recursed once per atom would need 400 frames here
+    graph = parse_smiles("C" * 400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 150)
+    try:
+        assert write(graph) == expected
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 _VOCAB = [
