@@ -3,13 +3,13 @@ import random
 import pytest
 
 from _oracles import graphs_isomorphic, random_molecule
-from moleval.molgraph import canon
 from moleval.molgraph import (
     Atom,
     Bond,
     MolGraph,
     SINGLE,
     UnsupportedFeature,
+    canon,
     canonical_smiles,
     parse_smiles,
 )
