@@ -197,6 +197,16 @@ class TestEvalGeneration:
                 assert report.metrics[f"rouge-{n}"] == pytest.approx(
                     want / len(rows), abs=1e-9
                 )
+            want = sum(oracle.rouge_l_reference(c, r) for c, r in zip(cands, refs))
+            assert report.metrics["rouge-l"] == pytest.approx(want / len(rows), abs=1e-9)
+            want = sum(oracle.meteor_reference(c, r) for c, r in zip(cands, refs))
+            assert report.metrics["meteor"] == pytest.approx(want / len(rows), abs=1e-9)
+        else:
+            distances = [
+                oracle.levenshtein_full_matrix(r["prediction"], r["references"][0])
+                for r in rows
+            ]
+            assert report.metrics["levenshtein"] == sum(distances) / len(rows)
 
     @pytest.mark.parametrize("target_kind, per_record", [("text", 12), ("molecule", 8)])
     def test_one_ngram_count_per_pair(self, tmp_path, monkeypatch, target_kind, per_record):
