@@ -17,12 +17,14 @@ from ..predmetrics import (
     roc_auc,
 )
 from ..textmetrics import (
-    bleu_scores,
+    bleu_from_counts,
     exact_match_graphs,
     exact_match_raw,
     levenshtein,
     meteor_lite,
+    ngram_counts,
     rouge,
+    rouge_from_counts,
     tokenize,
 )
 from .records import read_embeddings, read_gen_records, read_gold, read_property_rows
@@ -94,12 +96,13 @@ def _molecule_record(pred: str, ref: str) -> dict:
     }
 
 
-def _text_record(cand_tokens, ref_tokens) -> dict:
+def _text_record(cand_tokens, ref_tokens, orders) -> dict:
+    """Per-record text metrics; ROUGE-1/2 read the pair's BLEU counts."""
     if len(cand_tokens) == 0 or len(ref_tokens) == 0:
         return {"rouge-1": 0.0, "rouge-2": 0.0, "rouge-l": 0.0, "meteor": 0.0}
     return {
-        "rouge-1": rouge(cand_tokens, ref_tokens, "r1"),
-        "rouge-2": rouge(cand_tokens, ref_tokens, "r2"),
+        "rouge-1": rouge_from_counts(orders, 1),
+        "rouge-2": rouge_from_counts(orders, 2),
         "rouge-l": rouge(cand_tokens, ref_tokens, "rl"),
         "meteor": meteor_lite(cand_tokens, ref_tokens),
     }
@@ -118,7 +121,8 @@ def eval_generation(records_path, target_kind: str) -> Report:
     cand_seqs = [tokenize(p, scheme) for p in preds]
     ref_seqs = [tokenize(r, scheme) for r in refs]
 
-    bleus = bleu_scores(cand_seqs, ref_seqs)
+    counts = ngram_counts(cand_seqs, ref_seqs)
+    bleus = bleu_from_counts(counts)
     metrics = {"bleu-2": bleus["bleu-2"], "bleu-4": bleus["bleu-4"]}
     details: dict = {
         "sentence_level": {
@@ -136,7 +140,10 @@ def eval_generation(records_path, target_kind: str) -> Report:
         metrics["morgan-fts"] = _mean(r["morgan"] for r in rows)
         details["unparseable_predictions"] = sum(1 for r in rows if not r["parseable"])
     else:
-        rows = [_text_record(cand, ref) for cand, ref in zip(cand_seqs, ref_seqs)]
+        rows = [
+            _text_record(cand, ref, orders)
+            for cand, ref, orders in zip(cand_seqs, ref_seqs, counts)
+        ]
         for name in ("rouge-1", "rouge-2", "rouge-l", "meteor"):
             metrics[name] = _mean(r[name] for r in rows)
 

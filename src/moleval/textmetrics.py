@@ -75,20 +75,29 @@ def _corpus_bleu(matched, total, cand_len: int, ref_len: int) -> float:
     return brevity * math.exp(log_sum / len(pairs))
 
 
-def bleu_scores(
+def ngram_counts(
     candidates: list[TokenSeq], references: list[TokenSeq]
-) -> dict[str, float]:
-    """Corpus BLEU-2/4 (geometric mean of clipped n-gram precisions times
-    the brevity penalty; a zero precision at any order gives 0) and mean
-    sentence BLEU-2/4 (zero precisions smoothed to 1e-9 so short sentences
-    still produce a graded signal; an empty candidate scores 0), all from
-    one clipped count per order of each pair."""
+) -> list[list[tuple[int, int, int]]]:
+    """Per pair, the clipped counts of orders 1-4 (see `_clipped`): the one
+    n-gram pass that BLEU and ROUGE-1/2 both read."""
     if len(candidates) != len(references):
         raise LengthMismatch(
             f"{len(candidates)} candidates vs {len(references)} references"
         )
     if not candidates:
         raise EmptyCorpus("no sentence pairs")
+    return [
+        [_clipped(cand.tokens, ref.tokens, n) for n in range(1, 5)]
+        for cand, ref in zip(candidates, references)
+    ]
+
+
+def bleu_from_counts(counts: list[list[tuple[int, int, int]]]) -> dict[str, float]:
+    """Corpus BLEU-2/4 (geometric mean of clipped n-gram precisions times
+    the brevity penalty; a zero precision at any order gives 0) and mean
+    sentence BLEU-2/4 (zero precisions smoothed to 1e-9 so short sentences
+    still produce a graded signal; an empty candidate scores 0) from the
+    `ngram_counts` of a corpus."""
     eps = 1e-9
     matched = [0] * 4
     total = [0] * 4
@@ -96,22 +105,23 @@ def bleu_scores(
     ref_len = 0
     sentence_2 = []
     sentence_4 = []
-    for cand, ref in zip(candidates, references):
-        cand_len += len(cand)
-        ref_len += len(ref)
+    for orders in counts:
+        # order 1 counts one n-gram per token on each side
+        cand_n, ref_n = orders[0][1], orders[0][2]
+        cand_len += cand_n
+        ref_len += ref_n
         # running sums of log precisions: logs[k] covers orders 1..k
         logs = [0.0]
-        for n in range(1, 5):
-            hit, count, _ = _clipped(cand.tokens, ref.tokens, n)
-            matched[n - 1] += hit
-            total[n - 1] += count
+        for n, (hit, count, _) in enumerate(orders):
+            matched[n] += hit
+            total[n] += count
             p = hit / count if count else eps
             logs.append(logs[-1] + math.log(p if p > 0 else eps))
-        if len(cand) == 0:
+        if cand_n == 0:
             sentence_2.append(0.0)
             sentence_4.append(0.0)
             continue
-        brevity = math.exp(min(0.0, 1.0 - len(ref) / len(cand)))
+        brevity = math.exp(min(0.0, 1.0 - ref_n / cand_n))
         sentence_2.append(brevity * math.exp(logs[2] / 2))
         sentence_4.append(brevity * math.exp(logs[4] / 4))
     return {
@@ -120,6 +130,13 @@ def bleu_scores(
         "sentence-bleu-2": sum(sentence_2) / len(sentence_2),
         "sentence-bleu-4": sum(sentence_4) / len(sentence_4),
     }
+
+
+def bleu_scores(
+    candidates: list[TokenSeq], references: list[TokenSeq]
+) -> dict[str, float]:
+    """Corpus and mean sentence BLEU-2/4; see `bleu_from_counts`."""
+    return bleu_from_counts(ngram_counts(candidates, references))
 
 
 def bleu(candidates: list[TokenSeq], references: list[TokenSeq], max_n: int) -> float:
@@ -135,8 +152,15 @@ def rouge(candidate: TokenSeq, reference: TokenSeq, variant: str) -> float:
     if variant in ("r1", "r2"):
         return _f1(*_clipped(candidate.tokens, reference.tokens, int(variant[1])))
     if variant == "rl":
-        return _rouge_l(candidate.tokens, reference.tokens)
+        cand, ref = candidate.tokens, reference.tokens
+        return _f1(_lcs_length(cand, ref), len(cand), len(ref))
     raise ValueError(f"unknown rouge variant {variant!r}")
+
+
+def rouge_from_counts(orders: list[tuple[int, int, int]], n: int) -> float:
+    """ROUGE-n (n = 1 or 2) from one pair's `ngram_counts` entry; equals
+    `rouge(candidate, reference, f"r{n}")` on non-empty sequences."""
+    return _f1(*orders[n - 1])
 
 
 def _f1(overlap: float, cand_total: float, ref_total: float) -> float:
@@ -147,17 +171,20 @@ def _f1(overlap: float, cand_total: float, ref_total: float) -> float:
     return 2 * p * r / (p + r)
 
 
-def _rouge_l(cand, ref) -> float:
-    prev = [0] * (len(ref) + 1)
-    for i in range(1, len(cand) + 1):
-        row = [0] * (len(ref) + 1)
-        for j in range(1, len(ref) + 1):
-            if cand[i - 1] == ref[j - 1]:
-                row[j] = prev[j - 1] + 1
-            else:
-                row[j] = max(prev[j], row[j - 1])
-        prev = row
-    return _f1(prev[-1], len(cand), len(ref))
+def _lcs_length(cand, ref) -> int:
+    """Longest common subsequence length, bit-parallel (Allison & Dix 1986;
+    Hyyro 2004): bit j of `v` is 1 while reference position j is not yet
+    on the subsequence, and each candidate token costs one word-parallel
+    step over the whole reference."""
+    masks: dict = {}
+    for j, token in enumerate(ref):
+        masks[token] = masks.get(token, 0) | 1 << j
+    full = (1 << len(ref)) - 1
+    v = full
+    for token in cand:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(ref) - v.bit_count()
 
 
 _SUFFIXES = ("ing", "es", "ed", "ly", "s")  # longest first
@@ -183,17 +210,21 @@ def meteor_lite(candidate: TokenSeq, reference: TokenSeq) -> float:
     used_ref: set[int] = set()
 
     def run_stage(key):
-        keyed_ref = [key(t) for t in ref]
+        # free reference positions by key, last first: pop() hands out the
+        # first unused equal reference, as a left-to-right scan would
+        free: dict[str, list[int]] = {}
+        for ri in range(len(ref) - 1, -1, -1):
+            if ri not in used_ref:
+                free.setdefault(key(ref[ri]), []).append(ri)
         for ci, token in enumerate(cand):
             if ci in used_cand:
                 continue
-            want = key(token)
-            for ri, have in enumerate(keyed_ref):
-                if ri not in used_ref and have == want:
-                    pairs.append((ci, ri))
-                    used_cand.add(ci)
-                    used_ref.add(ri)
-                    break
+            slots = free.get(key(token))
+            if slots:
+                ri = slots.pop()
+                pairs.append((ci, ri))
+                used_cand.add(ci)
+                used_ref.add(ri)
 
     run_stage(lambda t: t)
     run_stage(_stem)
@@ -213,22 +244,40 @@ def meteor_lite(candidate: TokenSeq, reference: TokenSeq) -> float:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance with unit insert/delete/substitute costs."""
+    """Edit distance with unit insert/delete/substitute costs, by Myers'
+    bit-vector recurrence (J. ACM 1999, in Hyyro's form for the global
+    distance): `pv`/`mv` hold the +1/-1 vertical deltas of the current
+    column over the characters of the shorter string, and each character
+    of the longer one costs one word-parallel step."""
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        row = [i] + [0] * len(b)
-        for j, ch_b in enumerate(b, start=1):
-            row[j] = min(
-                prev[j] + 1,
-                row[j - 1] + 1,
-                prev[j - 1] + (ch_a != ch_b),
-            )
-        prev = row
-    return prev[-1]
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    full = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    pv, mv = full, 0
+    score = len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = ((((eq & pv) + pv) ^ pv) | eq) & full
+        ph = mv | (full & ~(xh | pv))
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # the top row of the table grows by one per column
+        ph = ((ph << 1) | 1) & full
+        mh = (mh << 1) & full
+        pv = mh | (full & ~(xv | ph))
+        mv = ph & xv
+    return score
 
 
 def exact_match(candidate: str, reference: str) -> bool:

@@ -168,6 +168,19 @@ def levenshtein_full_matrix(a: str, b: str) -> int:
     return d[-1][-1]
 
 
+def lcs_length_reference(a, b) -> int:
+    """Longest common subsequence length from the full table; unlike the
+    memoized recursion in `rouge_l_reference` it has no depth limit."""
+    d = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                d[i][j] = d[i - 1][j - 1] + 1
+            else:
+                d[i][j] = max(d[i - 1][j], d[i][j - 1])
+    return d[-1][-1]
+
+
 def _ngrams(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 

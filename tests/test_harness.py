@@ -208,9 +208,9 @@ class TestEvalGeneration:
             ]
             assert report.metrics["levenshtein"] == sum(distances) / len(rows)
 
-    @pytest.mark.parametrize("target_kind, per_record", [("text", 12), ("molecule", 8)])
+    @pytest.mark.parametrize("target_kind, per_record", [("text", 8), ("molecule", 8)])
     def test_one_ngram_count_per_pair(self, tmp_path, monkeypatch, target_kind, per_record):
-        # orders 1-4 for all four BLEU values, plus orders 1-2 for ROUGE on text
+        # orders 1-4 for all four BLEU values; ROUGE-1/2 on text read the same counts
         import moleval.textmetrics as textmetrics
 
         built = []

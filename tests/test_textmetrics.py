@@ -11,6 +11,7 @@ from moleval.textmetrics import (
     EmptyInput,
     LengthMismatch,
     TokenSeq,
+    _lcs_length,
     bleu,
     bleu_scores,
     exact_match,
@@ -142,6 +143,44 @@ def test_rouge_oracle_agreement():
         )
 
 
+# lengths either side of the 64-bit word boundaries, and one past 1,000
+_KERNEL_LENGTHS = (0, 1, 2, 7, 63, 64, 65, 127, 128, 129)
+
+
+def _kernel_cases(rng, alphabets):
+    """Seeded (a, b) pairs for the bit-parallel kernels: every pair of
+    `_KERNEL_LENGTHS`, then random lengths, then two long pairs, each drawn
+    from one alphabet (a one-letter alphabet repeats a single token)."""
+    lengths = [(m, n) for m in _KERNEL_LENGTHS for n in _KERNEL_LENGTHS]
+    lengths += [(rng.randint(0, 200), rng.randint(0, 200)) for _ in range(100)]
+    lengths += [(1030, 1001), (1001, 1100)]
+    for m, n in lengths:
+        alphabet = rng.choice(alphabets)
+        yield (
+            [rng.choice(alphabet) for _ in range(m)],
+            [rng.choice(alphabet) for _ in range(n)],
+        )
+
+
+def test_lcs_kernel_matches_full_table():
+    rng = random.Random(12)
+    alphabets = [["a"], ["a", "b"], "the acid is a ring of".split(), ["α", "中文", "é", "ß", "a"]]
+    for a, b in _kernel_cases(rng, alphabets):
+        assert _lcs_length(a, b) == oracle.lcs_length_reference(a, b), (len(a), len(b))
+
+
+def test_rouge_l_on_long_sequences():
+    rng = random.Random(13)
+    vocab = "the acid is a ring of".split()
+    for m, n in [(64, 65), (1001, 1030)]:
+        cand = [rng.choice(vocab) for _ in range(m)]
+        ref = [rng.choice(vocab) for _ in range(n)]
+        lcs = oracle.lcs_length_reference(cand, ref)
+        p, r = lcs / m, lcs / n
+        got = rouge(TokenSeq(tuple(cand), "whitespace"), TokenSeq(tuple(ref), "whitespace"), "rl")
+        assert got == pytest.approx(2 * p * r / (p + r), abs=1e-9)
+
+
 # -- meteor ----------------------------------------------------------------------
 
 def test_meteor_identical_penalty():
@@ -169,6 +208,19 @@ def test_meteor_oracle_agreement():
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_meteor_oracle_agreement_long_sequences():
+    # a small vocabulary repeats tokens and stems, so both stages pick
+    # among many equal references
+    rng = random.Random(14)
+    words = ["walk", "walked", "walking", "walks", "cat", "cats", "acid", "acids", "ring"]
+    for _ in range(60):
+        cand = ws(" ".join(rng.choice(words) for _ in range(rng.randint(20, 120))))
+        ref = ws(" ".join(rng.choice(words) for _ in range(rng.randint(20, 120))))
+        got = meteor_lite(cand, ref)
+        want = oracle.meteor_reference(cand.tokens, ref.tokens)
+        assert got == pytest.approx(want, abs=1e-9)
+
+
 # -- levenshtein -------------------------------------------------------------------
 
 def test_levenshtein_examples():
@@ -183,6 +235,14 @@ def test_levenshtein_oracle_agreement():
         a = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 10)))
         b = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 10)))
         assert levenshtein(a, b) == oracle.levenshtein_full_matrix(a, b)
+
+
+def test_levenshtein_kernel_matches_full_matrix():
+    rng = random.Random(15)
+    alphabets = ["a", "ab", "CNO()=1", "αβγ中文é"]
+    for a, b in _kernel_cases(rng, alphabets):
+        a, b = "".join(a), "".join(b)
+        assert levenshtein(a, b) == oracle.levenshtein_full_matrix(a, b), (len(a), len(b))
 
 
 @settings(max_examples=150, deadline=None)
