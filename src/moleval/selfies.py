@@ -295,7 +295,8 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
         return [f"[{_ORDER_PREFIX[order]}{kind}{len(digits)}]"] + digits
 
     def enter(idx: int, parent_order: int) -> tuple:
-        """Frame (atom, order, tokens, finished subtrees, bonds to try)."""
+        """Frame (atom, order, tokens, finished subtrees as (order, token
+        count, tokens), bonds to try)."""
         visited[idx] = True
         position[idx] = len(position)
         out = [atom_token(idx, parent_order)]
@@ -314,7 +315,9 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
         return idx, parent_order, out, [], iter(pending)
 
     # depth-first on an explicit stack: a frame whose bonds are all tried
-    # is finished, its branches written, and handed to its parent's subtrees
+    # is finished, its branches written, and handed to its parent's subtrees;
+    # a subtree's token list is nested in its parent's, not copied, and the
+    # whole tree is flattened once, so a chain costs linear time
     stack = [enter(0, SINGLE)]
     while True:
         idx, order, out, subtrees, pending = stack[-1]
@@ -327,14 +330,33 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
             break
         else:
             stack.pop()
-            for sub_order, body in subtrees[:-1]:
-                out.extend(struct_token("Branch", sub_order, len(body) - 1))
-                out.extend(body)
-            if subtrees:
-                out.extend(subtrees[-1][1])
+            size = len(out)
+            for k, (sub_order, sub_size, body) in enumerate(subtrees):
+                if k < len(subtrees) - 1:
+                    head = struct_token("Branch", sub_order, sub_size - 1)
+                    out.extend(head)
+                    size += len(head)
+                out.append(body)
+                size += sub_size
             if not stack:
-                return SelfiesStream(tuple(out))
-            stack[-1][3].append((order, out))
+                return SelfiesStream(tuple(_flatten(out)))
+            stack[-1][3].append((order, size, out))
+
+
+def _flatten(nested: list) -> list[str]:
+    """Tokens of a list whose items are tokens or nested lists, in order,
+    on an explicit stack."""
+    tokens: list[str] = []
+    stack = [iter(nested)]
+    while stack:
+        for item in stack[-1]:
+            if isinstance(item, list):
+                stack.append(iter(item))
+                break
+            tokens.append(item)
+        else:
+            stack.pop()
+    return tokens
 
 
 def _resolve_aromatic(graph: MolGraph) -> list[int]:

@@ -204,6 +204,37 @@ def test_writers_do_not_recurse(write, expected):
         sys.setrecursionlimit(limit)
 
 
+def _path_labels(graph) -> list:
+    """Atom and bond labels along a graph that must be a simple path, read
+    from the end that gives the smaller sequence: two paths are isomorphic
+    exactly when these agree."""
+    n = len(graph.atoms)
+    adjacency = graph.adjacency()
+    assert len(graph.bonds) == n - 1
+    assert all(len(adjacency[i]) <= 2 for i in range(n))
+    end = next(i for i in range(n) if len(adjacency[i]) == 1)
+    labels, prev, cur = [], None, end
+    while cur is not None:
+        atom = graph.atoms[cur]
+        labels.append((atom.element, atom.charge, graph.total_h(cur)))
+        step = next((bi for bi in adjacency[cur] if graph.bonds[bi].other(cur) != prev), None)
+        prev, cur = cur, None
+        if step is not None:
+            labels.append(graph.bonds[step].order)
+            cur = graph.bonds[step].other(prev)
+    assert len(labels) == 2 * n - 1  # the walk reached every atom
+    return min(labels, labels[::-1])
+
+
+def test_long_chain_round_trip():
+    # 1428 units of 7 atoms and 4 more carbons: a 10,000-atom chain
+    text = "CC=CCOCN" * 1428 + "CCCC"
+    graph = parse_smiles(text)
+    assert len(graph.atoms) == 10_000
+    back = decode_selfies(encode_selfies(graph))
+    assert _path_labels(back) == _path_labels(graph)
+
+
 _VOCAB = [
     "[C]", "[=C]", "[#C]", "[O]", "[=O]", "[N]", "[=N]", "[#N]", "[S]",
     "[P]", "[F]", "[Cl]", "[Br]", "[I]", "[B]", "[O-1]", "[N+1]", "[S-1]",
