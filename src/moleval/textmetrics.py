@@ -173,7 +173,7 @@ def _f1(overlap: float, cand_total: float, ref_total: float) -> float:
 
 def _lcs_length(cand, ref) -> int:
     """Longest common subsequence length, bit-parallel (Allison & Dix 1986;
-    Hyyro 2004): bit j of `v` is 1 while reference position j is not yet
+    Hyyrö 2004): bit j of `v` is 1 while reference position j is not yet
     on the subsequence, and each candidate token costs one word-parallel
     step over the whole reference."""
     masks: dict = {}
@@ -245,7 +245,7 @@ def meteor_lite(candidate: TokenSeq, reference: TokenSeq) -> float:
 
 def levenshtein(a: str, b: str) -> int:
     """Edit distance with unit insert/delete/substitute costs, by Myers'
-    bit-vector recurrence (J. ACM 1999, in Hyyro's form for the global
+    bit-vector recurrence (J. ACM 1999, in Hyyrö's form for the global
     distance): `pv`/`mv` hold the +1/-1 vertical deltas of the current
     column over the characters of the shorter string, and each character
     of the longer one costs one word-parallel step."""
