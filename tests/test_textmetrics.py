@@ -143,7 +143,7 @@ def test_rouge_oracle_agreement():
         )
 
 
-# lengths either side of the 64-bit word boundaries, and one past 1,000
+# lengths either side of the first two 64-bit word boundaries
 _KERNEL_LENGTHS = (0, 1, 2, 7, 63, 64, 65, 127, 128, 129)
 
 
