@@ -1,8 +1,10 @@
 """Canonical SMILES generation.
 
-Atoms are ranked by iterative partition refinement over local invariants;
-remaining ties are broken by trial ranking, keeping the candidate that
-produces the lexicographically smallest string. The writer emits one
+Each connected component is canonicalized on its own, and the sorted
+component strings are joined with '.'. Within a component, atoms are ranked
+by iterative partition refinement over local invariants; remaining ties
+are broken by trial ranking, keeping the candidate that produces the
+lexicographically smallest string. The writer emits one
 deterministic SMILES per canonical ranking, so equal graphs map to equal
 strings regardless of input atom order.
 """
@@ -32,8 +34,6 @@ def canonical_smiles(graph: MolGraph) -> str:
     atom permutations of the same graph but is an internal convention,
     not aligned with any external toolkit's canonical form.
     """
-    if not graph.atoms:
-        return ""
     # everything the search and the writer read, derived once per call:
     # each atom's token, and its (bond order, neighbour, bond token) links
     tokens = [_atom_token(graph, idx) for idx in range(len(graph.atoms))]
@@ -42,7 +42,20 @@ def canonical_smiles(graph: MolGraph) -> str:
         token = _bond_token(graph, bond.a, bond.b, bond.order)
         links[bond.a].append((bond.order, bond.b, token))
         links[bond.b].append((bond.order, bond.a, token))
-    return _canonical_from(links, tokens, _initial_ranks(graph))
+    ranks = _initial_ranks(graph)
+    # each component is searched on its own, so identical components
+    # (hydrates, salts) never multiply each other's tie forks
+    pieces = []
+    for comp in graph.components():
+        local = {atom: i for i, atom in enumerate(comp)}
+        pieces.append(
+            _canonical_from(
+                [[(order, local[nbr], tok) for order, nbr, tok in links[a]] for a in comp],
+                [tokens[a] for a in comp],
+                _dense([ranks[a] for a in comp]),
+            )
+        )
+    return ".".join(sorted(pieces))
 
 
 # -- ranking ---------------------------------------------------------------
@@ -165,17 +178,9 @@ def _bond_token(graph: MolGraph, a: int, b: int, order: int) -> str:
 
 
 def _write(links, tokens: list[str], ranks: list[int]) -> str:
-    pieces = []
-    position: dict[int, int] = {}  # visit position of each atom written so far
-    order = sorted(range(len(tokens)), key=lambda i: ranks[i])
-    for start in order:
-        if start in position:
-            continue
-        pieces.append(_write_component(links, tokens, ranks, start, position))
-    return ".".join(sorted(pieces))
+    """SMILES of one connected component whose ranks are all distinct,
+    starting from its lowest-ranked atom."""
 
-
-def _write_component(links, tokens, ranks, start, position) -> str:
     def by_rank(link):
         return ranks[link[1]]
 
@@ -185,7 +190,8 @@ def _write_component(links, tokens, ranks, start, position) -> str:
     # children and closures_at: atom -> [(other atom, bond token)]
     children: dict[int, list[tuple[int, str]]] = defaultdict(list)
     closures_at: dict[int, list[tuple[int, str]]] = defaultdict(list)
-    position[start] = len(position)
+    start = ranks.index(0)
+    position = {start: 0}  # visit position of each atom written so far
     stack = [(start, -1, iter(sorted(links[start], key=by_rank)))]
     while stack:
         atom, parent, pending = stack[-1]

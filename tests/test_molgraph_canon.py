@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -36,6 +37,15 @@ def test_components_sorted():
     text = canonical_smiles(parse_smiles("O.C"))
     parts = text.split(".")
     assert parts == sorted(parts)
+
+
+def test_repeated_components_do_not_multiply_the_search():
+    # each component is searched on its own: the tie forks of one water or
+    # benzene never multiply those of its copies (milliseconds each)
+    for text in ["O.O.O.O.O.O.O.O.O.O", "c1ccccc1.c1ccccc1.c1ccccc1"]:
+        start = time.process_time()
+        assert canonical_smiles(parse_smiles(text)) == text
+        assert time.process_time() - start < 0.5
 
 
 def test_empty_graph_writes_empty_string():
