@@ -120,6 +120,7 @@ class _Decoder:
         self.atoms: list[Atom] = []
         self.bonds: list[Bond] = []
         self.caps: list[int] = []
+        self.bonded: set[tuple[int, int]] = set()  # (lower, higher) atom pairs
 
     def add_atom(self, element: str, charge: int) -> int:
         self.atoms.append(Atom(element=element, charge=charge))
@@ -128,11 +129,12 @@ class _Decoder:
 
     def add_bond(self, a: int, b: int, order: int) -> None:
         self.bonds.append(Bond(a, b, order))
+        self.bonded.add((min(a, b), max(a, b)))
         self.caps[a] -= order
         self.caps[b] -= order
 
     def has_bond(self, a: int, b: int) -> bool:
-        return any({bond.a, bond.b} == {a, b} for bond in self.bonds)
+        return (min(a, b), max(a, b)) in self.bonded
 
     def derive(self, tokens: list[str], attach: int | None, first_cap: int | None):
         """Derive a token slice; attach is the atom the slice bonds from."""
