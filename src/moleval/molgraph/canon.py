@@ -1,12 +1,12 @@
 """Canonical SMILES generation.
 
-Each connected component is canonicalized on its own, and the sorted
-component strings are joined with '.'. Within a component, atoms are ranked
-by iterative partition refinement over local invariants; remaining ties
+Each connected component is written on its own; atoms are ranked by
+iterative partition refinement over local invariants, and remaining ties
 are broken by trial ranking, keeping the candidate that produces the
-lexicographically smallest string. The writer emits one
-deterministic SMILES per canonical ranking, so equal graphs map to equal
-strings regardless of input atom order.
+lexicographically smallest string. The writer emits one deterministic
+SMILES per canonical ranking, so equal graphs map to equal strings
+regardless of input atom order; the sorted component strings are joined
+with '.'.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 
-from .elements import ORGANIC_SUBSET, default_valence
+from .elements import ORGANIC_SUBSET
 from .model import AROMATIC, DOUBLE, SINGLE, TRIPLE, MolGraph
 
 # aromatic atoms writable as bare lowercase symbols
@@ -48,13 +48,9 @@ def canonical_smiles(graph: MolGraph) -> str:
     pieces = []
     for comp in graph.components():
         local = {atom: i for i, atom in enumerate(comp)}
-        pieces.append(
-            _canonical_from(
-                [[(order, local[nbr], tok) for order, nbr, tok in links[a]] for a in comp],
-                [tokens[a] for a in comp],
-                _dense([ranks[a] for a in comp]),
-            )
-        )
+        comp_links = [[(order, local[nbr], tok) for order, nbr, tok in links[a]] for a in comp]
+        comp_ranks = _dense([ranks[a] for a in comp])
+        pieces.append(_canonical_from(comp_links, [tokens[a] for a in comp], comp_ranks))
     return ".".join(sorted(pieces))
 
 
@@ -131,7 +127,7 @@ def _atom_token(graph: MolGraph, idx: int) -> str:
         atom.element in ORGANIC_SUBSET
         and atom.charge == 0
         and atom.isotope is None
-        and _plain_h(graph, idx) == total_h
+        and graph.bare_h(idx) == total_h
     )
     if plain_ok:
         return symbol
@@ -157,15 +153,6 @@ def _atom_token(graph: MolGraph, idx: int) -> str:
         parts.append(f"-{-atom.charge}")
     parts.append("]")
     return "".join(parts)
-
-
-def _plain_h(graph: MolGraph, idx: int) -> int:
-    """Hydrogens a bare (bracketless) atom would receive on re-parse."""
-    atom = graph.atoms[idx]
-    dv = default_valence(atom.element, atom.charge)
-    if dv is None:
-        return -1
-    return max(0, dv - graph.effective_bond_sum(idx))
 
 
 def _bond_token(graph: MolGraph, a: int, b: int, order: int) -> str:

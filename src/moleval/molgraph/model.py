@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from .elements import default_valence
 
-# Bond orders. Aromatic bonds use a sentinel order; arithmetic over bond
-# order sums treats them as contributing 1 plus a valence correction, see
-# effective_bond_sum below.
+# Bond orders. Aromatic bonds use a sentinel order; bond order sums count
+# them as 1, and MolGraph.kekulize gives each a concrete single or double.
 SINGLE, DOUBLE, TRIPLE, AROMATIC = 1, 2, 3, 4
 
 _ORDER_VALUE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3, AROMATIC: 1}
+
+_UNSET = object()
 
 
 @dataclass
@@ -47,6 +47,7 @@ class MolGraph:
     def __post_init__(self):
         self._adj: list[list[int]] | None = None
         self._rings: list[list[int]] | None = None
+        self._kekule = _UNSET
 
     # -- structure ---------------------------------------------------
 
@@ -165,48 +166,62 @@ class MolGraph:
         """Bond order sum with aromatic bonds counted as one."""
         return sum(_ORDER_VALUE[self.bonds[bi].order] for bi in self.adjacency()[idx])
 
-    def aromatic_bond_count(self, idx: int) -> int:
-        return sum(1 for bi in self.adjacency()[idx] if self.bonds[bi].order == AROMATIC)
-
-    def effective_bond_sum(self, idx: int) -> int:
-        """Bond order sum used for hydrogen derivation and validity.
-
-        Aromatic bonds count one each. A carbon sitting inside an
-        aromatic ring (exactly two aromatic bonds) owes one more unit for
-        the delocalized double bond, unless its other bonds already fill
-        the default valence (e.g. aromatic ring carbons bearing an
-        exocyclic double bond).
-        """
+    def bare_h(self, idx: int) -> int:
+        """Hydrogens of the atom written without brackets (the OpenSMILES
+        rule): default valence less the bond sum, less one more for an
+        aromatic atom's pi bond, never below zero."""
         atom = self.atoms[idx]
-        total = self.plain_bond_sum(idx)
         dv = default_valence(atom.element, atom.charge)
-        if (
-            atom.element == "C"
-            and self.aromatic_bond_count(idx) == 2
-            and dv is not None
-            and total < dv
-        ):
-            total += 1
-        return total
+        return 0 if dv is None else max(0, dv - self.plain_bond_sum(idx) - atom.aromatic)
 
     def implicit_h(self, idx: int) -> int:
         """Derived hydrogen count; zero for bracket atoms."""
-        atom = self.atoms[idx]
-        if atom.explicit_h is not None:
-            return 0
-        dv = default_valence(atom.element, atom.charge)
-        if dv is None:
-            return 0
-        return max(0, dv - self.effective_bond_sum(idx))
+        return 0 if self.atoms[idx].explicit_h is not None else self.bare_h(idx)
 
     def total_h(self, idx: int) -> int:
-        atom = self.atoms[idx]
-        if atom.explicit_h is not None:
-            return atom.explicit_h
-        return self.implicit_h(idx)
+        explicit = self.atoms[idx].explicit_h
+        return self.bare_h(idx) if explicit is None else explicit
 
     def total_valence(self, idx: int) -> int:
-        return self.effective_bond_sum(idx) + self.total_h(idx)
+        """Kekulé bond order sum plus hydrogens."""
+        orders = self.kekulize()
+        assert orders is not None, "graph has no Kekulé form"
+        return sum(orders[bi] for bi in self.adjacency()[idx]) + self.total_h(idx)
+
+    def kekulize(self) -> list[int] | None:
+        """Concrete order of every bond, or None when no Kekulé form exists.
+
+        An aromatic atom needs a pi bond when its default valence exceeds
+        its bond sum plus its hydrogens. Each such atom gets exactly one
+        double bond among the aromatic bonds joining two of them (a perfect
+        matching); every other aromatic bond is single. Cached per graph.
+        """
+        if self._kekule is not _UNSET:
+            return self._kekule
+        needy = {}  # atoms that need a pi bond, in index order
+        for idx, atom in enumerate(self.atoms):
+            dv = default_valence(atom.element, atom.charge)
+            if atom.aromatic and (dv or 0) > self.plain_bond_sum(idx) + self.total_h(idx):
+                needy[idx] = True
+        adj: list[list[int]] = [[] for _ in self.atoms]
+        for b in self.bonds:
+            if b.order == AROMATIC and b.a in needy and b.b in needy:
+                adj[b.a].append(b.b)
+                adj[b.b].append(b.a)
+        # greedy, then one augmenting-path search per atom left free: the
+        # first search that fails shows that no perfect matching exists
+        mate = [-1] * len(self.atoms)
+        for v in needy:
+            w = next((w for w in adj[v] if mate[w] == -1), -1) if mate[v] == -1 else -1
+            if w != -1:
+                mate[v], mate[w] = w, v
+        self._kekule = None
+        if all(mate[v] != -1 or _augment(v, adj, mate) for v in needy):
+            self._kekule = [
+                b.order if b.order != AROMATIC else DOUBLE if mate[b.a] == b.b else SINGLE
+                for b in self.bonds
+            ]
+        return self._kekule
 
     # -- editing -------------------------------------------------------
 
@@ -229,3 +244,52 @@ class MolGraph:
             atoms[perm[i]] = replace(atom)
         bonds = [Bond(perm[b.a], perm[b.b], b.order, b.stereo) for b in self.bonds]
         return MolGraph(list(atoms), bonds)  # type: ignore[arg-type]
+
+
+def _augment(root: int, adj: list[list[int]], mate: list[int]) -> bool:
+    """Edmonds' blossom search: grow an alternating tree from the free vertex
+    root on an explicit queue, shrink each odd cycle (blossom) to its base, and
+    flip the path to the first free vertex reached; False when there is none."""
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n  # tree parent of each odd vertex
+    even = [False] * n
+    even[root] = True
+    queue = [root]
+    for v in queue:  # the queue grows while it is read
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
+                # v and w are both even, so v-w closes a blossom. Its base is
+                # the first base on w's path to the root that is on v's too.
+                x, on_path = v, {base[v]}
+                while mate[base[x]] != -1:
+                    x = parent[mate[base[x]]]
+                    on_path.add(base[x])
+                x = w
+                while base[x] not in on_path:
+                    x = parent[mate[base[x]]]
+                top = base[x]
+                blossom = [False] * n
+                for x, child in ((v, w), (w, v)):
+                    while base[x] != top:
+                        blossom[base[x]] = blossom[base[mate[x]]] = True
+                        parent[x], child = child, mate[x]
+                        x = parent[child]
+                for u in range(n):
+                    if blossom[base[u]]:
+                        base[u] = top
+                        if not even[u]:
+                            even[u] = True
+                            queue.append(u)
+            elif parent[w] == -1:
+                parent[w] = v
+                if mate[w] == -1:
+                    while w != -1:  # flip the path back to the root
+                        v = parent[w]
+                        mate[w], mate[v], w = v, w, mate[v]
+                    return True
+                even[mate[w]] = True
+                queue.append(mate[w])
+    return False

@@ -9,13 +9,13 @@ from .model import MolGraph
 
 
 def validity(graph: MolGraph) -> bool:
-    """True when every atom's total valence is allowed for its element
-    and charge. Elements outside the valence table are unconstrained."""
+    """True when the graph has a Kekulé form and each atom's total valence is
+    allowed for its element and charge (elements outside the table always are)."""
+    if graph.kekulize() is None:
+        return False
     for idx, atom in enumerate(graph.atoms):
         allowed = allowed_valences(atom.element, atom.charge)
-        if allowed is None:
-            continue
-        if graph.total_valence(idx) not in allowed:
+        if allowed is not None and graph.total_valence(idx) not in allowed:
             return False
     return True
 

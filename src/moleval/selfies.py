@@ -5,8 +5,8 @@ remaining valence of both endpoints, unknown bracketed tokens derive
 nothing, and hydrogen counts are assigned afterwards so that every
 decoded graph passes the validity check. Encoding is the inverse on the
 supported set (single-component graphs over the core element table,
-hydrogen counts at their derived defaults, aromatic systems that admit
-an alternating bond assignment).
+hydrogen counts at their derived defaults, aromatic systems that have a
+Kekulé form).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .molgraph.elements import allowed_valences, max_valence
-from .molgraph.model import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, Bond, MolGraph
+from .molgraph.model import DOUBLE, SINGLE, TRIPLE, Atom, Bond, MolGraph
 
 
 class EmptyStream(ValueError):
@@ -235,12 +235,13 @@ def decode_selfies(stream: SelfiesStream | str) -> MolGraph:
 
 def encode_selfies(graph: MolGraph) -> SelfiesStream:
     """Encode a molecular graph; decode_selfies inverts it up to graph
-    isomorphism (aromatic rings come back in alternating form).
+    isomorphism (aromatic rings come back in the Kekulé form of
+    MolGraph.kekulize).
 
     Raises NotEncodable for graphs outside the supported set: empty or
     multi-component graphs, elements beyond the core table, isotopes,
     charges beyond one digit, hydrogen counts away from their derived
-    defaults, or aromatic systems with no alternating assignment.
+    defaults, or aromatic systems with no Kekulé form.
     """
     if not graph.atoms:
         raise NotEncodable("empty graph")
@@ -256,18 +257,16 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
         if atom.charge and allowed_valences(atom.element, atom.charge) == (0,):
             raise NotEncodable("charge leaves no bonding capacity")
 
-    orders = _resolve_aromatic(graph)
+    orders = graph.kekulize()
+    if orders is None:
+        raise NotEncodable("aromatic system has no Kekulé form")
 
-    sums = [0] * len(graph.atoms)
-    for bi, bond in enumerate(graph.bonds):
-        sums[bond.a] += orders[bi]
-        sums[bond.b] += orders[bi]
     for idx, atom in enumerate(graph.atoms):
-        allowed = allowed_valences(atom.element, atom.charge)
-        target = next((v for v in allowed if v >= sums[idx]), None)
+        bonded = sum(orders[bi] for bi in graph.adjacency()[idx])
+        target = next((v for v in allowed_valences(atom.element, atom.charge) if v >= bonded), None)
         if target is None:
             raise NotEncodable("bond orders exceed the element's valence")
-        if target - sums[idx] != graph.total_h(idx):
+        if target - bonded != graph.total_h(idx):
             raise NotEncodable("hydrogen count is not at its derived default")
 
     visited = [False] * len(graph.atoms)
@@ -276,21 +275,15 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
 
     def atom_token(idx: int, order: int) -> str:
         atom = graph.atoms[idx]
-        charge = ""
-        if atom.charge:
-            charge = f"{'+' if atom.charge > 0 else '-'}{abs(atom.charge)}"
+        charge = f"{atom.charge:+d}" if atom.charge else ""
         return f"[{_ORDER_PREFIX[order]}{atom.element}{charge}]"
 
     def index_tokens(value: int) -> list[str]:
-        if value < 16:
-            digits = [value]
-        elif value < 256:
-            digits = [value // 16, value % 16]
-        elif value < 4096:
-            digits = [value // 256, (value // 16) % 16, value % 16]
-        else:
+        """Hexadecimal digits of value, most significant first."""
+        if value >= 4096:
             raise NotEncodable("structure too large for index encoding")
-        return [INDEX_ALPHABET[d] for d in digits]
+        width = 1 if value < 16 else 2 if value < 256 else 3
+        return [INDEX_ALPHABET[(value >> 4 * k) & 15] for k in reversed(range(width))]
 
     def struct_token(kind: str, order: int, value: int) -> list[str]:
         digits = index_tokens(value)
@@ -305,14 +298,11 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
         adjacent = graph.adjacency()[idx]
         # ring closures back to already-derived atoms
         for bi in adjacent:
-            bond = graph.bonds[bi]
-            nbr = bond.other(idx)
+            nbr = graph.bonds[bi].other(idx)
             if bond_done[bi] or not visited[nbr]:
                 continue
             bond_done[bi] = True
-            out.extend(
-                struct_token("Ring", orders[bi], position[idx] - position[nbr] - 1)
-            )
+            out.extend(struct_token("Ring", orders[bi], position[idx] - position[nbr] - 1))
         pending = sorted(adjacent, key=lambda b: graph.bonds[b].other(idx))
         return idx, parent_order, out, [], iter(pending)
 
@@ -359,52 +349,3 @@ def _flatten(nested: list) -> list[str]:
         else:
             stack.pop()
     return tokens
-
-
-def _resolve_aromatic(graph: MolGraph) -> list[int]:
-    """Concrete order per bond; aromatic bonds become an alternating
-    single/double pattern consistent with derived hydrogen counts."""
-    orders = [bond.order for bond in graph.bonds]
-    aromatic_bonds = [bi for bi, bond in enumerate(graph.bonds) if bond.order == AROMATIC]
-    if not aromatic_bonds:
-        return orders
-    needs = {
-        idx
-        for idx in range(len(graph.atoms))
-        if graph.effective_bond_sum(idx) != graph.plain_bond_sum(idx)
-    }
-    candidates = [
-        bi
-        for bi in aromatic_bonds
-        if graph.bonds[bi].a in needs and graph.bonds[bi].b in needs
-    ]
-    matched = _match(sorted(needs), candidates, graph)
-    if matched is None:
-        raise NotEncodable("no alternating assignment for the aromatic system")
-    for bi in aromatic_bonds:
-        orders[bi] = DOUBLE if bi in matched else SINGLE
-    return orders
-
-
-def _match(pending: list[int], candidates: list[int], graph: MolGraph) -> set[int] | None:
-    """Backtracking perfect matching over the atoms in pending."""
-    if not pending:
-        return set()
-    first = pending[0]
-    rest = pending[1:]
-    for bi in candidates:
-        bond = graph.bonds[bi]
-        if first not in (bond.a, bond.b):
-            continue
-        other = bond.other(first)
-        if other not in rest:
-            continue
-        sub = _match(
-            [i for i in rest if i != other],
-            [c for c in candidates if c != bi],
-            graph,
-        )
-        if sub is not None:
-            sub.add(bi)
-            return sub
-    return None

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 from moleval.molgraph.elements import default_valence
@@ -91,6 +92,56 @@ def graphs_isomorphic(g1: MolGraph, g2: MolGraph) -> bool:
         return False
 
     return extend(0)
+
+
+# -- Kekulé form (exhaustive backtracking) -------------------------------------
+
+def kekule_exists_reference(graph: MolGraph) -> bool:
+    """Whether the aromatic atoms that need a pi bond can each get exactly
+    one double bond among the aromatic bonds joining two of them. An
+    aromatic atom needs one when its default valence exceeds its bond sum
+    (aromatic bonds count one) plus its hydrogens, a bare atom's being
+    the default valence less the bond sum less one."""
+    needy = set()
+    for idx, atom in enumerate(graph.atoms):
+        dv = default_valence(atom.element, atom.charge)
+        if not atom.aromatic or dv is None:
+            continue
+        bond_sum = sum(
+            1 if b.order == AROMATIC else b.order
+            for b in graph.bonds
+            if idx in (b.a, b.b)
+        )
+        h = atom.explicit_h if atom.explicit_h is not None else max(0, dv - bond_sum - 1)
+        if dv > bond_sum + h:
+            needy.add(idx)
+    candidates = [
+        (b.a, b.b) for b in graph.bonds if b.order == AROMATIC and b.a in needy and b.b in needy
+    ]
+
+    def match(pending: frozenset) -> bool:
+        if not pending:
+            return True
+        first = min(pending)
+        return any(
+            match(pending - {a, b})
+            for a, b in candidates
+            if first in (a, b) and a in pending and b in pending
+        )
+
+    return match(frozenset(needy))
+
+
+def kekule_form(graph: MolGraph) -> MolGraph:
+    """The graph with MolGraph.kekulize's bond orders, aromatic flags off
+    and every hydrogen count pinned: what a SELFIES round trip gives back."""
+    orders = graph.kekulize()
+    atoms = [
+        replace(atom, aromatic=False, explicit_h=graph.total_h(idx))
+        for idx, atom in enumerate(graph.atoms)
+    ]
+    bonds = [Bond(b.a, b.b, orders[bi]) for bi, b in enumerate(graph.bonds)]
+    return MolGraph(atoms, bonds)
 
 
 # -- random molecule generator (valid by construction) ------------------------

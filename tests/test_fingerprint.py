@@ -144,6 +144,8 @@ def test_path_features_match_reference():
             assert path_features(g, max_len) == path_features_reference(g, max_len)
 
 
+# path_features_reference(graph, 7) folded at 2048 bits; the caffeine and
+# C60 atom codes carry the OpenSMILES hydrogen counts (C60 has none)
 PINNED_PATH_FP = {
     "aspirin": (
         "0x40010018012000000008209000000040000000000010000820000000009000"
@@ -156,23 +158,23 @@ PINNED_PATH_FP = {
         "00080040400040000008080800005000104000080000000000001400040000"
     ),
     "caffeine": (
-        "0x42101111010000400101080240100040800400000960000004000000482830"
-        "0020000200004000240200200014000000110000046800000000802050000006"
-        "0000400410401000010001000080020041000000000180400010040080000100"
-        "30c0104000800020040000008014020080000008020480001000014220000000"
-        "0000020020200a00016044803100002040020002045000005000244088010200"
-        "4200042000000002030074000284010000800000003010028000010000004000"
-        "0801400110810030184201000400900800408400008044002004040000000020"
-        "000002801828024280820004300040000008a280028080020010808032020104"
-        "0"
+        "0x800000100000000002220000008000000200000000400800000240a212a282"
+        "8040848004002013a00228296a0000a040000000808180000028000080000000"
+        "8080900020220004800000880008000000000022004c00401000820080420200"
+        "00001002800000002000020040200000002000000000004000a000008022000c"
+        "c0022002402000000008200200440000000022000a4888020000080000048900"
+        "80800000204202000080000400028000802000000000000082800000d0002008"
+        "0010000411000000001000008010000000208028000000000000201000000000"
+        "00000000210000002002000000000000001000004800100011190020001000"
     ),
     "c60": (
-        "0x80000000000000000000000000000000000000000000000000800000000080"
-        "0000000000000000000000800000000000000000000000000000000000000000"
+        "0x80000000000000000000000000800000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
         "0000000000000000000000000000000000000000000000000000000080000000"
-        "0000000000800000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000008000000080000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
         "0000000000000000000000000000000000000000000000008000000000000000"
-        "000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000008000000000000"
     ),
 }
 

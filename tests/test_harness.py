@@ -517,16 +517,18 @@ class TestProfile:
     def test_exclusions(self, tmp_path):
         rows = [
             {"id": "ok", "smiles": "CCO"},
-            {"id": "aromatic_n", "smiles": "c1ccncc1"},  # no alternating bond form
+            {"id": "aromatic_n", "smiles": "c1ccncc1"},
+            {"id": "odd_ring", "smiles": "c1cccc1"},  # no Kekulé form
             {"id": "badvalence", "smiles": "C(C)(C)(C)(C)C"},
             {"id": "broken", "smiles": "C1CC"},
+            {"id": "two_parts", "smiles": "CC.O"},
         ]
         path = _write_jsonl(tmp_path / "d.jsonl", rows)
         payload = profile_dataset(path)
-        assert payload["exclusions"]["selfies_unencodable"] == ["aromatic_n"]
-        assert payload["exclusions"]["invalid_smiles"] == ["badvalence"]
+        assert payload["exclusions"]["selfies_unencodable"] == ["two_parts"]
+        assert payload["exclusions"]["invalid_smiles"] == ["badvalence", "odd_ring"]
         assert payload["exclusions"]["unparseable_smiles"] == ["broken"]
-        assert payload["counts"]["profiled"] == 2  # ok + aromatic_n
+        assert payload["counts"]["profiled"] == 3  # ok + aromatic_n + two_parts
 
     def test_length_blocks(self, tmp_path):
         rows = [

@@ -30,6 +30,30 @@ def test_benzene_descriptors():
     assert d["aromatic_rings"] == 1
 
 
+@pytest.mark.parametrize(
+    "text, weight",
+    [
+        ("c1ccncc1", 79.10),  # pyridine
+        ("c1ccc2ccccc2c1", 128.17),  # naphthalene
+        ("Cn1cnc2c1c(=O)n(C)c(=O)n2C", 194.19),  # caffeine
+        ("c1ccc(cc1)-c1ccccc1", 154.21),  # biphenyl
+        ("c1ccc2[nH]ccc2c1", 117.15),  # indole
+        ("c1ccoc1", 68.07),  # furan
+        ("c1ccsc1", 84.14),  # thiophene
+        ("O=c1cc[nH]cc1", 95.10),  # 4-pyridone
+        ("C[n+]1ccccc1", 94.14),  # N-methylpyridinium
+        (
+            "c12c3c4c5c1c1c6c7c2c2c8c3c3c9c4c4c%10c5c5c1c1c6c6c%11c7c2c2c7c8c3c3c8c9"
+            "c4c4c9c%10c5c5c1c1c6c6c%11c2c2c7c3c3c8c4c4c9c5c1c1c6c2c3c41",
+            720.66,
+        ),  # C60
+    ],
+)
+def test_aromatic_weights(text, weight):
+    # textbook values: an aromatic atom's pi bond takes one hydrogen site
+    assert descriptors(parse_smiles(text))["mol_weight"] == pytest.approx(weight, abs=0.01)
+
+
 def test_ring_counts():
     assert descriptors(parse_smiles("c1ccc2ccccc2c1"))["rings"] == 2
     assert descriptors(parse_smiles("C1CC2CCC1CC2"))["rings"] == 2

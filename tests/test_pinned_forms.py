@@ -1,10 +1,10 @@
 import random
 from dataclasses import replace
 
-from _oracles import random_molecule
+from _oracles import graphs_isomorphic, kekule_form, random_molecule
 from _pinned_forms import ROWS
 from moleval.molgraph import Bond, MolGraph, canonical_smiles, parse_smiles
-from moleval.selfies import encode_selfies
+from moleval.selfies import decode_selfies, encode_selfies
 
 
 def _graph(text):
@@ -43,3 +43,12 @@ def test_pinned_canonical_and_selfies_forms():
         if got != (canon, selfies):
             mismatches.append((text, (canon, selfies), got))
     assert mismatches == []
+
+
+def test_pinned_selfies_decode_to_the_kekule_input():
+    checked = 0
+    for text, _, selfies in ROWS:
+        if selfies.startswith("["):
+            assert graphs_isomorphic(decode_selfies(selfies), kekule_form(_graph(text))), text
+            checked += 1
+    assert checked >= 200
