@@ -289,21 +289,12 @@ def _cmd_tokenmap_select(args, config):
     if threshold is None:
         raise UsageError("tokenmap select needs --T")
     stats = interpret.local_filter(matrix, threshold)
-    pairs = interpret.select_pairs(matrix, stats)
-    groups: dict = {}
-    order = []
-    for pair in pairs:
-        key = pair.group_key
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(
-            {
-                "input_token": pair.input_token,
-                "output_token": pair.output_token,
-                "value": pair.value,
-            }
-        )
+    pairs = []
+    groups: dict = {}  # group key -> members, in order of first appearance
+    for p in interpret.select_pairs(matrix, stats):
+        member = {"input_token": p.input_token, "output_token": p.output_token, "value": p.value}
+        groups.setdefault(p.group_key, []).append(member)
+        pairs.append({**member, "group_key": p.group_key})
     return {
         "task": "tokenmap-select",
         "threshold_T": stats.threshold_T,
@@ -311,18 +302,8 @@ def _cmd_tokenmap_select(args, config):
         "confidence": stats.confidence,
         "p_actual": stats.p_actual,
         "p_expected": stats.p_expected,
-        "pairs": [
-            {
-                "input_token": p.input_token,
-                "output_token": p.output_token,
-                "value": p.value,
-                "group_key": p.group_key,
-            }
-            for p in pairs
-        ],
-        "groups": [
-            {"group_key": key, "members": groups[key]} for key in order
-        ],
+        "pairs": pairs,
+        "groups": [{"group_key": key, "members": members} for key, members in groups.items()],
         "provenance": provenance_for(_matrix_sources(args)),
     }
 

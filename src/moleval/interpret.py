@@ -81,11 +81,6 @@ class SweepRow:
     confidence: float
 
 
-def _token_iter(seq):
-    tokens = getattr(seq, "tokens", seq)
-    return list(tokens)
-
-
 def build_mapping_matrix(
     pairs,
     top_k: int = 20,
@@ -102,19 +97,15 @@ def build_mapping_matrix(
     if count_mode not in ("presence", "occurrence"):
         raise ValueError(f"unknown count mode {count_mode!r}")
 
-    records = []
-    row_freq: Counter = Counter()
-    col_freq: Counter = Counter()
-    for seq_in, seq_out in pairs:
-        tokens_in = Counter(t for t in _token_iter(seq_in) if t not in stoplist)
-        tokens_out = Counter(t for t in _token_iter(seq_out) if t not in stoplist)
-        records.append((tokens_in, tokens_out))
-        row_freq.update(tokens_in.keys())
-        col_freq.update(tokens_out.keys())
+    def tally(seq) -> Counter:
+        return Counter(t for t in getattr(seq, "tokens", seq) if t not in stoplist)
 
+    records = [(tally(seq_in), tally(seq_out)) for seq_in, seq_out in pairs]
     degraded = False
     selected = []
-    for freq, axis in ((row_freq, "input"), (col_freq, "output")):
+    incidence = []
+    for side, axis in zip(zip(*records), ("input", "output")):
+        freq = Counter(t for tokens in side for t in tokens)
         if len(freq) < 2:
             raise TooFewTokens(f"fewer than 2 distinct {axis} tokens after filtering")
         if len(freq) < top_k:
@@ -125,22 +116,23 @@ def build_mapping_matrix(
             degraded = True
         ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
         selected.append(tuple(token for token, _ in ranked[:top_k]))
-    row_tokens, col_tokens = selected
+        incidence.append(_incidence(side, selected[-1], count_mode))
+    # the product's sums are whole numbers far below 2**53, so float64
+    # holds them exactly
+    return MappingMatrix(incidence[0].T @ incidence[1], *selected, degraded=degraded)
 
-    row_index = {t: i for i, t in enumerate(row_tokens)}
-    col_index = {t: j for j, t in enumerate(col_tokens)}
-    counts = np.zeros((len(row_tokens), len(col_tokens)))
-    for tokens_in, tokens_out in records:
-        for token_in, c_in in tokens_in.items():
-            i = row_index.get(token_in)
-            if i is None:
-                continue
-            for token_out, c_out in tokens_out.items():
-                j = col_index.get(token_out)
-                if j is None:
-                    continue
-                counts[i, j] += 1 if count_mode == "presence" else c_in * c_out
-    return MappingMatrix(counts, row_tokens, col_tokens, degraded=degraded)
+
+def _incidence(side, tokens: tuple[str, ...], count_mode: str) -> np.ndarray:
+    """records x tokens: 1 (presence) or the in-record count (occurrence)
+    where a record holds a selected token, 0 elsewhere."""
+    index = {t: k for k, t in enumerate(tokens)}
+    cells = [
+        (r, index[t], c) for r, counter in enumerate(side) for t, c in counter.items() if t in index
+    ]
+    rows, cols, values = zip(*cells)
+    matrix = np.zeros((len(side), len(tokens)))
+    matrix[rows, cols] = 1 if count_mode == "presence" else values
+    return matrix
 
 
 def sort_matrix(matrix: MappingMatrix) -> MappingMatrix:
@@ -195,22 +187,18 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _filter_arrays(counts: np.ndarray, T: float):
-    means, stds = neighborhood_stats(counts)
-    flags = counts > means + T * stds
-    return flags, means, stds
-
-
-def _expected_proportion(
-    counts: np.ndarray, means: np.ndarray, stds: np.ndarray, T: float
-) -> tuple[float, float, float]:
-    mu = float(counts.mean())
+def _threshold(counts: np.ndarray, means: np.ndarray, stds: np.ndarray, T: float):
+    """Cells above their neighborhood by T local deviations: the flags, the
+    flagged share, and the share a globally normal matrix would flag at the
+    same cutoffs (None when the counts have zero variance)."""
+    cutoffs = means + T * stds
+    flags = counts > cutoffs
+    p_actual = float(flags.sum()) / counts.size
     sigma = float(counts.std())
     if sigma == 0.0:
-        raise DegenerateMatrix("matrix has zero variance")
-    cutoffs = (means + T * stds - mu) / sigma
-    expected = 1.0 - np.vectorize(normal_cdf)(cutoffs)
-    return float(expected.mean()), mu, sigma
+        return flags, p_actual, None
+    expected = 1.0 - np.vectorize(normal_cdf)((cutoffs - float(counts.mean())) / sigma)
+    return flags, p_actual, float(expected.mean())
 
 
 def _z_score(p_actual: float, p_expected: float, cells: int) -> float:
@@ -227,119 +215,87 @@ def local_filter(matrix: MappingMatrix, T: float) -> FilterStats:
     compare the flagged share with the globally-normal expectation."""
     if T < 0:
         raise ValueError("T must be non-negative")
-    ordered = sort_matrix(matrix)
-    counts = ordered.counts
-    flags, means, stds = _filter_arrays(counts, T)
-    cells = counts.size
-    p_actual = float(flags.sum()) / cells
-    p_expected, mu, sigma = _expected_proportion(counts, means, stds, T)
-    z = _z_score(p_actual, p_expected, cells)
+    counts = sort_matrix(matrix).counts
+    means, stds = neighborhood_stats(counts)
+    flags, p_actual, p_expected = _threshold(counts, means, stds, T)
+    if p_expected is None:
+        raise DegenerateMatrix("matrix has zero variance")
+    z = _z_score(p_actual, p_expected, counts.size)
     return FilterStats(
         threshold_T=float(T),
         flags=flags,
         p_actual=p_actual,
         p_expected=p_expected,
         z=z,
-        confidence=normal_cdf(z) if math.isfinite(z) else (1.0 if z > 0 else 0.0),
-        global_mean=mu,
-        global_std=sigma,
+        confidence=normal_cdf(z),
+        global_mean=float(counts.mean()),
+        global_std=float(counts.std()),
         neighbor_means=means,
         neighbor_stds=stds,
     )
 
 
 def sweep_threshold(matrix: MappingMatrix, t_grid: list[float]) -> list[SweepRow]:
-    """One filter run per threshold. A zero-variance matrix still reports
-    flag counts, with the z statistics marked NaN."""
+    """One filter run per threshold over one set of neighborhood statistics.
+    A zero-variance matrix still reports flag counts, with the z statistics
+    marked NaN."""
     if not t_grid:
         raise ValueError("empty threshold grid")
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("threshold grid must be strictly increasing")
     ordered = sort_matrix(matrix)
-    counts = ordered.counts
-    cells = counts.size
+    means, stds = neighborhood_stats(ordered.counts)
     rows = []
     for T in t_grid:
-        flags, means, stds = _filter_arrays(counts, T)
-        flag_count = int(flags.sum())
-        unique = _unique_pair_count(ordered, flags)
-        try:
-            p_expected, _, _ = _expected_proportion(counts, means, stds, T)
-        except DegenerateMatrix:
-            rows.append(SweepRow(float(T), flag_count, unique, math.nan, math.nan))
-            continue
-        z = _z_score(flag_count / cells, p_expected, cells)
-        confidence = normal_cdf(z) if math.isfinite(z) else (1.0 if z > 0 else 0.0)
-        rows.append(SweepRow(float(T), flag_count, unique, z, confidence))
+        flags, p_actual, p_expected = _threshold(ordered.counts, means, stds, T)
+        z = math.nan if p_expected is None else _z_score(p_actual, p_expected, flags.size)
+        unique = len(_flagged_pairs(ordered, flags))
+        rows.append(SweepRow(float(T), int(flags.sum()), unique, z, normal_cdf(z)))
     return rows
 
 
-def _unique_pair_count(matrix: MappingMatrix, flags: np.ndarray) -> int:
-    count = 0
-    for i, j in zip(*np.nonzero(flags)):
-        if matrix.row_tokens[i] != matrix.col_tokens[j]:
-            count += 1
-    return count
+def _flagged_pairs(ordered: MappingMatrix, flags: np.ndarray) -> list[tuple[str, str, float]]:
+    """(input, output, count) per flagged cell, identical-name pairs dropped."""
+    return [
+        (ordered.row_tokens[i], ordered.col_tokens[j], float(ordered.counts[i, j]))
+        for i, j in zip(*np.nonzero(flags))
+        if ordered.row_tokens[i] != ordered.col_tokens[j]
+    ]
 
 
 def select_pairs(matrix: MappingMatrix, stats: FilterStats) -> list[MappingPair]:
     """Flagged cells as pairs, identical-name pairs dropped, grouped by
-    shared input or output tokens."""
+    shared input or output tokens. A group is keyed by its smallest token
+    that occurs at least twice among its pairs' inputs and outputs."""
     ordered = sort_matrix(matrix)
     if stats.flags.shape != ordered.counts.shape:
         raise ValueError("stats were not produced from this matrix")
-    raw = []
-    for i, j in zip(*np.nonzero(stats.flags)):
-        token_in = ordered.row_tokens[i]
-        token_out = ordered.col_tokens[j]
-        if token_in == token_out:
-            continue
-        raw.append((token_in, token_out, float(ordered.counts[i, j])))
+    raw = _flagged_pairs(ordered, stats.flags)
 
-    parent = list(range(len(raw)))
+    # union-find over ("in", token) and ("out", token) nodes: a pair joins
+    # its input node to its output node
+    parent: dict[tuple[str, str], tuple[str, str]] = {}
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(node):
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
 
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
+    for token_in, token_out, _ in raw:
+        parent[find(("in", token_in))] = find(("out", token_out))
 
-    by_input: dict[str, int] = {}
-    by_output: dict[str, int] = {}
-    for idx, (token_in, token_out, _) in enumerate(raw):
-        if token_in in by_input:
-            union(by_input[token_in], idx)
-        else:
-            by_input[token_in] = idx
-        if token_out in by_output:
-            union(by_output[token_out], idx)
-        else:
-            by_output[token_out] = idx
-
-    members: dict[int, list[int]] = {}
-    for idx in range(len(raw)):
-        members.setdefault(find(idx), []).append(idx)
-
-    keys: dict[int, str | None] = {}
-    for root, idxs in members.items():
-        if len(idxs) == 1:
-            keys[root] = None
-            continue
-        shared: Counter = Counter()
-        for idx in idxs:
-            shared[raw[idx][0]] += 1
-            shared[raw[idx][1]] += 1
-        candidates = sorted(t for t, c in shared.items() if c >= 2)
-        keys[root] = candidates[0] if candidates else None
-
+    shared: dict = {}
+    for token_in, token_out, _ in raw:
+        shared.setdefault(find(("in", token_in)), Counter()).update((token_in, token_out))
+    keys = {
+        root: min((t for t, c in seen.items() if c >= 2), default=None)
+        for root, seen in shared.items()
+    }
     pairs = [
-        MappingPair(token_in, token_out, value, keys[find(idx)])
-        for idx, (token_in, token_out, value) in enumerate(raw)
+        MappingPair(token_in, token_out, value, keys[find(("in", token_in))])
+        for token_in, token_out, value in raw
     ]
     pairs.sort(key=lambda p: (-p.value, p.input_token, p.output_token))
     return pairs

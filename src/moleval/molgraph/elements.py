@@ -25,8 +25,12 @@ ALLOWED_VALENCES: dict[str, tuple[int, ...]] = {
 }
 
 # Elements whose allowed valences shift with formal charge (one unit per
-# unit of charge: N+ -> {4}, O- -> {1}, S- -> {1,3,5}, ...).
-CHARGE_SHIFTED = {"N", "O", "S"}
+# unit of charge: N+ -> {4}, O- -> {1}, S- -> {1,3,5}, Cl- -> {0},
+# I+ -> {2}, ...). Charged B, C and P keep their neutral valences: their
+# shift depends on the group ([B-] and [P-] gain bonds, as in [B-](F)(F)(F)F
+# and [P-](F)(F)(F)(F)(F)F, while [C-] and [C+] both lose one), which one
+# unit per unit of charge cannot express.
+CHARGE_SHIFTED = {"N", "O", "S", "F", "Cl", "Br", "I"}
 
 
 def allowed_valences(element: str, charge: int = 0) -> tuple[int, ...] | None:

@@ -78,6 +78,7 @@ def parse_smiles(text: str) -> MolGraph:
     atoms: list[Atom] = []
     atom_pos: list[int] = []
     bonds: list[Bond] = []
+    bonded: set[tuple[int, int]] = set()  # (lower, higher) atom pairs
     prev: int | None = None  # atom awaiting the next bond
     pending_order: int | None = None  # explicit bond symbol seen
     pending_stereo: str | None = None
@@ -103,6 +104,7 @@ def parse_smiles(text: str) -> MolGraph:
                     else SINGLE
                 )
             bonds.append(Bond(prev, idx, order, pending_stereo))
+            bonded.add((prev, idx))
         prev = idx
         pending_order = None
         pending_stereo = None
@@ -115,9 +117,7 @@ def parse_smiles(text: str) -> MolGraph:
             other, other_order, other_stereo, _ = open_rings.pop(number)
             if other == prev:
                 raise BadRingClosure("ring bond to the same atom", pos)
-            if any(
-                (b.a, b.b) in ((other, prev), (prev, other)) for b in bonds
-            ):
+            if (min(other, prev), max(other, prev)) in bonded:
                 raise BadRingClosure("duplicate bond between atoms", pos)
             order = pending_order
             if order is not None and other_order is not None and order != other_order:
@@ -131,6 +131,7 @@ def parse_smiles(text: str) -> MolGraph:
                     else SINGLE
                 )
             bonds.append(Bond(other, prev, order, pending_stereo or other_stereo))
+            bonded.add((min(other, prev), max(other, prev)))
         else:
             open_rings[number] = (prev, pending_order, pending_stereo, pos)
         pending_order = None

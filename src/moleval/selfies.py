@@ -136,59 +136,65 @@ class _Decoder:
     def has_bond(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.bonded
 
-    def derive(self, tokens: list[str], attach: int | None, first_cap: int | None):
-        """Derive a token slice; attach is the atom the slice bonds from."""
-        cur = attach
-        idx = 0
-        while idx < len(tokens):
-            token = tokens[idx]
-            idx += 1
-            struct = _STRUCT_TOKEN.fullmatch(token)
-            if struct:
-                prefix, kind, size = struct.groups()
-                width = int(size)
-                value = self._read_index(tokens, idx, width)
-                idx += width
-                if kind == "Ring":
-                    self._close_ring(cur, value + 1, _PREFIX_ORDER[prefix])
-                else:
-                    body = tokens[idx : idx + value + 1]
-                    idx += len(body)
-                    if cur is not None and self.caps[cur] >= 2 and body:
-                        self.derive(body, cur, _PREFIX_ORDER[prefix])
-                continue
+    def derive(self, tokens: list[str]) -> None:
+        """Derive a token stream. Each branch scope is a frame of (end,
+        index, current atom, first cap) on an explicit stack: a branch
+        suspends its scope, derives its body tokens[index:end] from the
+        current atom, and the scope resumes after it."""
+        stack = [(len(tokens), 0, None, None)]
+        while stack:
+            end, idx, cur, first_cap = stack.pop()
+            while idx < end:
+                token = tokens[idx]
+                idx += 1
+                struct = _STRUCT_TOKEN.fullmatch(token)
+                if struct:
+                    prefix, kind, size = struct.groups()
+                    width = int(size)
+                    value = self._read_index(tokens, idx, width, end)
+                    idx += width
+                    if kind == "Ring":
+                        self._close_ring(cur, value + 1, _PREFIX_ORDER[prefix])
+                        continue
+                    body_end = min(idx + value + 1, end)
+                    if cur is not None and self.caps[cur] >= 2 and idx < body_end:
+                        stack.append((end, body_end, cur, first_cap))
+                        end, first_cap = body_end, _PREFIX_ORDER[prefix]
+                    else:
+                        idx = max(idx, body_end)
+                    continue
 
-            atom = _ATOM_TOKEN.fullmatch(token)
-            if not atom:
-                continue  # unknown token: nothing to derive
-            prefix, element, sign, digits = atom.groups()
-            if element not in _CORE_ELEMENTS:
-                continue
-            charge = 0
-            if sign:
-                charge = int(digits) * (1 if sign == "+" else -1)
-            capacity = max_valence(element, charge) or 0
-            if cur is None:
-                cur = self.add_atom(element, charge)
-                continue
-            if self.caps[cur] == 0:
-                return  # exhausted attachment ends this derivation scope
-            if capacity == 0:
-                continue
-            req = _PREFIX_ORDER[prefix]
-            if first_cap is not None:
-                req = min(req, first_cap)
-                first_cap = None
-            order_value = min(req, self.caps[cur], capacity)
-            new = self.add_atom(element, charge)
-            self.add_bond(cur, new, order_value)
-            cur = new
+                atom = _ATOM_TOKEN.fullmatch(token)
+                if not atom:
+                    continue  # unknown token: nothing to derive
+                prefix, element, sign, digits = atom.groups()
+                if element not in _CORE_ELEMENTS:
+                    continue
+                charge = 0
+                if sign:
+                    charge = int(digits) * (1 if sign == "+" else -1)
+                capacity = max_valence(element, charge) or 0
+                if cur is None:
+                    cur = self.add_atom(element, charge)
+                    continue
+                if self.caps[cur] == 0:
+                    break  # exhausted attachment ends this derivation scope
+                if capacity == 0:
+                    continue
+                req = _PREFIX_ORDER[prefix]
+                if first_cap is not None:
+                    req = min(req, first_cap)
+                    first_cap = None
+                order_value = min(req, self.caps[cur], capacity)
+                new = self.add_atom(element, charge)
+                self.add_bond(cur, new, order_value)
+                cur = new
 
-    def _read_index(self, tokens: list[str], idx: int, width: int) -> int:
+    def _read_index(self, tokens: list[str], idx: int, width: int, end: int) -> int:
         value = 0
         for k in range(width):
             digit = 0
-            if idx + k < len(tokens):
+            if idx + k < end:
                 digit = _INDEX_VALUE.get(tokens[idx + k], 0)
             value = value * 16 + digit
         return value
@@ -226,7 +232,7 @@ def decode_selfies(stream: SelfiesStream | str) -> MolGraph:
     if not tokens:
         raise EmptyStream("no tokens to decode")
     decoder = _Decoder()
-    decoder.derive(tokens, None, None)
+    decoder.derive(tokens)
     return decoder.finish()
 
 

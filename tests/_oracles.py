@@ -525,3 +525,55 @@ def murcko_scaffold_reference(graph: MolGraph) -> MolGraph:
             return current
         remaining = [i for i in range(len(current.atoms)) if i not in set(drop)]
         current = current.subgraph(remaining)
+
+
+# -- token mapping ---------------------------------------------------------------
+
+def mapping_counts_reference(pairs, row_tokens, col_tokens, stoplist=frozenset(), count_mode="presence"):
+    """Co-occurrence counts over the given axis tokens, one record at a time:
+    presence adds 1 per record holding both tokens, occurrence adds the
+    product of their in-record counts."""
+    row_index = {t: i for i, t in enumerate(row_tokens)}
+    col_index = {t: j for j, t in enumerate(col_tokens)}
+    counts = [[0.0] * len(col_tokens) for _ in row_tokens]
+    for seq_in, seq_out in pairs:
+        tokens_in = Counter(t for t in getattr(seq_in, "tokens", seq_in) if t not in stoplist)
+        tokens_out = Counter(t for t in getattr(seq_out, "tokens", seq_out) if t not in stoplist)
+        for token_in, c_in in tokens_in.items():
+            i = row_index.get(token_in)
+            if i is None:
+                continue
+            for token_out, c_out in tokens_out.items():
+                j = col_index.get(token_out)
+                if j is None:
+                    continue
+                counts[i][j] += 1 if count_mode == "presence" else c_in * c_out
+    return counts
+
+
+def pair_groups_reference(pairs):
+    """Group keys for (input, output) pairs: two pairs are linked when they
+    share an input token or share an output token, and a group of two or
+    more pairs is keyed by its smallest token that occurs at least twice
+    among its members' inputs and outputs. Components are grown by
+    repeated scans until nothing changes."""
+    group = list(range(len(pairs)))
+    changed = True
+    while changed:
+        changed = False
+        for x, (in_x, out_x) in enumerate(pairs):
+            for y, (in_y, out_y) in enumerate(pairs):
+                if (in_x == in_y or out_x == out_y) and group[x] != group[y]:
+                    low = min(group[x], group[y])
+                    group[x] = group[y] = low
+                    changed = True
+    keys = []
+    for x in range(len(pairs)):
+        members = [pairs[y] for y in range(len(pairs)) if group[y] == group[x]]
+        if len(members) == 1:
+            keys.append(None)
+            continue
+        seen = Counter(t for pair in members for t in pair)
+        shared = sorted(t for t, c in seen.items() if c >= 2)
+        keys.append(shared[0] if shared else None)
+    return keys

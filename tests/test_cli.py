@@ -357,3 +357,9 @@ def test_internal_error_exit_code(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli_mod, "eval_generation", boom)
     assert main(["eval", "gen", "--records", rec, "--target-kind", "molecule"]) == 3
+
+
+def test_convert_deeply_nested_selfies(capsys):
+    stream = "[C]" + "[Branch3][P][P][P]" * 1100 + "[C]"
+    assert main(["convert", "--from", "selfies", "--to", "smiles", stream]) == 0
+    assert capsys.readouterr().out.strip() == "CC"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -384,3 +385,89 @@ def test_planted_spike_recovered():
     assert exact, "no threshold isolated exactly the planted cells"
     flag_counts = [r.flag_count for r in rows]
     assert all(b <= a for a, b in zip(flag_counts, flag_counts[1:]))
+
+
+def _random_pairs(rng, vocab_in, vocab_out, n_records):
+    pairs = []
+    for _ in range(n_records):
+        seq_in = [vocab_in[k] for k in rng.integers(0, len(vocab_in), size=rng.integers(0, 12))]
+        seq_out = [vocab_out[k] for k in rng.integers(0, len(vocab_out), size=rng.integers(0, 12))]
+        pairs.append((seq_in, seq_out))
+    return pairs
+
+
+@pytest.mark.parametrize("count_mode", ["presence", "occurrence"])
+def test_build_counts_match_reference(count_mode):
+    # repeated tokens within a record, stoplisted tokens on both axes,
+    # top_k cuts and TokenSeq inputs, against the per-record double loop
+    from _oracles import mapping_counts_reference
+    from moleval.textmetrics import tokenize
+
+    rng = np.random.default_rng(5)
+    vocab_in = [f"i{k}" for k in range(30)] + ["the", "of", "shared"]
+    vocab_out = [f"o{k}" for k in range(25)] + ["the", "a", "shared"]
+    stoplists = (frozenset(), frozenset({"the", "of", "a"}), frozenset({"shared", "i0", "o0"}))
+    for trial in range(60):
+        pairs = _random_pairs(rng, vocab_in, vocab_out, int(rng.integers(1, 40)))
+        if trial % 3 == 0:
+            pairs = [
+                (tokenize(" ".join(a), "whitespace"), tokenize(" ".join(b), "whitespace"))
+                for a, b in pairs
+            ]
+        stoplist = stoplists[trial % len(stoplists)]
+        top_k = int(rng.integers(2, 35))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                m = build_mapping_matrix(pairs, top_k=top_k, stoplist=stoplist, count_mode=count_mode)
+            except TooFewTokens:
+                continue
+        expected = mapping_counts_reference(pairs, m.row_tokens, m.col_tokens, stoplist, count_mode)
+        assert np.array_equal(m.counts, np.array(expected))
+
+
+def _planted_matrices():
+    rng = np.random.default_rng(23)
+    for k in range(30):
+        n, m = int(rng.integers(2, 14)), int(rng.integers(2, 14))
+        if k % 3 == 0:
+            counts = rng.integers(0, 6, size=(n, m)).astype(float)
+        else:
+            counts = rng.lognormal(0.0, 2.0, size=(n, m))
+        # shared names across the axes, so identical-name pairs occur
+        rows = tuple(f"t{i}" for i in rng.permutation(max(n, m))[:n])
+        cols = tuple(f"t{j}" for j in rng.permutation(max(n, m))[:m])
+        yield MappingMatrix(counts, rows, cols)
+
+
+def test_sweep_rows_equal_local_filter():
+    grid = [0.25 * k for k in range(0, 17)]
+    for m in _planted_matrices():
+        for row in sweep_threshold(m, grid):
+            stats = local_filter(m, row.threshold_T)
+            assert row.flag_count == int(stats.flags.sum())
+            assert row.unique_pair_count == len(select_pairs(m, stats))
+            assert math.copysign(1.0, row.z) == math.copysign(1.0, stats.z)
+            assert row.z == stats.z
+            assert row.confidence == stats.confidence
+
+
+def test_select_pairs_groups_match_components():
+    from _oracles import pair_groups_reference
+
+    rng = np.random.default_rng(29)
+    for m in _planted_matrices():
+        stats = local_filter(m, 0.0)
+        for _ in range(5):
+            flags = rng.random(stats.flags.shape) < rng.uniform(0.05, 0.6)
+            stats = dataclasses.replace(stats, flags=flags)
+            pairs = select_pairs(m, stats)
+            ordered = sort_matrix(m)
+            cells = [
+                (ordered.row_tokens[i], ordered.col_tokens[j])
+                for i, j in zip(*np.nonzero(flags))
+                if ordered.row_tokens[i] != ordered.col_tokens[j]
+            ]
+            expected = dict(zip(cells, pair_groups_reference(cells)))
+            assert sorted((p.input_token, p.output_token) for p in pairs) == sorted(cells)
+            assert all(p.group_key == expected[p.input_token, p.output_token] for p in pairs)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,6 +136,7 @@ def test_validity_rules():
         ("C%5", BadRingClosure, 1),
         ("C11C", BadRingClosure, 2),
         ("C12CC12", BadRingClosure, 6),
+        ("C1C1", BadRingClosure, 3),
         ("cc", AromaticityError, 0),
     ],
 )
@@ -163,3 +166,12 @@ def test_parser_totality(text):
         assert 0 <= err.offset <= len(text)
     else:
         assert len(graph.atoms) >= 1
+
+
+def test_many_ring_closures_linear_time():
+    # each closure checks for an existing bond between its two atoms: the
+    # lookup must not scan every bond made so far
+    start = time.process_time()
+    graph = parse_smiles("C1CC1" * 4000)
+    assert time.process_time() - start < 1.0
+    assert (len(graph.atoms), len(graph.bonds)) == (12000, 15999)

@@ -5,6 +5,7 @@ import pytest
 from _oracles import murcko_scaffold_reference, random_molecule
 from moleval.molgraph import (
     MolGraph,
+    allowed_valences,
     canonical_smiles,
     descriptors,
     murcko_scaffold,
@@ -131,3 +132,16 @@ def test_summarize_descriptors():
     assert stats == {"min": 1.0, "median": 2.0, "max": 3.0}
     stats = summarize_descriptors([4.0, 1.0, 2.0, 3.0])
     assert stats["median"] == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("text", ["[Cl-]", "[Br-]", "[K+].[I-]", "[Na+].[Cl-]"])
+def test_halide_anions_valid(text):
+    # a halide anion has valence 0, like O in [O-2]
+    assert validity(parse_smiles(text))
+
+
+def test_halogen_valence_shifts_with_charge():
+    assert allowed_valences("Cl", -1) == (0,)
+    assert allowed_valences("I", 1) == (2,)
+    assert validity(parse_smiles("C[I+]C"))
+    assert not validity(parse_smiles("C[Br-]C"))

@@ -286,3 +286,14 @@ def test_decode_robustness_property(tokens):
     graph = decode_selfies(SelfiesStream(tuple(tokens)))
     assert len(graph.atoms) >= 0
     assert validity(graph)
+
+
+@pytest.mark.parametrize("levels", [1100, 10_000])
+def test_deeply_nested_branches_decode(levels):
+    # every [Branch3][P][P][P] opens a branch over the next 4096 tokens, so
+    # the scopes nest about a thousand deep: decoding must not recurse
+    start = time.process_time()
+    graph = decode_selfies("[C]" + "[Branch3][P][P][P]" * levels + "[C]")
+    assert time.process_time() - start < 2.0
+    assert [(b.a, b.b, b.order) for b in graph.bonds] == [(0, 1, 1)]
+    assert validity(graph)
