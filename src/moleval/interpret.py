@@ -105,7 +105,7 @@ def build_mapping_matrix(
     selected = []
     incidence = []
     for side, axis in zip(zip(*records), ("input", "output")):
-        freq = Counter(t for tokens in side for t in tokens)
+        freq = Counter(t for counter in side for t in counter)
         if len(freq) < 2:
             raise TooFewTokens(f"fewer than 2 distinct {axis} tokens after filtering")
         if len(freq) < top_k:
@@ -126,12 +126,12 @@ def _incidence(side, tokens: tuple[str, ...], count_mode: str) -> np.ndarray:
     """records x tokens: 1 (presence) or the in-record count (occurrence)
     where a record holds a selected token, 0 elsewhere."""
     index = {t: k for k, t in enumerate(tokens)}
-    cells = [
-        (r, index[t], c) for r, counter in enumerate(side) for t, c in counter.items() if t in index
-    ]
-    rows, cols, values = zip(*cells)
     matrix = np.zeros((len(side), len(tokens)))
-    matrix[rows, cols] = 1 if count_mode == "presence" else values
+    for r, counter in enumerate(side):
+        for t, c in counter.items():
+            k = index.get(t)
+            if k is not None:
+                matrix[r, k] = 1 if count_mode == "presence" else c
     return matrix
 
 
@@ -286,12 +286,12 @@ def select_pairs(matrix: MappingMatrix, stats: FilterStats) -> list[MappingPair]
     for token_in, token_out, _ in raw:
         parent[find(("in", token_in))] = find(("out", token_out))
 
-    shared: dict = {}
+    tallies: dict = {}
     for token_in, token_out, _ in raw:
-        shared.setdefault(find(("in", token_in)), Counter()).update((token_in, token_out))
+        tallies.setdefault(find(("in", token_in)), Counter()).update((token_in, token_out))
     keys = {
-        root: min((t for t, c in seen.items() if c >= 2), default=None)
-        for root, seen in shared.items()
+        root: min((t for t, c in tally.items() if c >= 2), default=None)
+        for root, tally in tallies.items()
     }
     pairs = [
         MappingPair(token_in, token_out, value, keys[find(("in", token_in))])

@@ -117,7 +117,8 @@ def parse_smiles(text: str) -> MolGraph:
             other, other_order, other_stereo, _ = open_rings.pop(number)
             if other == prev:
                 raise BadRingClosure("ring bond to the same atom", pos)
-            if (min(other, prev), max(other, prev)) in bonded:
+            pair = (min(other, prev), max(other, prev))
+            if pair in bonded:
                 raise BadRingClosure("duplicate bond between atoms", pos)
             order = pending_order
             if order is not None and other_order is not None and order != other_order:
@@ -131,7 +132,7 @@ def parse_smiles(text: str) -> MolGraph:
                     else SINGLE
                 )
             bonds.append(Bond(other, prev, order, pending_stereo or other_stereo))
-            bonded.add((min(other, prev), max(other, prev)))
+            bonded.add(pair)
         else:
             open_rings[number] = (prev, pending_order, pending_stereo, pos)
         pending_order = None

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _oracles import mapping_counts_reference, pair_groups_reference
 from moleval.interpret import (
     DegenerateMatrix,
     MappingMatrix,
@@ -400,7 +401,6 @@ def _random_pairs(rng, vocab_in, vocab_out, n_records):
 def test_build_counts_match_reference(count_mode):
     # repeated tokens within a record, stoplisted tokens on both axes,
     # top_k cuts and TokenSeq inputs, against the per-record double loop
-    from _oracles import mapping_counts_reference
     from moleval.textmetrics import tokenize
 
     rng = np.random.default_rng(5)
@@ -426,7 +426,7 @@ def test_build_counts_match_reference(count_mode):
         assert np.array_equal(m.counts, np.array(expected))
 
 
-def _planted_matrices():
+def _random_matrices():
     rng = np.random.default_rng(23)
     for k in range(30):
         n, m = int(rng.integers(2, 14)), int(rng.integers(2, 14))
@@ -442,7 +442,7 @@ def _planted_matrices():
 
 def test_sweep_rows_equal_local_filter():
     grid = [0.25 * k for k in range(0, 17)]
-    for m in _planted_matrices():
+    for m in _random_matrices():
         for row in sweep_threshold(m, grid):
             stats = local_filter(m, row.threshold_T)
             assert row.flag_count == int(stats.flags.sum())
@@ -453,10 +453,8 @@ def test_sweep_rows_equal_local_filter():
 
 
 def test_select_pairs_groups_match_components():
-    from _oracles import pair_groups_reference
-
     rng = np.random.default_rng(29)
-    for m in _planted_matrices():
+    for m in _random_matrices():
         stats = local_filter(m, 0.0)
         for _ in range(5):
             flags = rng.random(stats.flags.shape) < rng.uniform(0.05, 0.6)
