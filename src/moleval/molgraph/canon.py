@@ -1,21 +1,25 @@
 """Canonical SMILES generation.
 
-Each connected component is written on its own; atoms are ranked by
-iterative partition refinement over local invariants, and remaining ties
-are broken by trial ranking, keeping the candidate that produces the
-lexicographically smallest string. The writer emits one deterministic
-SMILES per canonical ranking, so equal graphs map to equal strings
-regardless of input atom order; the sorted component strings are joined
-with '.'.
+Each connected component is written on its own. Atoms are ranked by
+partition refinement over local invariants, and remaining ties are broken
+by an individualization-refinement search that keeps the lexicographically
+smallest string the writer gives over the leaves of the search tree. A leaf
+that an automorphism maps onto an earlier leaf writes the same string, so it
+is not written; such automorphisms also prune whole subtrees (McKay &
+Piperno, "Practical graph isomorphism, II", 2014). The writer emits one
+deterministic SMILES per canonical ranking, so equal graphs map to equal
+strings regardless of input atom order; the sorted component strings are
+joined with '.'.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from itertools import accumulate
 
 from .elements import ORGANIC_SUBSET
-from .model import AROMATIC, DOUBLE, SINGLE, TRIPLE, MolGraph
+from .model import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, MolGraph
 
 # aromatic atoms writable as bare lowercase symbols
 _AROMATIC_WRITABLE = {"B", "C", "N", "O", "P", "S"}
@@ -35,14 +39,17 @@ def canonical_smiles(graph: MolGraph) -> str:
     not aligned with any external toolkit's canonical form.
     """
     # everything the search and the writer read, derived once per call:
-    # each atom's token, and its (bond order, neighbour, bond token) links
-    tokens = [_atom_token(graph, idx) for idx in range(len(graph.atoms))]
+    # each atom's hydrogen count and token, and its (bond order, neighbour,
+    # bond token) links
+    bare_h = [graph.bare_h(idx) for idx in range(len(graph.atoms))]
+    total_h = [h if atom.explicit_h is None else atom.explicit_h for atom, h in zip(graph.atoms, bare_h)]
+    tokens = [_atom_token(atom, h, bare) for atom, h, bare in zip(graph.atoms, total_h, bare_h)]
     links: list[list[tuple[int, int, str]]] = [[] for _ in graph.atoms]
     for bond in graph.bonds:
         token = _bond_token(graph, bond.a, bond.b, bond.order)
         links[bond.a].append((bond.order, bond.b, token))
         links[bond.b].append((bond.order, bond.a, token))
-    ranks = _initial_ranks(graph)
+    ranks = _initial_ranks(graph, total_h)
     # each component is searched on its own, so identical components
     # (hydrates, salts) never multiply each other's tie forks
     pieces = []
@@ -50,14 +57,14 @@ def canonical_smiles(graph: MolGraph) -> str:
         local = {atom: i for i, atom in enumerate(comp)}
         comp_links = [[(order, local[nbr], tok) for order, nbr, tok in links[a]] for a in comp]
         comp_ranks = _dense([ranks[a] for a in comp])
-        pieces.append(_canonical_from(comp_links, [tokens[a] for a in comp], comp_ranks))
+        pieces.append(_search(comp_links, [tokens[a] for a in comp], comp_ranks))
     return ".".join(sorted(pieces))
 
 
 # -- ranking ---------------------------------------------------------------
 
 
-def _initial_ranks(graph: MolGraph) -> list[int]:
+def _initial_ranks(graph: MolGraph, total_h: list[int]) -> list[int]:
     ring = graph.ring_atoms()
     invariants = []
     for idx, atom in enumerate(graph.atoms):
@@ -66,7 +73,7 @@ def _initial_ranks(graph: MolGraph) -> list[int]:
                 atom.element,
                 graph.degree(idx),
                 atom.charge,
-                graph.total_h(idx),
+                total_h[idx],
                 idx in ring,
                 atom.aromatic,
             )
@@ -79,55 +86,217 @@ def _dense(keys: list) -> list[int]:
     return [order[k] for k in keys]
 
 
-def _refine(links, ranks: list[int]) -> list[int]:
-    """Split rank classes by sorted neighbor (bond order, rank) profiles."""
-    while True:
-        keys = []
-        for idx, atom_links in enumerate(links):
-            profile = sorted((order, ranks[nbr]) for order, nbr, _ in atom_links)
-            keys.append((ranks[idx], tuple(profile)))
-        new = _dense(keys)
-        if new == ranks:
-            return ranks
-        ranks = new
+class _Partition:
+    """Ordered partition of a component's atoms into cells.
+
+    Cell `c` holds the atoms `members[c]` and covers the positions from
+    `start[c]` on; `cell[atom]` names an atom's cell. The rank of an atom is
+    its cell's place in position order. Ranks are only ever compared, so
+    comparing starts instead gives the same orders, and splitting one cell
+    renumbers no other.
+    """
+
+    __slots__ = ("cell", "start", "members")
+
+    def __init__(self, cell: list[int], start: list[int], members: list[set[int]]):
+        self.cell, self.start, self.members = cell, start, members
+
+    @classmethod
+    def from_ranks(cls, ranks: list[int]) -> "_Partition":
+        """One cell per rank; the ranks are dense, so each names its cell."""
+        members: list[set[int]] = [set() for _ in range(max(ranks) + 1)]
+        for atom, r in enumerate(ranks):
+            members[r].add(atom)
+        return cls(ranks[:], list(accumulate((len(m) for m in members[:-1]), initial=0)), members)
+
+    def copy(self) -> "_Partition":
+        return _Partition(self.cell[:], self.start[:], [set(m) for m in self.members])
+
+    def leaf(self) -> list[int] | None:
+        """Each atom's position when every cell holds one atom, else None."""
+        if len(self.start) < len(self.cell):
+            return None
+        return [self.start[c] for c in self.cell]
+
+    def target(self) -> list[int]:
+        """Atoms of the first cell with more than one atom."""
+        tied = [c for c, atoms in enumerate(self.members) if len(atoms) > 1]
+        return sorted(self.members[min(tied, key=self.start.__getitem__)])
+
+    def individualize(self, atom: int) -> None:
+        """Move the atom into a new cell just ahead of the rest of its cell."""
+        c = self.cell[atom]
+        self.members[c].remove(atom)
+        self.cell[atom] = len(self.start)
+        self.start.append(self.start[c])
+        self.members.append({atom})
+        self.start[c] += 1
+
+    def refine(self, links, touched: set[int]) -> None:
+        """Split cells by sorted neighbour (bond order, rank) profiles until
+        no cell splits, as synchronous rounds over dense ranks would.
+
+        `touched` holds the atoms whose profile may have changed: every atom
+        at the root, the individualized atom's neighbours after a fork. An
+        atom's profile changes only when a neighbour moves to a new cell, so
+        each round recomputes only the neighbours of the atoms the round
+        before moved, and a chain costs O(n) in all.
+        """
+        cell, start, members = self.cell, self.start, self.members
+        # a (bond order, neighbour rank) pair as one integer, order first
+        weight = len(cell)
+
+        def key(atom):
+            return tuple(sorted([order * weight + start[cell[nbr]] for order, nbr, _ in links[atom]]))
+
+        while touched:
+            dirty: dict[int, list[int]] = defaultdict(list)
+            for atom in touched:
+                if len(members[cell[atom]]) > 1:
+                    dirty[cell[atom]].append(atom)
+            # every key of the round is read before any cell splits
+            splits = []
+            for c, atoms in dirty.items():
+                groups: dict[tuple, list[int]] = defaultdict(list)
+                for atom in atoms:
+                    groups[key(atom)].append(atom)
+                if len(atoms) < len(members[c]):
+                    # the untouched atoms kept their profile of the round
+                    # before, so they share one key and keep their cell
+                    keeper = key(next(atom for atom in members[c] if atom not in touched))
+                    groups.setdefault(keeper, [])
+                elif len(groups) > 1:
+                    # any group may keep the cell; the largest moves fewest
+                    keeper = max(groups, key=lambda k: len(groups[k]))
+                if len(groups) > 1:
+                    splits.append((c, groups, keeper))
+            moved: list[int] = []
+            for c, groups, keeper in splits:
+                stay = len(members[c]) - sum(len(g) for k, g in groups.items() if k != keeper)
+                p = start[c]
+                for k in sorted(groups):
+                    if k == keeper:
+                        start[c] = p
+                        p += stay
+                        continue
+                    members[c].difference_update(groups[k])
+                    for atom in groups[k]:
+                        cell[atom] = len(start)
+                    start.append(p)
+                    members.append(set(groups[k]))
+                    p += len(groups[k])
+                    moved += groups[k]
+            touched = {nbr for atom in moved for _, nbr, _ in links[atom]}
 
 
-def _tie_forks(ranks: list[int]):
-    """All single-atom promotions of the lowest tied rank class."""
-    by_rank: dict[int, list[int]] = {}
-    for idx, r in enumerate(ranks):
-        by_rank.setdefault(r, []).append(idx)
-    tied_rank = min(r for r, members in by_rank.items() if len(members) > 1)
-    for atom in by_rank[tied_rank]:
-        forked = [r * 2 for r in ranks]
-        forked[atom] -= 1
-        yield _dense(forked)
+def _search(links, tokens: list[str], ranks: list[int]) -> str:
+    """Smallest string the writer gives over the leaves of the
+    individualization-refinement tree, without writing leaves that an
+    automorphism maps onto a leaf already seen.
 
+    The tree is walked depth first on an explicit stack. A leaf is mapped
+    by rank onto the first leaf, then onto the best leaf so far; a map that
+    keeps every atom token and link is an automorphism, and the leaf writes
+    that leaf's string. A map onto the first leaf also maps the subtree the
+    current path entered where it left the first path onto one already
+    searched, so the search returns there. At each node, a child in the
+    orbit of a searched child, under the automorphisms found that fix the
+    node's path, is skipped: refinement, the choice of cell and the writer
+    all commute with automorphisms, so a skipped subtree only repeats
+    strings already seen.
+    """
+    root = _Partition.from_ranks(ranks)
+    root.refine(links, set(range(len(ranks))))
+    leaf = root.leaf()
+    if leaf is not None:
+        return _write(links, tokens, leaf)
+    sorted_links = [sorted(atom_links) for atom_links in links]
 
-def _canonical_from(links, tokens: list[str], ranks: list[int]) -> str:
-    ranks = _refine(links, ranks)
-    if len(set(ranks)) == len(ranks):
-        return _write(links, tokens, ranks)
-    return min(_canonical_from(links, tokens, forked) for forked in _tie_forks(ranks))
+    def automorphism(leaf_from, leaf_to):
+        # the atom of each rank in leaf_to, then each atom's image
+        atom_at = [0] * len(leaf_to)
+        for atom, r in enumerate(leaf_to):
+            atom_at[r] = atom
+        image = [atom_at[r] for r in leaf_from]
+        for a, b in enumerate(image):
+            if tokens[a] != tokens[b]:
+                return None
+            if sorted_links[b] != sorted([(order, image[nbr], tok) for order, nbr, tok in links[a]]):
+                return None
+        return image
+
+    found: list[list[int]] = []  # automorphisms as atom -> image lists
+    first_path: list[int] = []
+    first = best = None  # leaves as atom -> rank lists
+    best_text = ""
+    # a node: its partition, the atoms individualized on its path, its
+    # target cell, and the children searched so far
+    stack = [(root, [], root.target(), [])]
+    while stack:
+        part, path, cell, searched = stack[-1]
+        fixing = [g for g in found if all(g[v] == v for v in path)]
+        child = None
+        while cell:
+            atom = cell.pop(0)
+            orbit, frontier = {atom}, [atom]
+            while frontier:
+                a = frontier.pop()
+                for g in fixing:
+                    if g[a] not in orbit:
+                        orbit.add(g[a])
+                        frontier.append(g[a])
+            if orbit.isdisjoint(searched):
+                child = atom
+                break
+        if child is None:
+            stack.pop()
+            continue
+        searched.append(child)
+        node = part.copy()
+        node.individualize(child)
+        node.refine(links, {nbr for _, nbr, _ in links[child]})
+        child_path = path + [child]
+        leaf = node.leaf()
+        if leaf is None:
+            stack.append((node, child_path, node.target(), []))
+            continue
+        if first is None:
+            first, best, first_path = leaf, leaf, child_path
+            best_text = _write(links, tokens, leaf)
+            continue
+        image = automorphism(first, leaf)
+        if image is not None:
+            found.append(image)
+            depth = next(d for d, (a, b) in enumerate(zip(first_path, child_path)) if a != b)
+            del stack[depth + 1 :]
+            continue
+        image = automorphism(best, leaf) if best is not first else None
+        if image is not None:
+            found.append(image)
+            continue
+        text = _write(links, tokens, leaf)
+        if text < best_text:
+            best, best_text = leaf, text
+    return best_text
 
 
 # -- writing ---------------------------------------------------------------
 
 
-def _atom_token(graph: MolGraph, idx: int) -> str:
-    atom = graph.atoms[idx]
+def _atom_token(atom: Atom, total_h: int, bare_h: int) -> str:
+    """Token of an atom with total_h hydrogens; bare_h is the count the
+    bare symbol would imply."""
     symbol = atom.element
     if atom.aromatic:
         if symbol not in _AROMATIC_WRITABLE:
             raise UnsupportedFeature(f"aromatic {symbol} cannot be written")
         symbol = symbol.lower()
 
-    total_h = graph.total_h(idx)
     plain_ok = (
         atom.element in ORGANIC_SUBSET
         and atom.charge == 0
         and atom.isotope is None
-        and graph.bare_h(idx) == total_h
+        and bare_h == total_h
     )
     if plain_ok:
         return symbol

@@ -26,11 +26,22 @@ ALLOWED_VALENCES: dict[str, tuple[int, ...]] = {
 
 # Elements whose allowed valences shift with formal charge (one unit per
 # unit of charge: N+ -> {4}, O- -> {1}, S- -> {1,3,5}, Cl- -> {0},
-# I+ -> {2}, ...). Charged B, C and P keep their neutral valences: their
-# shift depends on the group ([B-] and [P-] gain bonds, as in [B-](F)(F)(F)F
-# and [P-](F)(F)(F)(F)(F)F, while [C-] and [C+] both lose one), which one
-# unit per unit of charge cannot express.
+# I+ -> {2}, ...).
 CHARGE_SHIFTED = {"N", "O", "S", "F", "Cl", "Br", "I"}
+
+# B, C and P with charge +-1 take the valences of the isoelectronic
+# neighbour element: [B-] is C-like (4, as in [B-](F)(F)(F)F), [B+] Be-like
+# (2), [C-] N-like (3, as in [C-]#N), [C+] B-like (3), [P-] S-like (2, 4, 6,
+# as in [P-](F)(F)(F)(F)(F)F) and [P+] Si-like (4). Other charges on them
+# keep the neutral valences.
+ISOELECTRONIC: dict[tuple[str, int], tuple[int, ...]] = {
+    ("B", -1): (4,),
+    ("B", 1): (2,),
+    ("C", -1): (3,),
+    ("C", 1): (3,),
+    ("P", -1): (2, 4, 6),
+    ("P", 1): (4,),
+}
 
 
 def allowed_valences(element: str, charge: int = 0) -> tuple[int, ...] | None:
@@ -42,6 +53,8 @@ def allowed_valences(element: str, charge: int = 0) -> tuple[int, ...] | None:
     base = ALLOWED_VALENCES.get(element)
     if base is None:
         return None
+    if (element, charge) in ISOELECTRONIC:
+        return ISOELECTRONIC[element, charge]
     if charge and element in CHARGE_SHIFTED:
         shifted = tuple(v + charge for v in base if v + charge >= 0)
         return shifted or (0,)

@@ -12,7 +12,8 @@ from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
-from moleval.molgraph.elements import default_valence
+from moleval.molgraph.canon import _AROMATIC_WRITABLE, UnsupportedFeature, _bond_token, _write
+from moleval.molgraph.elements import ORGANIC_SUBSET, default_valence
 from moleval.molgraph.model import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, Bond, MolGraph
 
 
@@ -199,6 +200,16 @@ def random_molecule(rng: random.Random, max_atoms: int = 12) -> MolGraph:
         idx = rng.randrange(len(atoms))
         graph = MolGraph(atoms, bonds)
         atoms[idx].explicit_h = graph.implicit_h(idx)
+    return MolGraph(atoms, bonds)
+
+
+def disjoint_union(graphs) -> MolGraph:
+    """Disjoint union, atoms in the order of the graphs."""
+    atoms, bonds = [], []
+    for graph in graphs:
+        base = len(atoms)
+        atoms += [replace(atom) for atom in graph.atoms]
+        bonds += [Bond(b.a + base, b.b + base, b.order) for b in graph.bonds]
     return MolGraph(atoms, bonds)
 
 
@@ -577,3 +588,103 @@ def pair_groups_reference(pairs):
         shared = sorted(t for t, c in seen.items() if c >= 2)
         keys.append(shared[0] if shared else None)
     return keys
+
+
+# -- canonical SMILES (unpruned tie search) ------------------------------------
+
+def _atom_token_reference(graph: MolGraph, idx: int) -> str:
+    """The writer's atom token, derived from the graph on each call."""
+    atom = graph.atoms[idx]
+    symbol = atom.element
+    if atom.aromatic:
+        if symbol not in _AROMATIC_WRITABLE:
+            raise UnsupportedFeature(f"aromatic {symbol} cannot be written")
+        symbol = symbol.lower()
+    total_h = graph.total_h(idx)
+    if (
+        atom.element in ORGANIC_SUBSET
+        and atom.charge == 0
+        and atom.isotope is None
+        and graph.bare_h(idx) == total_h
+    ):
+        return symbol
+    if total_h > 9:
+        raise UnsupportedFeature("hydrogen count above 9")
+    if abs(atom.charge) > 9:
+        raise UnsupportedFeature("charge magnitude above 9")
+    isotope = "" if atom.isotope is None else str(atom.isotope)
+    hydrogens = "" if total_h == 0 else "H" if total_h == 1 else f"H{total_h}"
+    charge = {0: "", 1: "+", -1: "-"}.get(atom.charge)
+    if charge is None:
+        charge = f"{atom.charge:+d}"
+    return f"[{isotope}{symbol}{hydrogens}{charge}]"
+
+
+def dense_reference(keys: list) -> list[int]:
+    order = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [order[k] for k in keys]
+
+
+def refine_reference(links, ranks: list[int]) -> list[int]:
+    """Dense ranks after splitting rank classes by sorted neighbour
+    (bond order, rank) profiles, every atom recomputed each round, until
+    a round splits nothing."""
+    while True:
+        keys = []
+        for idx, atom_links in enumerate(links):
+            profile = sorted((order, ranks[nbr]) for order, nbr, _ in atom_links)
+            keys.append((ranks[idx], tuple(profile)))
+        new = dense_reference(keys)
+        if new == ranks:
+            return ranks
+        ranks = new
+
+
+def fork_reference(ranks: list[int], atom: int) -> list[int]:
+    """Dense ranks with one atom promoted just ahead of the rest of its class."""
+    forked = [r * 2 for r in ranks]
+    forked[atom] -= 1
+    return dense_reference(forked)
+
+
+def _canonical_from_reference(links, tokens, ranks) -> str:
+    # every fork of the lowest tied class is searched, so every leaf is written
+    ranks = refine_reference(links, ranks)
+    if len(set(ranks)) == len(ranks):
+        return _write(links, tokens, ranks)
+    tied = min(r for r in set(ranks) if ranks.count(r) > 1)
+    return min(
+        _canonical_from_reference(links, tokens, fork_reference(ranks, atom))
+        for atom, r in enumerate(ranks)
+        if r == tied
+    )
+
+
+def canonical_inputs_reference(graph: MolGraph):
+    """(links, tokens, initial dense ranks) of each connected component:
+    links are each atom's (bond order, neighbour, bond token) list."""
+    tokens = [_atom_token_reference(graph, idx) for idx in range(len(graph.atoms))]
+    ring = graph.ring_atoms()
+    invariants = [
+        (atom.element, graph.degree(idx), atom.charge, graph.total_h(idx), idx in ring, atom.aromatic)
+        for idx, atom in enumerate(graph.atoms)
+    ]
+    out = []
+    for comp in graph.components():
+        local = {atom: i for i, atom in enumerate(comp)}
+        links = [[] for _ in comp]
+        for bond in graph.bonds:
+            if bond.a in local:
+                token = _bond_token(graph, bond.a, bond.b, bond.order)
+                links[local[bond.a]].append((bond.order, local[bond.b], token))
+                links[local[bond.b]].append((bond.order, local[bond.a], token))
+        out.append((links, [tokens[a] for a in comp], dense_reference([invariants[a] for a in comp])))
+    return out
+
+
+def canonical_smiles_reference(graph: MolGraph) -> str:
+    """Canonical SMILES by the unpruned search: the smallest string the
+    writer gives over every leaf of the individualization tree."""
+    return ".".join(
+        sorted(_canonical_from_reference(*inputs) for inputs in canonical_inputs_reference(graph))
+    )

@@ -133,14 +133,16 @@ def test_canonical_is_idempotent_on_random_molecules():
 
 
 def test_atom_tokens_derived_once_per_call(monkeypatch):
-    # benzene's search writes one candidate per atom of its one tied class
+    # the search may reach many leaves, but each atom's token is derived
+    # once, before the search, and every leaf reuses it
     calls = []
     real = canon._atom_token
 
-    def counting(graph, idx):
-        calls.append(idx)
-        return real(graph, idx)
+    def counting(atom, total_h, bare_h):
+        calls.append(atom)
+        return real(atom, total_h, bare_h)
 
     monkeypatch.setattr(canon, "_atom_token", counting)
-    assert canonical_smiles(parse_smiles("c1ccccc1")) == "c1ccccc1"
-    assert sorted(calls) == list(range(6))
+    graph = parse_smiles("c1ccccc1")
+    assert canonical_smiles(graph) == "c1ccccc1"
+    assert [id(atom) for atom in calls] == [id(atom) for atom in graph.atoms]

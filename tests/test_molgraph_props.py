@@ -145,3 +145,33 @@ def test_halogen_valence_shifts_with_charge():
     assert allowed_valences("I", 1) == (2,)
     assert validity(parse_smiles("C[I+]C"))
     assert not validity(parse_smiles("C[Br-]C"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[B-](F)(F)(F)F",
+        "[BH4-]",
+        "[C-]#N",
+        "[C-]#[O+]",
+        "[CH3+]",
+        "[P-](F)(F)(F)(F)(F)F",
+        "C[P+](C)(C)C",
+        "[cH-]1cccc1",
+    ],
+)
+def test_charged_boron_carbon_phosphorus_valid(text):
+    # charge +-1 gives B, C and P the valences of the isoelectronic
+    # neighbour: [B-] 4, [C-] and [C+] 3, [P-] 2/4/6, [P+] 4
+    assert validity(parse_smiles(text))
+
+
+def test_charged_boron_carbon_phosphorus_valences():
+    assert allowed_valences("B", -1) == (4,)
+    assert allowed_valences("B", 1) == (2,)
+    assert allowed_valences("C", -1) == (3,)
+    assert allowed_valences("C", 1) == (3,)
+    assert allowed_valences("P", -1) == (2, 4, 6)
+    assert allowed_valences("P", 1) == (4,)
+    # a carbanion has three bonds, not four
+    assert not validity(parse_smiles("[C-](C)(C)(C)C"))

@@ -1,27 +1,16 @@
 import random
-from dataclasses import replace
 
-from _oracles import graphs_isomorphic, kekule_form, random_molecule
+from _oracles import disjoint_union, graphs_isomorphic, kekule_form, random_molecule
 from _pinned_forms import ROWS
-from moleval.molgraph import Bond, MolGraph, canonical_smiles, parse_smiles
+from moleval.molgraph import canonical_smiles, parse_smiles
 from moleval.selfies import decode_selfies, encode_selfies
 
 
 def _graph(text):
     if text.startswith("random:"):
         seeds = text.split(":")[1].split("+")
-        return _union([random_molecule(random.Random(int(s)), 24) for s in seeds])
+        return disjoint_union([random_molecule(random.Random(int(s)), 24) for s in seeds])
     return parse_smiles(text)
-
-
-def _union(graphs):
-    """Disjoint union, atoms in the order of the graphs."""
-    atoms, bonds = [], []
-    for graph in graphs:
-        base = len(atoms)
-        atoms += [replace(atom) for atom in graph.atoms]
-        bonds += [Bond(b.a + base, b.b + base, b.order) for b in graph.bonds]
-    return MolGraph(atoms, bonds)
 
 
 def _outcome(write):
