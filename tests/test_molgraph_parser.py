@@ -138,6 +138,14 @@ def test_validity_rules():
         ("C12CC12", BadRingClosure, 6),
         ("C1C1", BadRingClosure, 3),
         ("cc", AromaticityError, 0),
+        # errors after a multi-character token: the offset counts every
+        # character of the bracket atoms, halogens and %nn labels before it
+        ("C[nH]C", AromaticityError, 1),
+        ("Cl[O-]c", AromaticityError, 6),
+        ("Br[C", BadBracketAtom, 2),
+        ("C%12C%1", BadRingClosure, 5),
+        ("[NH4+]C)", UnbalancedParenthesis, 7),
+        ("C%10CC%10x", UnknownElement, 9),
     ],
 )
 def test_error_offsets(text, exc, offset):
