@@ -22,6 +22,7 @@ from ..molgraph import (
     validity,
 )
 from ..selfies import decode_selfies, encode_selfies
+from ..textmetrics import SCHEMES
 from ..transition import MODALITIES, build_matrix, export_matrix, export_provenance
 from .evaluate import eval_generation, eval_property, eval_retrieval, merge_reports
 from .profile import profile_dataset
@@ -242,6 +243,10 @@ def _cmd_tokenmap_build(args, config):
     }
 
 
+# a sweep costs about 0.1 ms a threshold, so the largest grid takes about 1 s
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -250,8 +255,11 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"grid values must be numbers, got {text!r}") from None
-    if step <= 0 or stop < start:
+    # negated comparisons also reject NaN, which no loop bound would stop
+    if not step > 0 or not stop >= start:
         raise UsageError("grid needs step > 0 and stop >= start")
+    if not (stop - start) / step < MAX_GRID_POINTS:
+        raise UsageError(f"grid has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
     while True:
@@ -319,7 +327,7 @@ def _add_common(parser):
 def _add_tokenmap_source(parser):
     parser.add_argument("--pairs", default=None, help="JSONL of {input, output} token records")
     parser.add_argument("--matrix", default=None, help="saved tokenmap-build JSON")
-    parser.add_argument("--scheme", default=None, choices=("whitespace", "smiles_regex", "selfies_bracket", "char"))
+    parser.add_argument("--scheme", default=None, choices=SCHEMES)
     parser.add_argument("--top-k", dest="top_k", type=int, default=None)
     parser.add_argument("--stoplist", default=None, help="file of tokens to drop, one per line")
     parser.add_argument("--count-mode", dest="count_mode", default=None, choices=("presence", "occurrence"))

@@ -160,25 +160,25 @@ def neighborhood_stats(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population standard deviation over the radius-1 Moore
     neighborhood of each cell, center excluded, truncated at borders."""
     a = np.asarray(counts, dtype=float)
-    n, m = a.shape
-    padded = np.zeros((n + 2, m + 2))
-    padded[1:-1, 1:-1] = a
-    mask = np.zeros((n + 2, m + 2))
-    mask[1:-1, 1:-1] = 1.0
-    total = np.zeros((n, m))
-    total_sq = np.zeros((n, m))
-    count = np.zeros((n, m))
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            window = padded[1 + di : n + 1 + di, 1 + dj : m + 1 + dj]
-            total += window
-            total_sq += window * window
-            count += mask[1 + di : n + 1 + di, 1 + dj : m + 1 + dj]
+    count = _neighbour_sum(np.ones_like(a))
+    total = _neighbour_sum(a)
+    total_sq = _neighbour_sum(a * a)
     means = total / count
     variances = np.maximum(total_sq / count - means * means, 0.0)
     return means, np.sqrt(variances)
+
+
+def _neighbour_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of each cell's eight neighbours, zero beyond the borders, added
+    row by row from the upper left."""
+    n, m = x.shape
+    padded = np.pad(x, 1)
+    total = np.zeros((n, m))
+    for di in range(3):
+        for dj in range(3):
+            if di != 1 or dj != 1:
+                total += padded[di : n + di, dj : m + dj]
+    return total
 
 
 def normal_cdf(x: float) -> float:

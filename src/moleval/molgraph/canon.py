@@ -18,11 +18,8 @@ import heapq
 from collections import defaultdict
 from itertools import accumulate
 
-from .elements import ORGANIC_SUBSET
+from .elements import AROMATIC_SUBSET, ORGANIC_SUBSET
 from .model import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, MolGraph
-
-# aromatic atoms writable as bare lowercase symbols
-_AROMATIC_WRITABLE = {"B", "C", "N", "O", "P", "S"}
 
 _BOND_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
 
@@ -288,9 +285,9 @@ def _atom_token(atom: Atom, total_h: int, bare_h: int) -> str:
     bare symbol would imply."""
     symbol = atom.element
     if atom.aromatic:
-        if symbol not in _AROMATIC_WRITABLE:
-            raise UnsupportedFeature(f"aromatic {symbol} cannot be written")
         symbol = symbol.lower()
+        if symbol not in AROMATIC_SUBSET:
+            raise UnsupportedFeature(f"aromatic {atom.element} cannot be written")
 
     plain_ok = (
         atom.element in ORGANIC_SUBSET

@@ -52,6 +52,12 @@ class AromaticityError(SmilesError):
     """Aromatic atom that ends up outside any ring."""
 
 
+# The one SMILES lexer, shared with textmetrics' smiles_regex scheme: bracket
+# atoms, two-letter halogens and %nn ring labels stay whole, every other
+# character (newline included) is a token, so the tokens always join back to
+# the input and a token's offset is the length of the tokens before it.
+SMILES_TOKEN = re.compile(r"\[[^\]]*\]|Br|Cl|%\d\d|.", re.DOTALL)
+
 _BRACKET = re.compile(
     r"\[(?P<isotope>\d+)?(?P<symbol>[A-Z][a-z]?|[bcnops])"
     r"(?P<chiral>@{1,2})?"
@@ -60,8 +66,6 @@ _BRACKET = re.compile(
 )
 
 _BOND_ORDERS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
-
-_TWO_LETTER = {"Cl", "Br"}
 
 
 def parse_smiles(text: str) -> MolGraph:
@@ -86,9 +90,6 @@ def parse_smiles(text: str) -> MolGraph:
     # open ring closures: number -> (atom, explicit order or None, stereo, offset)
     open_rings: dict[int, tuple[int, int | None, str | None, int]] = {}
     stack: list[tuple[int | None, int]] = []  # (prev, open paren offset)
-
-    i = 0
-    n = len(text)
 
     def add_atom(atom: Atom, pos: int) -> None:
         nonlocal prev, pending_order, pending_stereo
@@ -138,12 +139,13 @@ def parse_smiles(text: str) -> MolGraph:
         pending_order = None
         pending_stereo = None
 
-    while i < n:
-        ch = text[i]
-        if ch == "[":
-            m = _BRACKET.match(text, i)
+    end = 0
+    for token in SMILES_TOKEN.findall(text):
+        pos, end = end, end + len(token)
+        if token[0] == "[":
+            m = _BRACKET.fullmatch(token)
             if not m:
-                raise BadBracketAtom("malformed bracket atom", i)
+                raise BadBracketAtom("malformed bracket atom", pos)
             symbol = m.group("symbol")
             aromatic = symbol[0].islower()
             element = symbol if not aromatic else symbol.upper()
@@ -168,72 +170,54 @@ def parse_smiles(text: str) -> MolGraph:
                     explicit_h=explicit_h,
                     chirality=m.group("chiral"),
                 ),
-                i,
+                pos,
             )
-            i = m.end()
-        elif ch.isalpha():
-            symbol = None
-            if text[i : i + 2] in _TWO_LETTER:
-                symbol = text[i : i + 2]
-            elif ch.upper() in ORGANIC_SUBSET and (ch.isupper() or ch in AROMATIC_SUBSET):
-                symbol = ch
-            if symbol is None:
-                raise UnknownElement(f"unknown element {ch!r}", i)
-            aromatic = symbol.islower()
-            add_atom(
-                Atom(element=symbol.upper() if aromatic else symbol, aromatic=aromatic),
-                i,
-            )
-            i += len(symbol)
-        elif ch in _BOND_ORDERS:
+        elif token in ORGANIC_SUBSET or token in AROMATIC_SUBSET:
+            aromatic = token.islower()
+            add_atom(Atom(element=token.upper() if aromatic else token, aromatic=aromatic), pos)
+        elif token.isalpha():
+            raise UnknownElement(f"unknown element {token!r}", pos)
+        elif token in _BOND_ORDERS:
             if prev is None:
-                raise DanglingBond("bond symbol before any atom", i)
-            pending_order = _BOND_ORDERS[ch]
-            pending_pos = i
-            i += 1
-        elif ch in "/\\":
+                raise DanglingBond("bond symbol before any atom", pos)
+            pending_order = _BOND_ORDERS[token]
+            pending_pos = pos
+        elif token in "/\\":
             if prev is None:
-                raise DanglingBond("bond symbol before any atom", i)
+                raise DanglingBond("bond symbol before any atom", pos)
             pending_order = SINGLE
-            pending_stereo = ch
-            pending_pos = i
-            i += 1
-        elif ch.isdigit():
-            close_ring(int(ch), i)
-            i += 1
-        elif ch == "%":
-            seg = text[i + 1 : i + 3]
-            if len(seg) < 2 or not seg.isdigit():
-                raise BadRingClosure("% ring closure needs two digits", i)
-            close_ring(int(seg), i)
-            i += 3
-        elif ch == "(":
+            pending_stereo = token
+            pending_pos = pos
+        elif token.isdecimal():
+            close_ring(int(token), pos)
+        elif token[0] == "%":
+            if token == "%":
+                raise BadRingClosure("% ring closure needs two digits", pos)
+            close_ring(int(token[1:]), pos)
+        elif token == "(":
             if prev is None:
-                raise UnbalancedParenthesis("branch with no preceding atom", i)
+                raise UnbalancedParenthesis("branch with no preceding atom", pos)
             if pending_order is not None:
                 raise DanglingBond("bond symbol before branch open", pending_pos)
-            stack.append((prev, i))
-            i += 1
-        elif ch == ")":
+            stack.append((prev, pos))
+        elif token == ")":
             if not stack:
-                raise UnbalancedParenthesis("unmatched closing parenthesis", i)
+                raise UnbalancedParenthesis("unmatched closing parenthesis", pos)
             if pending_order is not None:
                 raise DanglingBond("dangling bond at branch close", pending_pos)
             prev, _ = stack.pop()
-            i += 1
-        elif ch == ".":
+        elif token == ".":
             if pending_order is not None:
                 raise DanglingBond("bond symbol before dot", pending_pos)
             prev = None
-            i += 1
-        elif ch.isspace():
+        elif token.isspace():
             # trailing whitespace terminates the molecule; embedded
             # whitespace is treated the same way as end of input
-            if text[i:].strip():
-                raise UnknownElement("whitespace inside SMILES", i)
+            if text[pos:].strip():
+                raise UnknownElement("whitespace inside SMILES", pos)
             break
         else:
-            raise UnknownElement(f"unexpected character {ch!r}", i)
+            raise UnknownElement(f"unexpected character {token!r}", pos)
 
     if stack:
         raise UnbalancedParenthesis("unclosed branch", stack[-1][1])

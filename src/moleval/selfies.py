@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .molgraph.elements import allowed_valences, max_valence
+from .molgraph.elements import ALLOWED_VALENCES, allowed_valences, max_valence
 from .molgraph.model import DOUBLE, SINGLE, TRIPLE, Atom, Bond, MolGraph
 
 
@@ -82,8 +82,6 @@ INDEX_ALPHABET = (
 )
 _INDEX_VALUE = {tok: i for i, tok in enumerate(INDEX_ALPHABET)}
 
-_CORE_ELEMENTS = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I", "H"}
-
 
 def tokenize_selfies(text: str) -> SelfiesStream:
     """Split a SELFIES string into bracketed tokens.
@@ -124,7 +122,7 @@ class _Decoder:
 
     def add_atom(self, element: str, charge: int) -> int:
         self.atoms.append(Atom(element=element, charge=charge))
-        self.caps.append(max_valence(element, charge) or 0)
+        self.caps.append(max_valence(element, charge))
         return len(self.atoms) - 1
 
     def add_bond(self, a: int, b: int, order: int) -> None:
@@ -168,12 +166,12 @@ class _Decoder:
                 if not atom:
                     continue  # unknown token: nothing to derive
                 prefix, element, sign, digits = atom.groups()
-                if element not in _CORE_ELEMENTS:
+                if element not in ALLOWED_VALENCES:
                     continue
                 charge = 0
                 if sign:
                     charge = int(digits) * (1 if sign == "+" else -1)
-                capacity = max_valence(element, charge) or 0
+                capacity = max_valence(element, charge)
                 if cur is None:
                     cur = self.add_atom(element, charge)
                     continue
@@ -211,13 +209,19 @@ class _Decoder:
         self.add_bond(cur, target, value)
 
     def finish(self) -> MolGraph:
-        graph = MolGraph(self.atoms, self.bonds)
-        for idx, atom in enumerate(self.atoms):
-            total = graph.plain_bond_sum(idx)
-            allowed = allowed_valences(atom.element, atom.charge) or (total,)
-            target = next((v for v in allowed if v >= total), allowed[-1])
-            atom.explicit_h = max(0, target - total)
-        return graph
+        # bonds never exceed caps, so every atom has a derived count
+        for atom, cap in zip(self.atoms, self.caps):
+            bonded = max_valence(atom.element, atom.charge) - cap
+            atom.explicit_h = _derived_h(atom.element, atom.charge, bonded)
+        return MolGraph(self.atoms, self.bonds)
+
+
+def _derived_h(element: str, charge: int, bonded: int) -> int | None:
+    """Hydrogens that fill an atom with bond order sum `bonded` up to the
+    smallest allowed valence at or above it; None when the bonds exceed
+    every allowed valence."""
+    target = next((v for v in allowed_valences(element, charge) if v >= bonded), None)
+    return None if target is None else target - bonded
 
 
 def decode_selfies(stream: SelfiesStream | str) -> MolGraph:
@@ -254,7 +258,7 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
     if len(graph.components()) > 1:
         raise NotEncodable("multiple components")
     for atom in graph.atoms:
-        if atom.element not in _CORE_ELEMENTS:
+        if atom.element not in ALLOWED_VALENCES:
             raise NotEncodable(f"element {atom.element} not encodable")
         if atom.isotope is not None:
             raise NotEncodable("isotope labels not encodable")
@@ -269,10 +273,10 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
 
     for idx, atom in enumerate(graph.atoms):
         bonded = sum(orders[bi] for bi in graph.adjacency()[idx])
-        target = next((v for v in allowed_valences(atom.element, atom.charge) if v >= bonded), None)
-        if target is None:
+        derived_h = _derived_h(atom.element, atom.charge, bonded)
+        if derived_h is None:
             raise NotEncodable("bond orders exceed the element's valence")
-        if target - bonded != graph.total_h(idx):
+        if derived_h != graph.total_h(idx):
             raise NotEncodable("hydrogen count is not at its derived default")
 
     visited = [False] * len(graph.atoms)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 
 from .molgraph import MolGraph, SmilesError, canonical_smiles, parse_smiles, validity
+from .molgraph.parser import SMILES_TOKEN
 from .selfies import tokenize_selfies
 
 
@@ -24,9 +24,6 @@ class EmptyInput(ValueError):
 
 
 SCHEMES = ("whitespace", "smiles_regex", "selfies_bracket", "char")
-
-# bracket atoms, two-letter halogens, and %nn ring labels stay whole
-_SMILES_TOKEN = re.compile(r"\[[^\]]*\]|Br|Cl|%\d\d|.")
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ def tokenize(text: str, scheme: str) -> TokenSeq:
     if scheme == "whitespace":
         tokens = tuple(text.split())
     elif scheme == "smiles_regex":
-        tokens = tuple(_SMILES_TOKEN.findall(text))
+        tokens = tuple(SMILES_TOKEN.findall(text))
     elif scheme == "selfies_bracket":
         tokens = tuple(tokenize_selfies(text))
     elif scheme == "char":

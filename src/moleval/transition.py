@@ -9,6 +9,8 @@ other cell is either measured or missing.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -129,23 +131,23 @@ def build_matrix(results: list[TaskResult]) -> TransitionMatrix:
     return matrix
 
 
-def export_matrix(matrix: TransitionMatrix) -> str:
-    lines = ["," + ",".join(MODALITIES)]
+def _grid_csv(cells: dict[tuple[str, str], str]) -> str:
+    """CSV of one text cell per (row, col) modality pair under a header of
+    modalities; a cell holding a comma, quote or newline is quoted."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["", *MODALITIES])
     for row in MODALITIES:
-        cells = []
-        for col in MODALITIES:
-            value = matrix.entries[(row, col)]
-            cells.append("" if value is None else f"{value:.3f}")
-        lines.append(row + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+        writer.writerow([row, *(cells[(row, col)] for col in MODALITIES)])
+    return buffer.getvalue()
+
+
+def export_matrix(matrix: TransitionMatrix) -> str:
+    return _grid_csv({key: "" if value is None else f"{value:.3f}" for key, value in matrix.entries.items()})
 
 
 def export_provenance(matrix: TransitionMatrix) -> str:
-    lines = ["," + ",".join(MODALITIES)]
-    for row in MODALITIES:
-        tags = [matrix.provenance[(row, col)] for col in MODALITIES]
-        lines.append(row + "," + ",".join(tags))
-    return "\n".join(lines) + "\n"
+    return _grid_csv(matrix.provenance)
 
 
 def parse_matrix(text: str) -> TransitionMatrix:

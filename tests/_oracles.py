@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
-from moleval.molgraph.canon import _AROMATIC_WRITABLE, UnsupportedFeature, _bond_token, _write
+from moleval.molgraph.canon import UnsupportedFeature, _bond_token, _write
 from moleval.molgraph.elements import ORGANIC_SUBSET, default_valence
 from moleval.molgraph.model import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, Bond, MolGraph
 
@@ -592,12 +592,16 @@ def pair_groups_reference(pairs):
 
 # -- canonical SMILES (unpruned tie search) ------------------------------------
 
+# aromatic elements writable as bare lowercase symbols, written out here so
+# the reference does not read the writer's element sets
+_AROMATIC_WRITABLE_REFERENCE = {"B", "C", "N", "O", "P", "S"}
+
 def _atom_token_reference(graph: MolGraph, idx: int) -> str:
     """The writer's atom token, derived from the graph on each call."""
     atom = graph.atoms[idx]
     symbol = atom.element
     if atom.aromatic:
-        if symbol not in _AROMATIC_WRITABLE:
+        if symbol not in _AROMATIC_WRITABLE_REFERENCE:
             raise UnsupportedFeature(f"aromatic {symbol} cannot be written")
         symbol = symbol.lower()
     total_h = graph.total_h(idx)

@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import pytest
 
-from moleval.harness.cli import main
-from moleval.transition import build_matrix, export_matrix
+from moleval.harness.cli import MAX_GRID_POINTS, _parse_grid, main
+from moleval.transition import MODALITIES, build_matrix, export_matrix
 from moleval.harness.records import read_results
 
 
@@ -181,6 +183,19 @@ def test_transition_build_provenance_file(tmp_path, capsys):
     assert "tool" in text
 
 
+def test_transition_provenance_csv_quotes_commas(tmp_path, capsys):
+    rows = [{"input": "iupac", "output": "smiles", "metric": "bleu,4", "value": 0.5}]
+    res = _write_jsonl(tmp_path / "res.jsonl", rows)
+    prov = tmp_path / "prov.csv"
+    assert main(["transition", "build", "--results", res, "--out", "csv", "--provenance", str(prov)]) == 0
+    capsys.readouterr()
+    grid = list(csv.reader(io.StringIO(prov.read_text())))
+    assert grid[0] == ["", *MODALITIES]
+    assert [row[0] for row in grid[1:]] == list(MODALITIES)
+    assert all(len(row) == 1 + len(MODALITIES) for row in grid)
+    assert grid[1 + MODALITIES.index("iupac")][1 + MODALITIES.index("smiles")] == "measured(bleu,4)"
+
+
 def test_transition_conflicting_results_data_error(tmp_path, capsys):
     rows = [
         {"input": "iupac", "output": "smiles", "metric": "bleu", "value": 0.5},
@@ -250,6 +265,14 @@ def test_tokenmap_bad_grid(tmp_path):
     pairs = _pairs_file(tmp_path)
     assert main(["tokenmap", "sweep", "--pairs", pairs, "--grid", "nope"]) == 1
     assert main(["tokenmap", "sweep", "--pairs", pairs, "--grid", "2:1:0.5"]) == 1
+    # more than MAX_GRID_POINTS points, or no finite count at all, is
+    # refused before any point is built
+    for grid in ("0:1:1e-7", "0:10000:1", "0:inf:1", "nan:1:0.5", "0:1:nan"):
+        assert main(["tokenmap", "sweep", "--pairs", pairs, "--grid", grid]) == 1
+
+
+def test_grid_limit_is_inclusive():
+    assert len(_parse_grid("0:9999:1")) == MAX_GRID_POINTS
 
 
 def test_tokenmap_degenerate_matrix_is_data_error(tmp_path):

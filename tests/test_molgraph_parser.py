@@ -146,6 +146,9 @@ def test_validity_rules():
         ("C%12C%1", BadRingClosure, 5),
         ("[NH4+]C)", UnbalancedParenthesis, 7),
         ("C%10CC%10x", UnknownElement, 9),
+        # digits int() cannot read are neither ring bonds nor labels
+        ("C\u00b2", UnknownElement, 1),
+        ("C%\u00b2\u00b2", BadRingClosure, 1),
     ],
 )
 def test_error_offsets(text, exc, offset):

@@ -39,6 +39,13 @@ def test_tokenize_smiles_regex():
     assert got == ("C", "[NH4+]", "Cl", "%12", "Br", "1")
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=40) | st.text(alphabet="CNOcn[]H+-Brl%123()=#\n\r ", max_size=40))
+def test_smiles_regex_tokens_join_to_input(text):
+    # the parser lexes through the same tokens, so none may be dropped
+    assert "".join(tokenize(text, "smiles_regex").tokens) == text
+
+
 def test_tokenize_selfies_scheme():
     assert tokenize("[C][=C]", "selfies_bracket").tokens == ("[C]", "[=C]")
 
