@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -386,3 +390,87 @@ def test_convert_deeply_nested_selfies(capsys):
     stream = "[C]" + "[Branch3][P][P][P]" * 1100 + "[C]"
     assert main(["convert", "--from", "selfies", "--to", "smiles", stream]) == 0
     assert capsys.readouterr().out.strip() == "CC"
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "moleval.cfg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command,key,flag,value",
+    [
+        ("tokenmap", "scheme", "--scheme", "words"),
+        ("tokenmap", "count_mode", "--count-mode", "bogus"),
+        ("gen", "target_kind", "--target-kind", "protein"),
+        ("gen", "seed", "--seed", "x"),
+    ],
+)
+def test_bad_config_value_exits_as_its_flag(tmp_path, capsys, command, key, flag, value):
+    if command == "tokenmap":
+        argv = ["tokenmap", "build", "--pairs", _pairs_file(tmp_path)]
+    else:
+        argv = ["eval", "gen", "--records", _write_jsonl(tmp_path / "g.jsonl", _gen_rows(2))]
+    assert main(argv + [flag, value]) == 1
+    assert main(argv + ["--config", _config(tmp_path, f"{key} = {value}\n")]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_config_key_is_the_flag_name(tmp_path, capsys):
+    pairs = _pairs_file(tmp_path)
+    assert main(["tokenmap", "select", "--pairs", pairs, "--config", _config(tmp_path, "T = 0.5\n")]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold_T"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "config,flag",
+    [
+        ("T = 2.5\n", ["--T", "0.5"]),
+        ("scheme = char\n", ["--scheme", "whitespace"]),
+    ],
+)
+def test_flag_beats_config(tmp_path, capsys, config, flag):
+    argv = ["tokenmap", "select", "--pairs", _pairs_file(tmp_path)] + flag
+    if "--T" not in flag:
+        argv += ["--T", "0.5"]
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    assert main(argv + ["--config", _config(tmp_path, config)]) == 0
+    assert capsys.readouterr().out == alone
+
+
+def test_config_keys_the_subcommand_lacks_are_ignored(tmp_path, capsys):
+    assert main(["parse", "CCO"]) == 0
+    alone = capsys.readouterr().out
+    # a value with a space under a key parse lacks is not read as a SMILES
+    config = _config(tmp_path, "grid = 0:1:0.5\ntop-k = 3\nrepeat-merge = a.json b.json\n")
+    assert main(["parse", "CCO", "--config", config]) == 0
+    assert capsys.readouterr().out == alone
+
+
+def test_abbreviated_flag_is_usage_error(tmp_path, capsys):
+    rec = _write_jsonl(tmp_path / "g.jsonl", _gen_rows(2))
+    assert main(["profile", "--rec", rec]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["parse", "CCO"], 0),
+        (["parse", "CCO", "--config", "bad.cfg"], 1),
+        (["profile", "--records", "missing.jsonl"], 2),
+    ],
+)
+def test_module_entry_exit_codes(tmp_path, argv, code):
+    (tmp_path / "bad.cfg").write_text("seed = x\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-m", "moleval.harness.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, timeout=60,
+    )
+    assert done.returncode == code, done.stderr
