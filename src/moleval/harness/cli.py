@@ -35,12 +35,17 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # a flag, and so a config key, must be named in full
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
 
-def _read_config(path) -> dict[str, str]:
-    config = {}
+def _read_config(path) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` words."""
+    words = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -48,26 +53,13 @@ def _read_config(path) -> dict[str, str]:
         if "=" not in body:
             raise UsageError(f"{path}: line {lineno} is not key=value")
         key, value = body.split("=", 1)
-        config[key.strip().replace("-", "_")] = value.strip()
-    return config
-
-
-def _setting(args, config, key: str, fallback, cast=str):
-    """Flag value when given, else config value, else the fallback."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError:
-            raise UsageError(f"config key {key} has invalid value {config[key]!r}") from None
-    return fallback
+        words.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return words
 
 
 def _input_strings(args) -> list[str]:
     items = list(args.items)
-    if getattr(args, "infile", None):
+    if args.infile:
         for line in Path(args.infile).read_text(encoding="utf-8").splitlines():
             if line.strip():
                 items.append(line.strip())
@@ -76,7 +68,7 @@ def _input_strings(args) -> list[str]:
     return items
 
 
-def _cmd_parse(args, config):
+def _cmd_parse(args):
     molecules = []
     valid_count = 0
     for text in _input_strings(args):
@@ -101,7 +93,7 @@ def _cmd_parse(args, config):
     }
 
 
-def _cmd_convert(args, config):
+def _cmd_convert(args):
     if args.source == args.target:
         raise UsageError("--from and --to must differ")
     results = []
@@ -120,21 +112,20 @@ def _cmd_convert(args, config):
     return {"task": "convert", "results": results, "counts": {"converted": len(results)}}
 
 
-def _cmd_profile(args, config):
+def _cmd_profile(args):
     return profile_dataset(args.records)
 
 
-def _cmd_eval(args, config):
+def _cmd_eval(args):
     if args.repeat_merge:
         payloads = [json.loads(Path(p).read_text(encoding="utf-8")) for p in args.repeat_merge]
         return merge_reports(payloads, provenance_for(args.repeat_merge))
     if args.eval_command == "gen":
         if args.records is None:
             raise UsageError("eval gen needs --records (or --repeat-merge)")
-        target_kind = _setting(args, config, "target_kind", None)
-        if target_kind is None:
+        if args.target_kind is None:
             raise UsageError("eval gen needs --target-kind molecule|text")
-        report = eval_generation(args.records, target_kind)
+        report = eval_generation(args.records, args.target_kind)
     elif args.eval_command == "retrieval":
         if not (args.queries and args.targets and args.gold):
             raise UsageError("eval retrieval needs --queries, --targets and --gold")
@@ -144,13 +135,12 @@ def _cmd_eval(args, config):
             raise UsageError("eval property needs --records (or --repeat-merge)")
         report = eval_property(args.records)
     payload = report.payload()
-    seed = _setting(args, config, "seed", None, int)
-    if seed is not None:
-        payload["provenance"]["seed"] = seed
+    if args.seed is not None:
+        payload["provenance"]["seed"] = args.seed
     return payload
 
 
-def _cmd_transition_build(args, config):
+def _cmd_transition_build(args):
     results = read_results(args.results)
     matrix = build_matrix(results)
     if args.provenance:
@@ -174,8 +164,8 @@ def _cmd_transition_build(args, config):
     }
 
 
-def _load_mapping_matrix(args, config) -> interpret.MappingMatrix:
-    if getattr(args, "matrix", None):
+def _load_mapping_matrix(args) -> interpret.MappingMatrix:
+    if args.matrix:
         data = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
         try:
             return interpret.MappingMatrix(
@@ -186,39 +176,29 @@ def _load_mapping_matrix(args, config) -> interpret.MappingMatrix:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{args.matrix}: not a saved mapping matrix ({exc})") from None
-    if not getattr(args, "pairs", None):
+    if not args.pairs:
         raise UsageError("tokenmap needs --pairs or --matrix")
-    scheme = _setting(args, config, "scheme", "whitespace")
-    pairs = read_pairs(args.pairs, scheme)
+    pairs = read_pairs(args.pairs, args.scheme)
     if args.stoplist is not None:
         stoplist = read_stoplist(args.stoplist)
     else:
         stoplist = DEFAULT_STOPLIST
-    top_k = _setting(args, config, "top_k", 20, int)
-    count_mode = _setting(args, config, "count_mode", "presence")
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         matrix = interpret.build_mapping_matrix(
-            pairs, top_k=top_k, stoplist=stoplist, count_mode=count_mode
+            pairs, top_k=args.top_k, stoplist=stoplist, count_mode=args.count_mode
         )
     return matrix
 
 
 def _matrix_sources(args) -> list[str]:
-    sources = []
-    if getattr(args, "pairs", None):
-        sources.append(args.pairs)
-    if getattr(args, "matrix", None):
-        sources.append(args.matrix)
-    if getattr(args, "stoplist", None):
-        sources.append(args.stoplist)
-    return sources
+    return [path for path in (args.pairs, args.matrix, args.stoplist) if path]
 
 
-def _cmd_tokenmap_build(args, config):
-    matrix = interpret.sort_matrix(_load_mapping_matrix(args, config))
+def _cmd_tokenmap_build(args):
+    matrix = interpret.sort_matrix(_load_mapping_matrix(args))
     if resolve_out(args.out)[0] == "csv":
         import csv
         import io
@@ -271,10 +251,9 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _cmd_tokenmap_sweep(args, config):
-    matrix = _load_mapping_matrix(args, config)
-    grid = _parse_grid(_setting(args, config, "grid", "0:5:0.25"))
-    rows = interpret.sweep_threshold(matrix, grid)
+def _cmd_tokenmap_sweep(args):
+    matrix = _load_mapping_matrix(args)
+    rows = interpret.sweep_threshold(matrix, args.grid)
     return {
         "task": "tokenmap-sweep",
         "rows": [
@@ -291,12 +270,11 @@ def _cmd_tokenmap_sweep(args, config):
     }
 
 
-def _cmd_tokenmap_select(args, config):
-    matrix = _load_mapping_matrix(args, config)
-    threshold = _setting(args, config, "t", None, float)
-    if threshold is None:
+def _cmd_tokenmap_select(args):
+    matrix = _load_mapping_matrix(args)
+    if args.t is None:
         raise UsageError("tokenmap select needs --T")
-    stats = interpret.local_filter(matrix, threshold)
+    stats = interpret.local_filter(matrix, args.t)
     pairs = []
     groups: dict = {}  # group key -> members, in order of first appearance
     for p in interpret.select_pairs(matrix, stats):
@@ -327,10 +305,10 @@ def _add_common(parser):
 def _add_tokenmap_source(parser):
     parser.add_argument("--pairs", default=None, help="JSONL of {input, output} token records")
     parser.add_argument("--matrix", default=None, help="saved tokenmap-build JSON")
-    parser.add_argument("--scheme", default=None, choices=SCHEMES)
-    parser.add_argument("--top-k", dest="top_k", type=int, default=None)
+    parser.add_argument("--scheme", default="whitespace", choices=SCHEMES)
+    parser.add_argument("--top-k", dest="top_k", type=int, default=20)
     parser.add_argument("--stoplist", default=None, help="file of tokens to drop, one per line")
-    parser.add_argument("--count-mode", dest="count_mode", default=None, choices=("presence", "occurrence"))
+    parser.add_argument("--count-mode", dest="count_mode", default="presence", choices=("presence", "occurrence"))
 
 
 def build_parser() -> _Parser:
@@ -399,7 +377,7 @@ def build_parser() -> _Parser:
 
     p = tm_sub.add_parser("sweep", help="threshold sweep")
     _add_tokenmap_source(p)
-    p.add_argument("--grid", default=None, help="start:stop:step")
+    p.add_argument("--grid", type=_parse_grid, default="0:5:0.25", help="start:stop:step")
     _add_common(p)
     p.set_defaults(handler=_cmd_tokenmap_sweep)
 
@@ -416,9 +394,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _read_config(args.config) if args.config else {}
-        args.out = _setting(args, config, "out", None)
-        result = args.handler(args, config)
+        if args.config:
+            # config words go right after the subcommand words, so later flags
+            # win, each value gets its flag's checks and a word naming no flag
+            # of the subcommand is left over
+            argv = sys.argv[1:] if argv is None else list(argv)
+            depth = sum(key.endswith("command") for key in vars(args))
+            known, _ = parser.parse_known_args(argv[:depth] + _read_config(args.config) + argv[depth:])
+            # positionals come from the command line only: argparse takes a
+            # left-over word holding a space for one
+            if "items" in vars(args):
+                known.items = args.items
+            args = known
+        result = args.handler(args)
         fmt, path = resolve_out(args.out)
         text = result if isinstance(result, str) else render(result, fmt)
         if path is None:

@@ -160,7 +160,7 @@ def read_property_rows(path):
     return kind, tasks
 
 
-def read_pairs(path, scheme: str | None = None) -> list[tuple[list[str], list[str]]]:
+def read_pairs(path, scheme: str = "whitespace") -> list[tuple[list[str], list[str]]]:
     """Token mapping input. Each line holds "input" and "output", either
     raw strings (tokenized under scheme) or pre-tokenized string lists."""
     from ..textmetrics import tokenize
@@ -173,7 +173,7 @@ def read_pairs(path, scheme: str | None = None) -> list[tuple[list[str], list[st
                 raise SchemaError(f"missing field {key!r}", lineno)
             value = obj[key]
             if isinstance(value, str):
-                sides.append(list(tokenize(value, scheme or "whitespace").tokens))
+                sides.append(list(tokenize(value, scheme).tokens))
             elif isinstance(value, list) and all(isinstance(t, str) for t in value):
                 sides.append(list(value))
             else:

@@ -56,13 +56,15 @@ class AromaticityError(SmilesError):
 # atoms, two-letter halogens and %nn ring labels stay whole, every other
 # character (newline included) is a token, so the tokens always join back to
 # the input and a token's offset is the length of the tokens before it.
-SMILES_TOKEN = re.compile(r"\[[^\]]*\]|Br|Cl|%\d\d|.", re.DOTALL)
+# OpenSMILES digits are ASCII only, hence re.ASCII here and in _BRACKET.
+SMILES_TOKEN = re.compile(r"\[[^\]]*\]|Br|Cl|%\d\d|.", re.DOTALL | re.ASCII)
 
 _BRACKET = re.compile(
     r"\[(?P<isotope>\d+)?(?P<symbol>[A-Z][a-z]?|[bcnops])"
     r"(?P<chiral>@{1,2})?"
     r"(?P<hcount>H\d?)?"
-    r"(?P<charge>\+{1,3}|-{1,3}|\+\d|-\d)?\]"
+    r"(?P<charge>\+{1,3}|-{1,3}|\+\d|-\d)?\]",
+    re.ASCII,
 )
 
 _BOND_ORDERS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
@@ -188,7 +190,7 @@ def parse_smiles(text: str) -> MolGraph:
             pending_order = SINGLE
             pending_stereo = token
             pending_pos = pos
-        elif token.isdecimal():
+        elif token.isascii() and token.isdigit():
             close_ring(int(token), pos)
         elif token[0] == "%":
             if token == "%":

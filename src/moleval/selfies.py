@@ -55,7 +55,7 @@ class SelfiesStream:
 
 
 _TOKEN_TEXT = re.compile(r"\[[^\[\]]*\]")
-_ATOM_TOKEN = re.compile(r"\[([=#]?)([A-Z][a-z]?)(?:([+-])(\d))?\]")
+_ATOM_TOKEN = re.compile(r"\[([=#]?)([A-Z][a-z]?)(?:([+-])(\d))?\]", re.ASCII)
 _STRUCT_TOKEN = re.compile(r"\[([=#]?)(Ring|Branch)([123])\]")
 
 _PREFIX_ORDER = {"": SINGLE, "=": DOUBLE, "#": TRIPLE}

@@ -146,9 +146,15 @@ def test_validity_rules():
         ("C%12C%1", BadRingClosure, 5),
         ("[NH4+]C)", UnbalancedParenthesis, 7),
         ("C%10CC%10x", UnknownElement, 9),
-        # digits int() cannot read are neither ring bonds nor labels
+        # only ASCII digits are ring bonds, labels, isotopes, H counts and
+        # charges; superscript and Arabic-Indic digits are none of these
         ("C\u00b2", UnknownElement, 1),
         ("C%\u00b2\u00b2", BadRingClosure, 1),
+        ("C\u0663CC\u0663", UnknownElement, 1),
+        ("C%\u0661\u0662CC%\u0661\u0662", BadRingClosure, 1),
+        ("[\u0661\u0662C]", BadBracketAtom, 0),
+        ("[CH\u0663]", BadBracketAtom, 0),
+        ("[N+\u0662]", BadBracketAtom, 0),
     ],
 )
 def test_error_offsets(text, exc, offset):

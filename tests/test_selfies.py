@@ -114,6 +114,12 @@ def test_decode_is_total_on_garbage():
         assert validity(g)
 
 
+def test_decode_reads_ascii_charge_digits_only():
+    # an Arabic-Indic digit makes [N+\u0661] an unknown token, not [N+1]
+    assert canonical_smiles(decode_selfies("[C][N+1]")) == "C[NH3+]"
+    assert canonical_smiles(decode_selfies("[C][N+\u0661]")) == "C"
+
+
 def test_benzene_published_form():
     stream = encode_selfies(parse_smiles("c1ccccc1"))
     assert stream.text() == "[C][=C][C][=C][C][=C][Ring1][=Branch1]"
