@@ -399,6 +399,7 @@ def main(argv=None) -> int:
             # win, each value gets its flag's checks and a word naming no flag
             # of the subcommand is left over
             argv = sys.argv[1:] if argv is None else list(argv)
+            # one subcommand word per subparsers dest: command, eval_command, ...
             depth = sum(key.endswith("command") for key in vars(args))
             known, _ = parser.parse_known_args(argv[:depth] + _read_config(args.config) + argv[depth:])
             # positionals come from the command line only: argparse takes a

@@ -424,16 +424,14 @@ def test_config_key_is_the_flag_name(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config,flag",
+    "config,flags",
     [
         ("T = 2.5\n", ["--T", "0.5"]),
-        ("scheme = char\n", ["--scheme", "whitespace"]),
+        ("scheme = char\n", ["--scheme", "whitespace", "--T", "0.5"]),
     ],
 )
-def test_flag_beats_config(tmp_path, capsys, config, flag):
-    argv = ["tokenmap", "select", "--pairs", _pairs_file(tmp_path)] + flag
-    if "--T" not in flag:
-        argv += ["--T", "0.5"]
+def test_flag_beats_config(tmp_path, capsys, config, flags):
+    argv = ["tokenmap", "select", "--pairs", _pairs_file(tmp_path)] + flags
     assert main(argv) == 0
     alone = capsys.readouterr().out
     assert main(argv + ["--config", _config(tmp_path, config)]) == 0
