@@ -456,7 +456,7 @@ def tanimoto_reference(features_a: set, features_b: set, width: int) -> float:
     return len(bits_a & bits_b) / len(union)
 
 
-# -- path fingerprint features (string form, hashed after the walk) ------------
+# -- path and Morgan fingerprint features (string form, hashed at the end) ----
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -519,6 +519,26 @@ def path_features_reference(graph: MolGraph, max_len: int) -> set[int]:
     for start in range(len(graph.atoms)):
         walk([start], [])
     return {_fnv1a_reference(text.encode()) for text in encodings}
+
+
+def morgan_features_reference(graph: MolGraph, radius: int) -> set[int]:
+    """Every atom code of rounds 0..radius. Round 0 codes are the atom
+    codes; each later round hashes the text of an atom's previous code (16
+    hex digits) followed by one `|order:code` piece per bond, the pieces in
+    sorted text order."""
+    codes = _atom_codes_reference(graph)
+    features = set(codes)
+    for _ in range(radius):
+        texts = []
+        for idx in range(len(graph.atoms)):
+            pieces = []
+            for bi in graph.adjacency()[idx]:
+                bond = graph.bonds[bi]
+                pieces.append(f"|{bond.order}:{codes[bond.other(idx)]:016x}")
+            texts.append(f"{codes[idx]:016x}" + "".join(sorted(pieces)))
+        codes = [_fnv1a_reference(text.encode()) for text in texts]
+        features.update(codes)
+    return features
 
 
 # -- Murcko scaffold (peel one layer per round, rebuild each round) ------------

@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from _oracles import path_features_reference, random_molecule, tanimoto_reference
+from _oracles import (
+    morgan_features_reference,
+    path_features_reference,
+    random_molecule,
+    tanimoto_reference,
+)
 from moleval.fingerprint import (
     Fingerprint,
     KindMismatch,
@@ -124,9 +129,9 @@ def test_fold_matches_set_reference():
             assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_path_features_match_reference():
-    # the string-built features are the fingerprint's contract: bits must
-    # not move between versions
+def _oracle_graphs():
+    """200 seeded molecules plus C60, a 1500-atom chain, the tert-butyl
+    star, methane and a two-ion salt."""
     rng = random.Random(2024)
     graphs = [random_molecule(rng, max_atoms=rng.choice((12, 24))) for _ in range(200)]
     graphs += [
@@ -139,9 +144,21 @@ def test_path_features_match_reference():
             "[Na+].[Cl-]",
         )
     ]
-    for g in graphs:
+    return graphs
+
+
+def test_path_features_match_reference():
+    # the string-built features are the fingerprint's contract: bits must
+    # not move between versions
+    for g in _oracle_graphs():
         for max_len in range(1, 8):
             assert path_features(g, max_len) == path_features_reference(g, max_len)
+
+
+def test_morgan_features_match_reference():
+    for g in _oracle_graphs():
+        for radius in range(4):
+            assert morgan_features(g, radius) == morgan_features_reference(g, radius)
 
 
 # path_features_reference(graph, 7) folded at 2048 bits; the caffeine and
@@ -179,6 +196,41 @@ PINNED_PATH_FP = {
 }
 
 
+# morgan_features_reference(graph, 2) folded at 2048 bits
+PINNED_MORGAN_FP = {
+    "aspirin": (
+        "0x18000000000000000100000000000000000001000000000000000000000000"
+        "0001000000080040000000000100000000000020020404000000000000000000"
+        "0000000000000000000000000000000000000800800000000000000000000000"
+        "0001800000001000000000000000000000000000000000000000000000000010"
+        "0008000400040000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000002000000"
+        "0000000000000000000000000000008000000000000040000000000000400010"
+        "0010000000000000000000000000000000008080000000000000"
+    ),
+    "caffeine": (
+        "0x20000000000020000000000000000040000001000080000000000002000000"
+        "0002000000100000000000808080000000000010000000000002000000000000"
+        "0000000000020000000001000000000000000000000000004000000000000000"
+        "0000000000000008000000000000000000000000000000000000000000000000"
+        "0000000000000000800000000000000000000000000000008000000000000000"
+        "0000200000000000000000000000000000000000000000800000000000400000"
+        "0000000000000010000000000000000000000001000000000000000000000000"
+        "0004000000000000100008000000000000000000000000000001000000000000"
+        "0"
+    ),
+    "c60": (
+        "0x80000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000002000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000020000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000"
+    ),
+}
+
+
 PINNED_SMILES = {
     "aspirin": "CC(=O)Oc1ccccc1C(=O)O",
     "caffeine": "Cn1cnc2c1c(=O)n(C)c(=O)n2C",
@@ -189,3 +241,8 @@ PINNED_SMILES = {
 @pytest.mark.parametrize("name", sorted(PINNED_PATH_FP))
 def test_path_fp_pinned_bits(name):
     assert hex(path_fp(parse_smiles(PINNED_SMILES[name])).bits) == PINNED_PATH_FP[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MORGAN_FP))
+def test_morgan_fp_pinned_bits(name):
+    assert hex(morgan_fp(parse_smiles(PINNED_SMILES[name])).bits) == PINNED_MORGAN_FP[name]
