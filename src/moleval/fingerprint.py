@@ -46,6 +46,14 @@ class Fingerprint:
         return self.bits.bit_count()
 
 
+def _atom_codes(graph: MolGraph) -> list[int]:
+    """The graph's round-0 atom codes, computed once per graph for both
+    fingerprints."""
+    if graph._atom_codes is None:
+        graph._atom_codes = _initial_codes(graph)
+    return graph._atom_codes
+
+
 def _initial_codes(graph: MolGraph) -> list[int]:
     ring = graph.ring_atoms()
     codes = []
@@ -66,7 +74,7 @@ def _initial_codes(graph: MolGraph) -> list[int]:
 
 def morgan_features(graph: MolGraph, radius: int) -> set[int]:
     """All neighborhood codes for radii 0..radius."""
-    codes = _initial_codes(graph)
+    codes = _atom_codes(graph)
     features = set(codes)
     for _ in range(radius):
         nxt = []
@@ -93,7 +101,7 @@ def path_features(graph: MolGraph, max_len: int) -> set[int]:
     feature is the FNV-1a hash of that text. One depth-first walk hashes
     each path by extending its parent path's hash with the step's bytes.
     """
-    codes = _initial_codes(graph)
+    codes = _atom_codes(graph)
     # one step per directed bond: (neighbour, bytes the step appends to the
     # text, its (order, code) tokens)
     steps: list[list[tuple[int, bytes, int, int]]] = [[] for _ in codes]

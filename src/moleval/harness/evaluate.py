@@ -78,13 +78,18 @@ def _parse_or_none(smiles: str):
 
 
 def _molecule_record(pred: str, ref: str) -> dict:
-    """Per-record molecule metrics; each side is parsed once."""
+    """Per-record molecule metrics; each distinct side is parsed, checked
+    and fingerprinted once, so a prediction equal to its reference shares
+    the reference's graph."""
     pred_graph = _parse_or_none(pred)
-    ref_graph = _parse_or_none(ref)
+    ref_graph = pred_graph if pred == ref else _parse_or_none(ref)
     rdk = morgan = 0.0
     if pred_graph is not None and ref_graph is not None:
-        rdk = tanimoto(path_fp(pred_graph), path_fp(ref_graph))
-        morgan = tanimoto(morgan_fp(pred_graph), morgan_fp(ref_graph))
+        sides = (pred_graph,) if ref_graph is pred_graph else (pred_graph, ref_graph)
+        paths = [path_fp(graph) for graph in sides]
+        morgans = [morgan_fp(graph) for graph in sides]
+        rdk = tanimoto(paths[0], paths[-1])
+        morgan = tanimoto(morgans[0], morgans[-1])
     return {
         "valid": 1.0 if pred_graph is not None and validity(pred_graph) else 0.0,
         "parseable": pred_graph is not None,

@@ -48,6 +48,9 @@ class MolGraph:
         self._adj: list[list[int]] | None = None
         self._rings: list[list[int]] | None = None
         self._kekule = _UNSET
+        self._bare_h: list[int] | None = None
+        # fingerprint atom codes, filled by moleval.fingerprint on first use
+        self._atom_codes: list[int] | None = None
 
     # -- structure ---------------------------------------------------
 
@@ -169,7 +172,12 @@ class MolGraph:
     def bare_h(self, idx: int) -> int:
         """Hydrogens of the atom written without brackets (the OpenSMILES
         rule): default valence less the bond sum, less one more for an
-        aromatic atom's pi bond, never below zero."""
+        aromatic atom's pi bond, never below zero. Cached per graph."""
+        if self._bare_h is None:
+            self._bare_h = [self._bare_h_rule(i) for i in range(len(self.atoms))]
+        return self._bare_h[idx]
+
+    def _bare_h_rule(self, idx: int) -> int:
         atom = self.atoms[idx]
         dv = default_valence(atom.element, atom.charge)
         return 0 if dv is None else max(0, dv - self.plain_bond_sum(idx) - atom.aromatic)

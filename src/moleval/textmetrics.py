@@ -291,11 +291,15 @@ def exact_match(candidate: str, reference: str) -> bool:
 def exact_match_graphs(cand: MolGraph | None, ref: MolGraph | None) -> bool:
     """The exact-match rule over parsed graphs, None standing for a string
     that did not parse: both valid with equal canonical forms; a graph the
-    writer cannot express is simply False."""
-    if cand is None or ref is None or not validity(cand) or not validity(ref):
+    writer cannot express is simply False. A graph compared with itself is
+    checked and canonicalized once."""
+    if cand is None or ref is None or not validity(cand):
+        return False
+    if ref is not cand and not validity(ref):
         return False
     try:
-        return canonical_smiles(cand) == canonical_smiles(ref)
+        form = canonical_smiles(cand)
+        return ref is cand or form == canonical_smiles(ref)
     except ValueError:
         return False
 

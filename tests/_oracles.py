@@ -13,8 +13,9 @@ from dataclasses import replace
 from functools import lru_cache
 
 from moleval.molgraph.canon import UnsupportedFeature, _bond_token, _write
-from moleval.molgraph.elements import ORGANIC_SUBSET, default_valence
+from moleval.molgraph.elements import ORGANIC_SUBSET, allowed_valences, default_valence
 from moleval.molgraph.model import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, Bond, MolGraph
+from moleval.molgraph.parser import SmilesError, parse_smiles
 
 
 # -- graph isomorphism (backtracking, signature-pruned) -----------------------
@@ -712,3 +713,62 @@ def canonical_smiles_reference(graph: MolGraph) -> str:
     return ".".join(
         sorted(_canonical_from_reference(*inputs) for inputs in canonical_inputs_reference(graph))
     )
+
+
+# -- validity and one molecule generation record -------------------------------
+
+def validity_reference(graph: MolGraph) -> bool:
+    """A Kekulé form exists and every atom's total valence is allowed: its
+    bond sum (aromatic bonds count one), one more for an aromatic atom that
+    needs a pi bond, plus its hydrogens."""
+    if not kekule_exists_reference(graph):
+        return False
+    for idx, atom in enumerate(graph.atoms):
+        allowed = allowed_valences(atom.element, atom.charge)
+        if allowed is None:
+            continue
+        bond_sum = sum(
+            1 if b.order == AROMATIC else b.order
+            for b in graph.bonds
+            if idx in (b.a, b.b)
+        )
+        h = graph.total_h(idx)
+        pi = atom.aromatic and (default_valence(atom.element, atom.charge) or 0) > bond_sum + h
+        if bond_sum + pi + h not in allowed:
+            return False
+    return True
+
+
+def molecule_record_reference(prediction: str, reference: str) -> dict:
+    """The `eval gen` molecule metrics of one record, each side parsed on
+    its own: exact match needs both sides valid with equal unpruned
+    canonical forms, and both Tanimotos (string-built features folded at
+    2048 bits) are 0 unless both sides parse."""
+    graphs = []
+    for text in (prediction, reference):
+        try:
+            graphs.append(parse_smiles(text))
+        except SmilesError:
+            graphs.append(None)
+    pred, ref = graphs
+    valid = [g is not None and validity_reference(g) for g in graphs]
+    exact = False
+    if all(valid):
+        try:
+            exact = canonical_smiles_reference(pred) == canonical_smiles_reference(ref)
+        except ValueError:
+            pass
+    rdk = morgan = 0.0
+    if pred is not None and ref is not None:
+        rdk = tanimoto_reference(path_features_reference(pred, 7), path_features_reference(ref, 7), 2048)
+        morgan = tanimoto_reference(
+            morgan_features_reference(pred, 2), morgan_features_reference(ref, 2), 2048
+        )
+    return {
+        "validity": float(valid[0]),
+        "exact-match": float(exact),
+        "exact-match-raw": float(prediction == reference),
+        "levenshtein": float(levenshtein_full_matrix(prediction, reference)),
+        "rdk-fts": rdk,
+        "morgan-fts": morgan,
+    }

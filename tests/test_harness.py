@@ -259,6 +259,90 @@ class TestEvalGeneration:
         assert sorted(parsed) == sorted(["CCO", "OCC", "C1CC", "c1ccccc1"])
         assert report.metrics["exact-match"] == 0.5
 
+    def test_one_parse_check_and_fingerprint_per_distinct_side(self, tmp_path, monkeypatch):
+        import moleval.fingerprint as fingerprint
+        import moleval.harness.evaluate as evaluate
+        import moleval.textmetrics as textmetrics
+        from moleval.molgraph import MolGraph, SmilesError, canonical_smiles
+
+        rng = random.Random(1313)
+        spellings = [("OCC", "CCO"), ("c1ccc(O)cc1", "Oc1ccccc1"), ("OC(C)=O", "CC(=O)O"),
+                     ("CC(C)N", "NC(C)C"), ("O1CCCC1", "C1CCOC1")]
+        pairs = []
+        for _ in range(8):
+            ref = canonical_smiles(oracle.random_molecule(rng))
+            pairs += [(ref, ref), (ref.replace("C", "N", 1), ref), (ref + "(", ref)]
+            pairs.append(rng.choice(spellings))
+        # bracket hydrogens, a stereo mark, and a pred == ref graph that
+        # parses but has no Kekulé form
+        pairs += [("[OH]CC", "OCC"), ("C[C@H](N)O", "CC(N)O"), ("[NH4+]", "[NH4+]"),
+                  ("c1cccc1", "c1cccc1")]
+        rng.shuffle(pairs)
+        want = [oracle.molecule_record_reference(pred, ref) for pred, ref in pairs]
+
+        def parses(text):
+            try:
+                return parse_smiles(text)
+            except SmilesError:
+                return None
+
+        sides = [(pred,) if pred == ref else (pred, ref) for pred, ref in pairs]
+        graphs = [[parses(text) for text in side] for side in sides]
+        fingerprinted = sum(len(g) for g in graphs if None not in g)
+        canonicalized = sum(
+            len(g) for g in graphs if None not in g and all(map(oracle.validity_reference, g))
+        )
+        assert sum(pred == ref for pred, ref in pairs) >= 8
+
+        calls = Counter()
+        per_graph = {"codes": Counter(), "bare_h": Counter()}
+        alive = []  # keeps counted graphs alive so no id is reused
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (evaluate, textmetrics):
+            monkeypatch.setattr(module, "parse_smiles", counting("parse_smiles", parse_smiles))
+        monkeypatch.setattr(evaluate, "path_fp", counting("path_fp", fingerprint.path_fp))
+        monkeypatch.setattr(evaluate, "morgan_fp", counting("morgan_fp", fingerprint.morgan_fp))
+        monkeypatch.setattr(
+            textmetrics, "canonical_smiles", counting("canonical_smiles", canonical_smiles)
+        )
+        initial_codes = fingerprint._initial_codes
+        bare_h_rule = MolGraph._bare_h_rule
+
+        def counted_codes(graph):
+            alive.append(graph)
+            per_graph["codes"][id(graph)] += 1
+            return initial_codes(graph)
+
+        def counted_bare_h(graph, idx):
+            alive.append(graph)
+            per_graph["bare_h"][id(graph), idx] += 1
+            return bare_h_rule(graph, idx)
+
+        monkeypatch.setattr(fingerprint, "_initial_codes", counted_codes)
+        monkeypatch.setattr(MolGraph, "_bare_h_rule", counted_bare_h)
+        rows = [_gen_row(i, pred, [ref]) for i, (pred, ref) in enumerate(pairs)]
+        report = eval_generation(_write_jsonl(tmp_path / "g.jsonl", rows), "molecule")
+
+        for name in want[0]:
+            assert report.metrics[name] == pytest.approx(
+                sum(w[name] for w in want) / len(want), abs=1e-12
+            ), name
+        assert calls == {
+            "parse_smiles": sum(map(len, sides)),
+            "path_fp": fingerprinted,
+            "morgan_fp": fingerprinted,
+            "canonical_smiles": canonicalized,
+        }
+        assert len(per_graph["codes"]) == fingerprinted
+        assert set(per_graph["codes"].values()) == {1}
+        assert per_graph["bare_h"] and set(per_graph["bare_h"].values()) == {1}
+
     def test_deterministic_rendering(self, tmp_path):
         rows = [_gen_row(i, "CCO", ["OCC"]) for i in range(5)]
         path = _write_jsonl(tmp_path / "g.jsonl", rows)
