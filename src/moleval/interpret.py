@@ -62,6 +62,11 @@ class FilterStats:
     global_std: float
     neighbor_means: np.ndarray
     neighbor_stds: np.ndarray
+    # (the matrix given, its sorted copy the flags index), so select_pairs
+    # on the same matrix does not sort it again
+    sorted_from: tuple[MappingMatrix, MappingMatrix] | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,8 @@ def local_filter(matrix: MappingMatrix, T: float) -> FilterStats:
     compare the flagged share with the globally-normal expectation."""
     if T < 0:
         raise ValueError("T must be non-negative")
-    counts = sort_matrix(matrix).counts
+    ordered = sort_matrix(matrix)
+    counts = ordered.counts
     means, stds = neighborhood_stats(counts)
     flags, p_actual, p_expected = _threshold(counts, means, stds, T)
     if p_expected is None:
@@ -232,6 +238,7 @@ def local_filter(matrix: MappingMatrix, T: float) -> FilterStats:
         global_std=float(counts.std()),
         neighbor_means=means,
         neighbor_stds=stds,
+        sorted_from=(matrix, ordered),
     )
 
 
@@ -267,7 +274,10 @@ def select_pairs(matrix: MappingMatrix, stats: FilterStats) -> list[MappingPair]
     """Flagged cells as pairs, identical-name pairs dropped, grouped by
     shared input or output tokens. A group is keyed by its smallest token
     that occurs at least twice among its pairs' inputs and outputs."""
-    ordered = sort_matrix(matrix)
+    if stats.sorted_from is not None and stats.sorted_from[0] is matrix:
+        ordered = stats.sorted_from[1]
+    else:
+        ordered = sort_matrix(matrix)
     if stats.flags.shape != ordered.counts.shape:
         raise ValueError("stats were not produced from this matrix")
     raw = _flagged_pairs(ordered, stats.flags)

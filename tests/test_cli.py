@@ -256,6 +256,34 @@ def test_tokenmap_select_groups(tmp_path, capsys):
     assert all(set(g) == {"group_key", "members"} for g in data["groups"])
 
 
+def test_tokenmap_select_sorts_once(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from moleval import interpret
+
+    argv = ["tokenmap", "select", "--pairs", _pairs_file(tmp_path), "--T", "0.5"]
+    sort_matrix, select_pairs = interpret.sort_matrix, interpret.select_pairs
+    sorts = []
+
+    def counting_sort(matrix):
+        sorts.append(matrix)
+        return sort_matrix(matrix)
+
+    monkeypatch.setattr(interpret, "sort_matrix", counting_sort)
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    assert len(sorts) == 1
+    # stats without their sorted matrix make select_pairs sort again: same bytes
+    monkeypatch.setattr(
+        interpret,
+        "select_pairs",
+        lambda matrix, stats: select_pairs(matrix, dataclasses.replace(stats, sorted_from=None)),
+    )
+    assert main(argv) == 0
+    assert capsys.readouterr().out == report
+    assert len(sorts) == 3
+
+
 def test_tokenmap_select_needs_threshold(tmp_path):
     pairs = _pairs_file(tmp_path)
     assert main(["tokenmap", "select", "--pairs", pairs]) == 1
