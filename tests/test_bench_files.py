@@ -4,7 +4,11 @@ Each file records alternating parent/change runs of `perfbench/run.py`:
 per workload, the seeds, and per end-to-end metric the bound it was judged
 against, each side's runs with their median and quartiles
 (`statistics.quantiles(runs, n=4, method="inclusive")`), and whether the
-change's median stayed within that bound of the parent's.
+change's median stayed within that bound of the parent's. A file that
+claims a gain names the workload and metric, the pairs run, the pairs the
+change won, the gain in medians and the parent's quartile distance, and
+whether the claim holds: at least nine tenths of the pairs won and a gain
+larger than that distance.
 """
 
 import json
@@ -58,3 +62,20 @@ def test_bench_file_schema(path):
             else:
                 within = change <= parent * (1 + metric["bound"])
             assert metric["within_bound"] is within
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if json.loads(p.read_text())["claim"]], ids=lambda p: p.name
+)
+def test_bench_file_claim(path):
+    bench = json.loads(path.read_text())
+    claim = bench["claim"]
+    metric = bench["workloads"][claim["workload"]]["metrics"][claim["metric"]]
+    parent, change = metric["parent"], metric["change"]
+    sign = 1 if metric["better"] == "higher" else -1
+    assert claim["pairs"] == len(parent["runs"]) >= 10
+    assert claim["wins"] == sum(sign * (c - p) > 0 for p, c in zip(parent["runs"], change["runs"]))
+    assert claim["median_gain"] == pytest.approx(sign * (change["median"] - parent["median"]))
+    assert claim["parent_quartile_distance"] == pytest.approx(parent["q3"] - parent["q1"])
+    holds = claim["wins"] >= 0.9 * claim["pairs"] and claim["median_gain"] > claim["parent_quartile_distance"]
+    assert claim["holds"] is holds
