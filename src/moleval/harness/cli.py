@@ -390,10 +390,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built once, at import, so a process that calls main() many times (a test
+# suite, a notebook, each forked op of the benchmark) does not rebuild it per
+# call. main() only parses with it. The parser holds just the _cmd_* handlers,
+# and they find every layer function through this module's globals at call
+# time, so a monkeypatched or span-wrapped layer function still takes effect.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
         if args.config:
             # config words go right after the subcommand words, so later flags
             # win, each value gets its flag's checks and a word naming no flag
@@ -401,7 +408,7 @@ def main(argv=None) -> int:
             argv = sys.argv[1:] if argv is None else list(argv)
             # one subcommand word per subparsers dest: command, eval_command, ...
             depth = sum(key.endswith("command") for key in vars(args))
-            known, _ = parser.parse_known_args(argv[:depth] + _read_config(args.config) + argv[depth:])
+            known, _ = PARSER.parse_known_args(argv[:depth] + _read_config(args.config) + argv[depth:])
             # positionals come from the command line only: argparse takes a
             # left-over word holding a space for one
             if "items" in vars(args):
@@ -422,6 +429,8 @@ def main(argv=None) -> int:
         return 2
     except KeyboardInterrupt:
         raise
+    except SystemExit as exc:  # --help: argparse printed it and exits 0
+        return exc.code
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from moleval.harness.cli import MAX_GRID_POINTS, _parse_grid, main
+import moleval.harness.cli as cli_mod
+from moleval.harness.cli import MAX_GRID_POINTS, _parse_grid, build_parser, main
 from moleval.transition import MODALITIES, build_matrix, export_matrix
 from moleval.harness.records import read_results
 
@@ -490,6 +491,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
         (["parse", "CCO"], 0),
         (["parse", "CCO", "--config", "bad.cfg"], 1),
         (["profile", "--records", "missing.jsonl"], 2),
+        (["eval", "gen", "--help"], 0),
     ],
 )
 def test_module_entry_exit_codes(tmp_path, argv, code):
@@ -500,3 +502,72 @@ def test_module_entry_exit_codes(tmp_path, argv, code):
         cwd=tmp_path, env=env, capture_output=True, timeout=60,
     )
     assert done.returncode == code, done.stderr
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    pairs = _pairs_file(tmp_path)
+    rec = _write_jsonl(tmp_path / "g.jsonl", _gen_rows(2))
+    assert main(["parse", "CCO"]) == 0
+    assert main(["tokenmap", "sweep", "--pairs", pairs]) == 0
+    assert main(["eval", "gen", "--records", rec, "--target-kind", "text"]) == 0
+    assert main(["eval", "gen", "--records", rec]) == 1
+    assert main(["eval", "gen", "--help"]) == 0
+    assert built == []
+    # the counter sees a build: one parser per command and subcommand
+    build_parser()
+    assert len(built) == 14
+
+
+def _alone(monkeypatch, capsys, argv):
+    """Exit code, stdout and stderr of argv parsed by a parser no call has used."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_mod, "PARSER", build_parser())
+        code = main(argv)
+    return code, capsys.readouterr()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    pairs = _pairs_file(tmp_path)
+    rec = _write_jsonl(tmp_path / "g.jsonl", _gen_rows(4))
+    config = _config(tmp_path, "grid = 0:1:0.5\nT = 0.5\nseed = 7\n")
+    calls = [
+        ["tokenmap", "sweep", "--pairs", pairs, "--config", config],
+        ["eval", "gen", "--records", rec, "--target-kind", "molecule", "--config", config],
+        ["tokenmap", "select", "--pairs", pairs, "--config", config],
+        ["tokenmap", "sweep", "--pairs", pairs, "--grid", "0:1"],
+        ["eval", "gen", "--records", rec, "--target-kind", "molecule", "--seed", "x"],
+        ["tokenmap", "select", "--pairs", pairs],
+        ["tokenmap", "sweep", "--pairs", pairs],
+        ["eval", "gen", "--records", rec, "--target-kind", "molecule"],
+    ]
+    alone = [_alone(monkeypatch, capsys, argv) for argv in calls]
+    for argv, expected in zip(calls, alone):
+        assert (main(argv), capsys.readouterr()) == expected, argv
+    assert [code for code, _ in alone] == [0, 0, 0, 1, 1, 1, 0, 0]
+    # the config's grid, T and seed stay with the calls that named the config
+    assert json.loads(alone[1][1].out)["provenance"]["seed"] == 7
+    assert "seed" not in json.loads(alone[7][1].out)["provenance"]
+    assert "needs --T" in alone[5][1].err
+    assert len(json.loads(alone[0][1].out)["rows"]) == 3
+    assert [r["T"] for r in json.loads(alone[6][1].out)["rows"]] == [k * 0.25 for k in range(21)]
+
+
+@pytest.mark.parametrize("argv", [[], ["eval", "gen"], ["tokenmap", "sweep"]])
+def test_help_is_a_returned_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + ["--help"])
+    assert exc.value.code == 0
+    expected = capsys.readouterr()
+    assert expected.out.startswith("usage: moleval")
+    assert main(argv + ["--help"]) == 0
+    assert capsys.readouterr() == expected
