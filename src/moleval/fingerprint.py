@@ -7,6 +7,7 @@ with 64-bit FNV-1a and fold them into a fixed-width bitset.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .molgraph.model import MolGraph
@@ -14,6 +15,9 @@ from .molgraph.model import MolGraph
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# paths path_features extends per lane pass: wide enough for the pass to pay
+# for itself, small enough to bound the paths held at once
+_CHUNK = 256
 
 
 class WidthMismatch(ValueError):
@@ -32,6 +36,36 @@ def _fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
     return h
 
 
+def _fnv1a_lanes(states: list[int], texts: list[bytes], width: int) -> list[int]:
+    """[_fnv1a(text, state) for state, text in zip(states, texts)] for texts
+    of `width` bytes each, in one pass over the byte columns.
+
+    Each state sits in a 128-bit lane of one Python int. Per byte, one XOR
+    takes in that byte of every text, then one multiply by the prime and
+    one AND with the lane mask step every lane: a 64-bit state times the
+    prime stays below 2**105, so no carry reaches the next lane.
+    """
+    n = len(states)
+    # lane i is words 2i (the state) and 2i + 1 (zero) of a little-endian
+    # word array; one "<{2n}Q" format keeps struct's format cache small
+    layout = f"<{2 * n}Q"
+    words = [0] * (2 * n)
+    words[::2] = states
+    h = int.from_bytes(struct.pack(layout, *words), "little")
+    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * n, "little")
+    joined = b"".join(texts)
+    column = bytearray(16 * n)
+    for j in range(width):
+        column[::16] = joined[j::width]
+        h = ((h ^ int.from_bytes(column, "little")) * _FNV_PRIME) & mask
+    return list(struct.unpack(layout, h.to_bytes(16 * n, "little"))[::2])
+
+
+def _check_width(width: int) -> None:
+    if width < 64 or width & (width - 1):
+        raise ValueError("width must be a power of two, at least 64")
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     bits: int
@@ -39,8 +73,7 @@ class Fingerprint:
     kind: str
 
     def __post_init__(self):
-        if self.width < 64 or self.width & (self.width - 1):
-            raise ValueError("width must be a power of two, at least 64")
+        _check_width(self.width)
 
     def popcount(self) -> int:
         return self.bits.bit_count()
@@ -98,8 +131,12 @@ def path_features(graph: MolGraph, max_len: int) -> set[int]:
 
     A path's text is its atom codes (16 lowercase hex digits) and bond
     orders joined by "-", read in the direction whose text is smaller; the
-    feature is the FNV-1a hash of that text. One depth-first walk hashes
-    each path by extending its parent path's hash with the step's bytes.
+    feature is the FNV-1a hash of that text. Each path's hash extends its
+    parent path's hash with the step's bytes. The walk goes one bond at a
+    time over a chunk of at most _CHUNK paths and hashes the chunk's
+    distinct (parent state, step) pairs in one lane pass; the paths it
+    grows go back on a stack worked depth-first, so a cage or a long chain
+    never holds a whole level of paths.
     """
     codes = _atom_codes(graph)
     # one step per directed bond: (neighbour, bytes the step appends to the
@@ -109,38 +146,48 @@ def path_features(graph: MolGraph, max_len: int) -> set[int]:
         for src, dst in ((bond.a, bond.b), (bond.b, bond.a)):
             text = f"-{bond.order}-{codes[dst]:016x}".encode()
             steps[src].append((dst, text, bond.order, codes[dst]))
-    # each path carries its atoms, its tokens (c0, o1, c1, ...) and the
-    # FNV-1a state of its forward text
-    stack = [
-        ((idx,), (code,), _fnv1a(f"{code:016x}".encode()))
-        for idx, code in enumerate(codes)
-    ]
-    # symmetric parts (tert-butyl, rings, CF3) reach one (state, step) many
-    # times: each extension is hashed once per call
-    extended: dict[tuple[int, bytes], int] = {}
     features: set[int] = set()
-    while stack:
-        atoms, tokens, state = stack.pop()
-        longest = len(atoms) == max_len  # extensions have max_len bonds
-        for nbr, text, order, code in steps[atoms[-1]]:
-            if nbr in atoms:
-                continue
-            ext = tokens + (order, code)
-            # Codes are fixed-width 16-digit lowercase hex and bond orders
-            # single digits (1-4), so both directions' texts align token by
-            # token and tuple order equals text order. The walk reaches each
-            # path from both ends and keeps it where its text is not larger.
-            canonical = ext <= ext[::-1]
-            if longest and not canonical:
-                continue  # nothing extends it, so it is never hashed
-            key = (state, text)
-            h = extended.get(key)
-            if h is None:
-                h = extended[key] = _fnv1a(text, state)
-            if canonical:
-                features.add(h)
-            if not longest:
-                stack.append((atoms + (nbr,), ext, h))
+    for start in range(0, len(codes), _CHUNK):
+        roots = range(start, min(start + _CHUNK, len(codes)))
+        states = _fnv1a_lanes(
+            [_FNV_OFFSET] * len(roots), [f"{codes[i]:016x}".encode() for i in roots], 16
+        )
+        # each path carries its atoms, its tokens (c0, o1, c1, ...) and the
+        # FNV-1a state of its forward text
+        stack = [((i,), (codes[i],), state) for i, state in zip(roots, states)]
+        while stack:
+            chunk = stack[-_CHUNK:]
+            del stack[-_CHUNK:]
+            # symmetric parts (tert-butyl, rings, CF3) reach one (state,
+            # step) many times: each distinct pair takes one lane
+            lanes: dict[tuple[int, bytes], int] = {}
+            kept = []  # lanes of the canonical extensions
+            grown = []  # extensions to walk further, with their lanes
+            for atoms, tokens, state in chunk:
+                longest = len(atoms) == max_len  # extensions have max_len bonds
+                first = tokens[0]
+                for nbr, text, order, code in steps[atoms[-1]]:
+                    if nbr in atoms:
+                        continue
+                    ext = tokens + (order, code)
+                    # Codes are fixed-width 16-digit lowercase hex and bond
+                    # orders single digits (1-4), so both directions' texts
+                    # align token by token and tuple order equals text order;
+                    # the end codes decide it unless they are equal. The walk
+                    # reaches each path from both ends and keeps it where its
+                    # text is not larger.
+                    canonical = first < code if first != code else ext <= ext[::-1]
+                    if longest and not canonical:
+                        continue  # nothing extends it, so it is never hashed
+                    lane = lanes.setdefault((state, text), len(lanes))
+                    if canonical:
+                        kept.append(lane)
+                    if not longest:
+                        grown.append((atoms + (nbr,), ext, lane))
+            # every step text is 19 bytes: "-", the order, "-", 16 hex digits
+            hashes = _fnv1a_lanes([s for s, _ in lanes], [t for _, t in lanes], 19)
+            features.update([hashes[lane] for lane in kept])
+            stack += [(atoms, ext, hashes[lane]) for atoms, ext, lane in grown]
     return features
 
 
@@ -154,12 +201,14 @@ def _fold(features: set[int], width: int, kind: str) -> Fingerprint:
 def morgan_fp(graph: MolGraph, radius: int = 2, width: int = 2048) -> Fingerprint:
     if not 0 <= radius <= 6:
         raise ValueError("radius must be in [0, 6]")
+    _check_width(width)  # before the walk, not after it
     return _fold(morgan_features(graph, radius), width, f"morgan:{radius}")
 
 
 def path_fp(graph: MolGraph, max_len: int = 7, width: int = 2048) -> Fingerprint:
     if not 1 <= max_len <= 7:
         raise ValueError("max_len must be in [1, 7]")
+    _check_width(width)  # before the walk, not after it
     return _fold(path_features(graph, max_len), width, f"path:{max_len}")
 
 

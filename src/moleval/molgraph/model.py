@@ -49,6 +49,8 @@ class MolGraph:
         self._rings: list[list[int]] | None = None
         self._kekule = _UNSET
         self._bare_h: list[int] | None = None
+        # validity result, filled by moleval.molgraph.props.validity on first use
+        self._valid: bool | None = None
         # fingerprint atom codes, filled by moleval.fingerprint on first use
         self._atom_codes: list[int] | None = None
 

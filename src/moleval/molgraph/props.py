@@ -10,7 +10,14 @@ from .model import MolGraph
 
 def validity(graph: MolGraph) -> bool:
     """True when the graph has a Kekulé form and each atom's total valence is
-    allowed for its element and charge (elements outside the table always are)."""
+    allowed for its element and charge (elements outside the table always are).
+    Cached per graph."""
+    if graph._valid is None:
+        graph._valid = _valence_check(graph)
+    return graph._valid
+
+
+def _valence_check(graph: MolGraph) -> bool:
     if graph.kekulize() is None:
         return False
     for idx, atom in enumerate(graph.atoms):

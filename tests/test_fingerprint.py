@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import moleval.fingerprint as fingerprint
 from _oracles import (
     morgan_features_reference,
     path_features_reference,
@@ -12,6 +15,8 @@ from moleval.fingerprint import (
     Fingerprint,
     KindMismatch,
     WidthMismatch,
+    _fnv1a,
+    _fnv1a_lanes,
     morgan_features,
     morgan_fp,
     path_features,
@@ -25,6 +30,7 @@ C60 = (
     "c12c3c4c5c1c1c6c7c2c2c8c3c3c9c4c4c%10c5c5c1c1c6c6c%11c7c2c2c7c8c3c3c8c9"
     "c4c4c9c%10c5c5c1c1c6c6c%11c2c2c7c3c3c8c4c4c9c5c1c1c6c2c3c41"
 )
+TBU_STAR = "C(C(C)(C)C)(C(C)(C)C)(C(C)(C)C)C(C)(C)C"
 
 
 def test_methane_radius_zero_single_bit():
@@ -90,6 +96,58 @@ def test_width_validation():
         Fingerprint(bits=0, width=32, kind="morgan:2")
 
 
+@pytest.mark.parametrize("width", [0, -64, 32, 100])
+@pytest.mark.parametrize("make", [path_fp, morgan_fp])
+def test_fp_width_checked_before_walk(make, width, monkeypatch):
+    def walk(*args):
+        raise AssertionError("walked before checking the width")
+
+    monkeypatch.setattr(fingerprint, "path_features", walk)
+    monkeypatch.setattr(fingerprint, "morgan_features", walk)
+    with pytest.raises(ValueError, match="width must be a power of two, at least 64"):
+        make(parse_smiles("CCO"), width=width)
+
+
+_STATE = st.sampled_from((0, 2**64 - 1)) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((0, 1, 16, 19, 40)).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.lists(
+                st.tuples(_STATE, st.binary(min_size=width, max_size=width)),
+                min_size=1,
+                max_size=8,
+            ),
+        )
+    ),
+    st.sampled_from((0, 1, 2, 300)),
+)
+def test_fnv1a_lanes_match_scalar(case, n):
+    width, pool = case
+    states = [pool[i % len(pool)][0] for i in range(n)]
+    # lane i's bytes shifted by i: a 300-lane pass has every byte value
+    # 0x00-0xff in each column, and neighbouring lanes differ
+    texts = [bytes((b + i) % 256 for b in pool[i % len(pool)][1]) for i in range(n)]
+    assert _fnv1a_lanes(states, texts, width) == [_fnv1a(t, s) for s, t in zip(states, texts)]
+
+
+@pytest.mark.parametrize("text", [C60, "C" * 1500, TBU_STAR], ids=["c60", "chain", "tbu-star"])
+def test_path_walk_memory_bounded(text):
+    # guards the benchmark's peak_rss_mb: the walk holds a bounded chunk of
+    # paths, never a whole level (unchunked, C60 and the chain peak at 2-3 MiB)
+    graph = parse_smiles(text)
+    tracemalloc.start()
+    try:
+        path_features(graph, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_symmetry_and_bounds_random():
     rng = random.Random(8)
     for _ in range(30):
@@ -140,7 +198,7 @@ def _oracle_graphs():
         for text in (
             C60,
             "C" * 1500,
-            "C(C(C)(C)C)(C(C)(C)C)(C(C)(C)C)C(C)(C)C",
+            TBU_STAR,
             "C",
             "[Na+].[Cl-]",
         )

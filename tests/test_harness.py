@@ -262,6 +262,7 @@ class TestEvalGeneration:
     def test_one_parse_check_and_fingerprint_per_distinct_side(self, tmp_path, monkeypatch):
         import moleval.fingerprint as fingerprint
         import moleval.harness.evaluate as evaluate
+        import moleval.molgraph.props as props
         import moleval.textmetrics as textmetrics
         from moleval.molgraph import MolGraph, SmilesError, canonical_smiles
 
@@ -292,10 +293,17 @@ class TestEvalGeneration:
         canonicalized = sum(
             len(g) for g in graphs if None not in g and all(map(oracle.validity_reference, g))
         )
+        # the validity metric checks each parsed prediction; exact match
+        # also checks a distinct parsed reference once the prediction passes
+        checked = sum(
+            1 + (len(g) == 2 and g[1] is not None and oracle.validity_reference(g[0]))
+            for g in graphs
+            if g[0] is not None
+        )
         assert sum(pred == ref for pred, ref in pairs) >= 8
 
         calls = Counter()
-        per_graph = {"codes": Counter(), "bare_h": Counter()}
+        per_graph = {"codes": Counter(), "bare_h": Counter(), "valid": Counter()}
         alive = []  # keeps counted graphs alive so no id is reused
 
         def counting(name, fn):
@@ -324,7 +332,15 @@ class TestEvalGeneration:
             per_graph["bare_h"][id(graph), idx] += 1
             return bare_h_rule(graph, idx)
 
+        valence_check = props._valence_check
+
+        def counted_valid(graph):
+            alive.append(graph)
+            per_graph["valid"][id(graph)] += 1
+            return valence_check(graph)
+
         monkeypatch.setattr(fingerprint, "_initial_codes", counted_codes)
+        monkeypatch.setattr(props, "_valence_check", counted_valid)
         monkeypatch.setattr(MolGraph, "_bare_h_rule", counted_bare_h)
         rows = [_gen_row(i, pred, [ref]) for i, (pred, ref) in enumerate(pairs)]
         report = eval_generation(_write_jsonl(tmp_path / "g.jsonl", rows), "molecule")
@@ -342,6 +358,8 @@ class TestEvalGeneration:
         assert len(per_graph["codes"]) == fingerprinted
         assert set(per_graph["codes"].values()) == {1}
         assert per_graph["bare_h"] and set(per_graph["bare_h"].values()) == {1}
+        assert len(per_graph["valid"]) == checked
+        assert set(per_graph["valid"].values()) == {1}
 
     def test_deterministic_rendering(self, tmp_path):
         rows = [_gen_row(i, "CCO", ["OCC"]) for i in range(5)]
