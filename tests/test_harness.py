@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -642,6 +643,133 @@ class TestProfile:
         assert payload["lengths"]["smiles"]["records"] == 2
         assert "whitespace" in payload["lengths"]["caption"]["tokens"]
         assert "iupac" not in payload["lengths"]
+
+    @pytest.mark.parametrize(
+        "splits, split_check",
+        [
+            (
+                ["train"] * 16 + ["valid"] * 2 + ["test"] * 2,
+                {"proportions": {"test": 0.1, "train": 0.8, "valid": 0.1}, "passes": True},
+            ),
+            (
+                ["train"] * 10 + ["valid"] * 5 + ["test"] * 5,
+                {"proportions": {"test": 0.25, "train": 0.5, "valid": 0.25}, "passes": False},
+            ),
+        ],
+        ids=["split-passes", "split-fails"],
+    )
+    def test_full_report_is_pinned(self, tmp_path, splits, split_check):
+        path = _write_jsonl(tmp_path / "d.jsonl", _profile_rows(7, splits))
+        payload = profile_dataset(path)
+        digest = hashlib.sha256(tmp_path.joinpath("d.jsonl").read_bytes()).hexdigest()
+        assert payload.pop("provenance")["inputs"] == {path: digest}
+        assert payload == dict(_PINNED_PROFILE, split_check=split_check)
+
+    def test_malformed_last_line_names_it(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        _write_jsonl(path, _profile_rows(7, ["train"] * 20))
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"id": "last", "smiles": ')
+        with pytest.raises(SchemaError, match=r"^line 21: invalid JSON"):
+            profile_dataset(path)
+
+
+_PROFILE_SMILES = (
+    "c1ccccc1O", "C1CCCCC1N", "c1ccncc1", "CC(=O)Oc1ccccc1C(=O)O", "c1ccc2ccccc2c1",
+    "CCCCO", "CC(C)N",
+)
+_PROFILE_WORDS = ("the", "molecule", "is", "a", "benzene", "ring", "with", "an", "acid", "group")
+
+
+def _profile_rows(seed, splits):
+    """One row per split label: a row for every exclusion class, an acyclic
+    row, rows with all four text fields (one SELFIES the selfies_bracket
+    scheme refuses) and seeded filler rows, shuffled."""
+    rng = random.Random(seed)
+    rows = [
+        {"id": "unparseable", "smiles": "C1CC"},
+        {"id": "invalid", "smiles": "C(C)(C)(C)(C)C"},
+        {"id": "salt", "smiles": "CC(=O)[O-].[Na+]"},
+        {"id": "acyclic", "smiles": "CCO", "selfies": "[C][C][O]", "iupac": "ethanol",
+         "caption": "The molecule is ethanol."},
+        {"id": "refused", "smiles": "c1ccccc1", "selfies": "[C][=C][C", "iupac": "benzene",
+         "caption": "The molecule is benzene."},
+    ]
+    while len(rows) < len(splits):
+        words = rng.choices(_PROFILE_WORDS, k=rng.randint(2, 12))
+        rows.append({"id": f"r{len(rows)}", "smiles": rng.choice(_PROFILE_SMILES),
+                     "caption": " ".join(words)})
+    rng.shuffle(rows)
+    for row, split in zip(rows, splits):
+        row["split"] = split
+    return rows
+
+
+_CAPTION_HIST = [[10, 6], [20, 3], [30, 3], [40, 2], [50, 1], [60, 2]]
+_PINNED_PROFILE = {
+    "task": "profile",
+    "counts": {"records": 20, "profiled": 18, "excluded": 2},
+    "lengths": {
+        "smiles": {
+            "records": 20,
+            "chars": [[0, 15], [10, 5]],
+            "tokens": {
+                "whitespace": {"hist": [[0, 20]]},
+                "smiles_regex": {"hist": [[0, 16], [10, 4]]},
+                "selfies_bracket": {"hist": [], "untokenizable": 20},
+                "char": {"hist": [[0, 15], [10, 5]]},
+            },
+        },
+        "selfies": {
+            "records": 2,
+            "chars": [[0, 2]],
+            "tokens": {
+                "whitespace": {"hist": [[0, 2]]},
+                "smiles_regex": {"hist": [[0, 2]]},
+                "selfies_bracket": {"hist": [[0, 1]], "untokenizable": 1},
+                "char": {"hist": [[0, 2]]},
+            },
+        },
+        "iupac": {
+            "records": 2,
+            "chars": [[0, 2]],
+            "tokens": {
+                "whitespace": {"hist": [[0, 2]]},
+                "smiles_regex": {"hist": [[0, 2]]},
+                "selfies_bracket": {"hist": [], "untokenizable": 2},
+                "char": {"hist": [[0, 2]]},
+            },
+        },
+        "caption": {
+            "records": 17,
+            "chars": _CAPTION_HIST,
+            "tokens": {
+                "whitespace": {"hist": [[0, 14], [10, 3]]},
+                "smiles_regex": {"hist": _CAPTION_HIST},
+                "selfies_bracket": {"hist": [], "untokenizable": 17},
+                "char": {"hist": _CAPTION_HIST},
+            },
+        },
+    },
+    "scaffolds": [
+        {"scaffold": "", "count": 5},
+        {"scaffold": "C1CCCCC1", "count": 5},
+        {"scaffold": "c1ccncc1", "count": 4},
+        {"scaffold": "c1ccc2ccccc2c1", "count": 3},
+        {"scaffold": "c1ccccc1", "count": 1},
+    ],
+    "descriptors": {
+        "mol_weight": {"min": 46.069, "median": 80.56799999999998, "max": 128.17399999999995},
+        "heavy_atoms": {"min": 3, "median": 6.0, "max": 10},
+        "rings": {"min": 0, "median": 1.0, "max": 2},
+        "aromatic_rings": {"min": 0, "median": 0.0, "max": 2},
+    },
+    "exclusions": {
+        "unparseable_smiles": ["unparseable"],
+        "invalid_smiles": ["invalid"],
+        "selfies_unencodable": ["salt"],
+    },
+}
 
 
 class TestRendering:
