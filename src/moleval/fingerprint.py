@@ -138,6 +138,8 @@ def path_features(graph: MolGraph, max_len: int) -> set[int]:
     grows go back on a stack worked depth-first, so a cage or a long chain
     never holds a whole level of paths.
     """
+    if max_len < 1:  # no path would reach max_len bonds, so the walk never stops
+        raise ValueError("max_len must be at least 1")
     codes = _atom_codes(graph)
     # one step per directed bond: (neighbour, bytes the step appends to the
     # text, its (order, code) tokens)

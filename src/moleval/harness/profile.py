@@ -32,37 +32,34 @@ def _histogram(lengths) -> list[list[int]]:
     return [[low, buckets[low]] for low in sorted(buckets)]
 
 
-def _modality_lengths(rows, key: str) -> dict | None:
-    texts = [row[key] for row in rows if key in row]
-    if not texts:
-        return None
-    block = {"records": len(texts), "chars": _histogram(len(t) for t in texts)}
-    tokens = {}
+def _text_lengths(text: str) -> tuple:
+    """Chars, then the token count under each scheme: None where a strict
+    scheme refuses text from another notation."""
+    counts = [len(text)]
     for scheme in SCHEMES:
-        counts = []
-        failed = 0
-        for text in texts:
-            # a strict scheme can refuse text from another notation;
-            # such texts are skipped for that scheme and tallied
-            try:
-                counts.append(len(tokenize(text, scheme)))
-            except ValueError:
-                failed += 1
+        try:
+            counts.append(len(tokenize(text, scheme)))
+        except ValueError:
+            counts.append(None)
+    return tuple(counts)
+
+
+def _modality_lengths(per_row: list[tuple]) -> dict:
+    block = {"records": len(per_row), "chars": _histogram(n[0] for n in per_row)}
+    tokens = {}
+    for column, scheme in enumerate(SCHEMES, 1):
+        counts = [n[column] for n in per_row if n[column] is not None]
         entry: dict = {"hist": _histogram(counts)}
-        if failed:
-            entry["untokenizable"] = failed
+        if len(counts) < len(per_row):
+            entry["untokenizable"] = len(per_row) - len(counts)
         tokens[scheme] = entry
     block["tokens"] = tokens
     return block
 
 
-def _split_check(rows) -> dict | None:
-    labels = [row["split"] for row in rows if "split" in row]
-    if not labels:
-        return None
-    counts = Counter(labels)
-    total = len(labels)
-    proportions = {label: counts[label] / total for label in sorted(counts)}
+def _split_check(labels: Counter) -> dict:
+    total = sum(labels.values())
+    proportions = {label: labels[label] / total for label in sorted(labels)}
     ordered = sorted(proportions.values(), reverse=True)
     passes = len(ordered) == len(_SPLIT_TARGET) and all(
         abs(p - t) <= _SPLIT_TOLERANCE for p, t in zip(ordered, _SPLIT_TARGET)
@@ -71,12 +68,24 @@ def _split_check(rows) -> dict | None:
 
 
 def profile_dataset(records_path) -> dict:
-    rows = read_profile_rows(records_path)
+    """One pass over the rows. A row's text lengths, split label, id if
+    excluded, scaffold and descriptor values are kept; the row and its
+    graph are not."""
+    records = 0
+    lengths = {key: [] for key in ("smiles", "selfies", "iupac", "caption")}
+    labels: Counter = Counter()
     unparseable: list[str] = []
     invalid: list[str] = []
     unencodable: list[str] = []
-    graphs = []
-    for row in rows:
+    scaffold_counts: Counter = Counter()
+    described = {key: [] for key in ("mol_weight", "heavy_atoms", "rings", "aromatic_rings")}
+    for row in read_profile_rows(records_path):
+        records += 1
+        for key, per_row in lengths.items():
+            if key in row:
+                per_row.append(_text_lengths(row[key]))
+        if "split" in row:
+            labels[row["split"]] += 1
         try:
             graph = parse_smiles(row["smiles"])
         except SmilesError:
@@ -85,43 +94,27 @@ def profile_dataset(records_path) -> dict:
         if not validity(graph):
             invalid.append(row["id"])
             continue
-        graphs.append(graph)
         try:
             encode_selfies(graph)
         except NotEncodable:
             unencodable.append(row["id"])
-
-    lengths = {}
-    for key in ("smiles", "selfies", "iupac", "caption"):
-        block = _modality_lengths(rows, key)
-        if block is not None:
-            lengths[key] = block
-
-    scaffold_counts: Counter = Counter()
-    for graph in graphs:
         scaffold = murcko_scaffold(graph)
         scaffold_counts[canonical_smiles(scaffold) if scaffold.atoms else ""] += 1
+        values = descriptors(graph)
+        for key, column in described.items():
+            column.append(values[key])
+
     top_scaffolds = [
         {"scaffold": s, "count": c}
         for s, c in sorted(scaffold_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
     ]
-
-    described = [descriptors(g) for g in graphs]
-    descriptor_summary = {
-        key: summarize_descriptors([d[key] for d in described])
-        for key in ("mol_weight", "heavy_atoms", "rings", "aromatic_rings")
-    }
-
+    excluded = len(unparseable) + len(invalid)
     payload = {
         "task": "profile",
-        "counts": {
-            "records": len(rows),
-            "profiled": len(graphs),
-            "excluded": len(rows) - len(graphs),
-        },
-        "lengths": lengths,
+        "counts": {"records": records, "profiled": records - excluded, "excluded": excluded},
+        "lengths": {key: _modality_lengths(per_row) for key, per_row in lengths.items() if per_row},
         "scaffolds": top_scaffolds,
-        "descriptors": descriptor_summary,
+        "descriptors": {key: summarize_descriptors(column) for key, column in described.items()},
         "exclusions": {
             "unparseable_smiles": sorted(unparseable),
             "invalid_smiles": sorted(invalid),
@@ -129,7 +122,6 @@ def profile_dataset(records_path) -> dict:
         },
         "provenance": provenance_for([records_path]),
     }
-    split = _split_check(rows)
-    if split is not None:
-        payload["split_check"] = split
+    if labels:
+        payload["split_check"] = _split_check(labels)
     return payload

@@ -43,18 +43,20 @@ class GenRecord:
 
 
 def _iter_jsonl(path):
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            raise SchemaError("blank line", lineno)
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON ({exc.msg})", lineno) from None
-        if not isinstance(obj, dict):
-            raise SchemaError("expected a JSON object", lineno)
-        yield lineno, obj
+    # a line ends only at \n, \r\n or \r: str.splitlines would also end one
+    # at U+2028, U+0085 and the other breaks JSON allows raw in a string
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                raise SchemaError("blank line", lineno)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"invalid JSON ({exc.msg})", lineno) from None
+            if not isinstance(obj, dict):
+                raise SchemaError("expected a JSON object", lineno)
+            yield lineno, obj
 
 
 def _require(obj: dict, key: str, kind, lineno: int):
@@ -189,8 +191,9 @@ def read_pairs(path, scheme: str = "whitespace") -> list[tuple[list[str], list[s
 _PROFILE_TEXT_FIELDS = ("selfies", "iupac", "caption")
 
 
-def read_profile_rows(path) -> list[dict]:
-    rows = []
+def read_profile_rows(path):
+    """Yields each row as a dict of its id, smiles and present text fields
+    and split; raises EmptyFile after the last line if there was no row."""
     seen_ids = set()
     for lineno, obj in _iter_jsonl(path):
         rec_id = _require(obj, "id", str, lineno)
@@ -201,10 +204,9 @@ def read_profile_rows(path) -> list[dict]:
         for key in _PROFILE_TEXT_FIELDS + ("split",):
             if key in obj:
                 row[key] = _require(obj, key, str, lineno)
-        rows.append(row)
-    if not rows:
+        yield row
+    if not seen_ids:
         raise EmptyFile(f"no records in {path}")
-    return rows
 
 
 _EMB_MAGIC = b"EMB1"

@@ -108,6 +108,17 @@ def test_fp_width_checked_before_walk(make, width, monkeypatch):
         make(parse_smiles("CCO"), width=width)
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_path_features_max_len_checked_before_walk(max_len, monkeypatch):
+    # with max_len < 1 no path is ever longest, so on C60 the walk would not end
+    def lanes(*args):
+        raise AssertionError("walked before checking max_len")
+
+    monkeypatch.setattr(fingerprint, "_fnv1a_lanes", lanes)
+    with pytest.raises(ValueError, match="max_len must be at least 1"):
+        path_features(parse_smiles(C60), max_len)
+
+
 _STATE = st.sampled_from((0, 2**64 - 1)) | st.integers(0, 2**64 - 1)
 
 

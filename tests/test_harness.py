@@ -3,6 +3,7 @@ import json
 import math
 import random
 import struct
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,7 @@ from moleval.harness.evaluate import (
     eval_retrieval,
     merge_reports,
 )
+from moleval.harness import profile as profile_module
 from moleval.harness.cli import main
 from moleval.molgraph import parse_smiles
 from moleval.harness.profile import profile_dataset
@@ -664,6 +666,40 @@ class TestProfile:
         digest = hashlib.sha256(tmp_path.joinpath("d.jsonl").read_bytes()).hexdigest()
         assert payload.pop("provenance")["inputs"] == {path: digest}
         assert payload == dict(_PINNED_PROFILE, split_check=split_check)
+
+    @pytest.mark.parametrize("brk", ["\u2028", "\x85"], ids=["u2028", "nel"])
+    def test_line_breaks_json_allows_in_strings(self, tmp_path, brk):
+        # JSON allows these raw inside a string; a record must not end there
+        rows = [{"id": "1", "smiles": "CCO", "caption": f"an alcohol{brk}molecule"},
+                {"id": "2", "smiles": "CCN", "caption": "an amine"}]
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                        encoding="utf-8")
+        payload = profile_dataset(str(path))
+        assert payload["counts"]["records"] == 2
+        assert payload["lengths"]["caption"]["chars"] == [[0, 1], [10, 1]]
+        gen = tmp_path / "g.jsonl"
+        gen.write_text("".join(json.dumps(_gen_row(i, f"a{brk}b", ["ab"], out="caption"),
+                                          ensure_ascii=False) + "\n" for i in range(2)),
+                       encoding="utf-8")
+        assert [r.prediction for r in read_gen_records(str(gen))] == [f"a{brk}b"] * 2
+
+    def test_no_graph_outlives_its_row(self, tmp_path, monkeypatch):
+        # whole-file memory: at each parse, at most the previous row's graph
+        # may still be alive
+        graphs = []
+        alive = []
+
+        def parse(text):
+            alive.append(sum(ref() is not None for ref in graphs))
+            graph = parse_smiles(text)
+            graphs.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(profile_module, "parse_smiles", parse)
+        profile_dataset(_write_jsonl(tmp_path / "d.jsonl", _profile_rows(7, ["train"] * 100)))
+        assert len(alive) == 100
+        assert max(alive) <= 1
 
     def test_malformed_last_line_names_it(self, tmp_path):
         path = tmp_path / "d.jsonl"
