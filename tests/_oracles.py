@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -433,6 +434,22 @@ def cosine_reference(u, v) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return sum(a * b for a, b in zip(u, v)) / (nu * nv)
+
+
+def distinct_rows_reference(rows):
+    """(first index of each distinct row, row -> distinct index in order of
+    first appearance), rows compared by the bytes of their float64 values
+    with -0.0 read as 0.0."""
+    firsts: list[int] = []
+    inverse: list[int] = []
+    seen: dict[bytes, int] = {}
+    for i, row in enumerate(rows):
+        key = b"".join(struct.pack("<d", float(x) + 0.0) for x in row)
+        if key not in seen:
+            seen[key] = len(firsts)
+            firsts.append(i)
+        inverse.append(seen[key])
+    return firsts, inverse
 
 
 def retrieval_ranks_reference(queries, targets, gold):

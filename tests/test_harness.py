@@ -515,6 +515,12 @@ class TestEvalRetrieval:
         with pytest.raises(DimMismatch):
             eval_retrieval(qp, tp, gp)
 
+    def test_full_report_is_pinned(self, tmp_path, monkeypatch):
+        _retrieval_set(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        report = to_json(eval_retrieval("q.emb", "t.csv", "gold.jsonl").payload())
+        assert json.loads(report) == _PINNED_RETRIEVAL
+
 
 class TestEvalProperty:
     def test_classification(self, tmp_path):
@@ -845,3 +851,57 @@ def test_read_pairs_forms(tmp_path):
     bad = _write_jsonl(tmp_path / "bad.jsonl", [{"input": 5, "output": "x"}])
     with pytest.raises(SchemaError):
         read_pairs(bad, "whitespace")
+
+
+def _retrieval_set(directory):
+    """Writes q.emb (EMB1), t.csv (float64 CSV) and gold.jsonl: 24 targets of
+    dimension 16 with duplicated rows, a -0.0 twin, a zero row, permutations
+    of one row (equal sums) and rows whose float64 sum overflows to NaN or
+    +-inf, and 12 queries, some equal to a duplicated target."""
+    rng = random.Random(1717)
+    dim = 16
+    rows = [[float(rng.randint(-4, 4)) for _ in range(dim)] for _ in range(24)]
+    rows[5] = list(rows[1])
+    rows[9] = list(rows[1])
+    rows[11] = list(rows[3])
+    rows[6] = [0.0] * dim
+    rows[2][0] = rows[2][7] = 0.0
+    rows[13] = [-0.0 if x == 0.0 else x for x in rows[2]]
+    rows[14] = rows[4][::-1]
+    rows[15] = rows[4][3:] + rows[4][:3]
+    big = 1.5e308
+    rows[20] = [big, -big] + [0.0] * 6 + [big, -big] + [0.0] * 6
+    rows[21] = [big] + [1.0] * 7 + [big] + [0.0] * 7
+    rows[22] = list(rows[20])
+    rows[23] = [-big] + [0.0] * 7 + [-big] + [2.0] * 7
+    t_ids = [f"t{(7 * i) % 24:02d}" for i in range(24)]
+    (directory / "t.csv").write_text(
+        "".join(f"{i}," + ",".join(map(repr, row)) + "\n" for i, row in zip(t_ids, rows))
+    )
+    golds = [1, 5, 9, 3, 11, 6, 13, 2, 14, 20, 22, 17]
+    q_vecs = []
+    for n, g in enumerate(golds):
+        exact = n in (0, 2, 4, 6, 8)
+        q_vecs.append([x if exact or abs(x) > 1e300 else x + rng.randint(-4, 4) / 2
+                       for x in rows[g]] if g < 20 else
+                      [float(rng.randint(-4, 4)) for _ in range(dim)])
+    q_ids = [f"q{n:02d}" for n in range(len(golds))]
+    write_embeddings(directory / "q.emb", EmbeddingMatrix(q_ids, q_vecs))
+    _write_jsonl(directory / "gold.jsonl",
+                 [{"query": q, "target": t_ids[g]} for q, g in zip(q_ids, golds)])
+
+
+_PINNED_RETRIEVAL = {
+    "task": "eval-retrieval",
+    "counts": {"evaluated": 12, "skipped": 0},
+    "details": {"ranks": [1, 2, 3, 2, 1, 18, 2, 1, 1, 17, 11, 1]},
+    "metrics": {"mrr": 0.586552, "r@1": 0.416667, "r@5": 0.75, "r@10": 0.75},
+    "provenance": {
+        "inputs": {
+            "gold.jsonl": "fbcd83c4bde58c717b9c9fb31a89ee814e00bdd1e93c3676068503591d748d68",
+            "q.emb": "0b0792dc0457731449f57bfb2b0289115f52c0a3c742ad4d9f19b329d732ce53",
+            "t.csv": "ccba1dea347de87f31a7a96c4de09c62283a36ba55100cf3c9a9d062de437e1c",
+        },
+        "tool": {"name": "moleval", "version": "0.1.0"},
+    },
+}

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 from moleval.predmetrics import (
+    _distinct_rows,
     DegenerateLabels,
     DimMismatch,
     EmbeddingMatrix,
@@ -265,6 +267,72 @@ def test_retrieval_exact_ties_across_tiles_and_blocks():
     assert out["ranks"] == [want[q] for q in sorted(gold)]
     tied = [want[q] for i, q in enumerate(q_ids) if i % 25 == 0]
     assert set(tied) == {1, 2}
+
+
+# finite 16-column rows whose float64 row sum overflows: numpy's pairwise sum
+# adds lanes 0 and 8, and 1 and 9, first, so these sum to NaN, +inf and -inf
+_BIG = 1.5e308
+_OVERFLOW_ROWS = [
+    [_BIG, -_BIG] + [0.0] * 6 + [_BIG, -_BIG] + [0.0] * 6,
+    [_BIG, -_BIG] + [1.0] * 6 + [_BIG, -_BIG] + [0.0] * 6,
+    [_BIG] + [0.0] * 7 + [_BIG] + [0.0] * 7,
+    [-_BIG] + [2.0] * 7 + [-_BIG] + [0.0] * 7,
+]
+
+
+@st.composite
+def _row_sets(draw):
+    dim = draw(st.sampled_from([1, 2, 3, 5, 16]))
+    cell = st.integers(-3, 3).map(float)
+    rows = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    rows.append([0.0] * dim)
+    # permutations of one row: equal sums, different rows
+    rows += [list(p) for p in draw(st.lists(st.permutations(rows[0]), max_size=3))]
+    # twins equal up to the sign of their zeros
+    twins = draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows += [[-0.0 if x == 0.0 else x for x in row] for row in twins]
+    if dim == 16:
+        rows += draw(st.lists(st.sampled_from(_OVERFLOW_ROWS), max_size=5))
+    rows += [list(row) for row in draw(st.lists(st.sampled_from(rows), max_size=4))]
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_sets())
+def test_distinct_rows_matches_reference(rows):
+    vectors = np.array(rows, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        firsts, inverse = _distinct_rows(vectors)
+    want_firsts, want_inverse = oracle.distinct_rows_reference(rows)
+    assert firsts.tolist() == want_firsts
+    assert inverse.tolist() == want_inverse
+
+
+def test_distinct_rows_overflow_twins_stay_one_row():
+    # two equal rows whose sums are NaN must not split
+    vectors = np.array([_OVERFLOW_ROWS[0], [1.0] * 16, _OVERFLOW_ROWS[0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        firsts, inverse = _distinct_rows(vectors)
+    assert firsts.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
+
+
+def test_retrieval_leaves_inputs_untouched():
+    rng = np.random.default_rng(5)
+    t_arr = rng.integers(-2, 3, size=(30, 4)).astype(np.float64)
+    t_arr[3] = 0.0
+    t_arr[7] = t_arr[2]
+    t_arr[8] = np.where(t_arr[2] == 0.0, -0.0, t_arr[2])
+    q_arr = rng.standard_normal((5, 4))
+    q_arr[1, 0] = -0.0
+    before = (q_arr.tobytes(), t_arr.tobytes())
+    queries = EmbeddingMatrix([f"q{i}" for i in range(5)], q_arr)
+    targets = EmbeddingMatrix([f"t{i:02d}" for i in range(30)], t_arr)
+    retrieval_eval(queries, targets, {f"q{i}": f"t{2 * i + 2:02d}" for i in range(5)})
+    assert (q_arr.tobytes(), t_arr.tobytes()) == before
+    assert (queries.vectors.tobytes(), targets.vectors.tobytes()) == before
+    assert not queries.vectors.flags.writeable and not targets.vectors.flags.writeable
 
 
 def test_embedding_matrix_storage_and_validation():
