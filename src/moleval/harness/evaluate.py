@@ -28,7 +28,7 @@ from ..textmetrics import (
     tokenize,
 )
 from .records import read_embeddings, read_gen_records, read_gold, read_property_rows
-from .reports import provenance_for
+from .reports import provenance_for, provenance_of, sha256_file
 
 METRIC_NAMES = frozenset(
     {
@@ -162,8 +162,8 @@ def eval_generation(records_path, target_kind: str) -> Report:
 
 
 def eval_retrieval(queries_path, targets_path, gold_path) -> Report:
-    queries = read_embeddings(queries_path)
-    targets = read_embeddings(targets_path)
+    queries, queries_digest = read_embeddings(queries_path)
+    targets, targets_digest = read_embeddings(targets_path)
     gold = read_gold(gold_path)
     result = retrieval_eval(queries, targets, gold, ks=(1, 5, 10))
     metrics = {
@@ -176,7 +176,8 @@ def eval_retrieval(queries_path, targets_path, gold_path) -> Report:
         task="eval-retrieval",
         metrics=metrics,
         counts={"evaluated": len(gold), "skipped": 0},
-        provenance=provenance_for([queries_path, targets_path, gold_path]),
+        provenance=provenance_of({str(queries_path): queries_digest, str(targets_path): targets_digest,
+                                  str(gold_path): sha256_file(gold_path)}),
         details={"ranks": list(result["ranks"])},
     )
 

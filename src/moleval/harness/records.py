@@ -6,6 +6,8 @@ All readers are strict. Anything malformed raises SchemaError carrying a
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import struct
 from dataclasses import dataclass
@@ -212,14 +214,21 @@ def read_profile_rows(path):
 _EMB_MAGIC = b"EMB1"
 
 
-def read_embeddings(path) -> EmbeddingMatrix:
-    """Binary layout: magic "EMB1", little-endian u32 row count, u32
+def read_embeddings(path) -> tuple[EmbeddingMatrix, str]:
+    """The matrix and the sha256 hex digest of the file, read once.
+
+    Binary layout: magic "EMB1", little-endian u32 row count, u32
     dimension, rows*dim f32 values, then newline-separated UTF-8 ids.
     Files without the magic are read as CSV (id, then float columns)."""
     raw = Path(path).read_bytes()
-    if raw[:4] == _EMB_MAGIC:
-        return _read_binary_embeddings(raw, path)
-    return _read_csv_embeddings(raw, path)
+    parse = _read_binary_embeddings if raw[:4] == _EMB_MAGIC else _read_csv_embeddings
+    return parse(raw, path), hashlib.sha256(raw).hexdigest()
+
+
+def _lines(text: str) -> list[str]:
+    # a line ends only at \n, \r\n or \r, as in _iter_jsonl: str.splitlines
+    # would also end one at U+2028, U+0085, \x0c and other breaks an id may hold
+    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
 
 
 def _read_binary_embeddings(raw: bytes, path) -> EmbeddingMatrix:
@@ -240,7 +249,7 @@ def _read_binary_embeddings(raw: bytes, path) -> EmbeddingMatrix:
         id_block = raw[data_end:].decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: id block is not valid UTF-8") from None
-    ids = id_block.splitlines()
+    ids = _lines(id_block)
     if len(ids) != rows:
         raise FormatError(f"{path}: {len(ids)} ids for {rows} rows")
     return _make_matrix(ids, vectors, path)
@@ -253,7 +262,7 @@ def _read_csv_embeddings(raw: bytes, path) -> EmbeddingMatrix:
         raise FormatError(f"{path}: not valid UTF-8") from None
     ids = []
     vectors = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_lines(text), 1):
         if not line.strip():
             raise FormatError(f"{path}: blank line {lineno}")
         cells = line.split(",")
@@ -278,6 +287,9 @@ def _make_matrix(ids, vectors, path) -> EmbeddingMatrix:
 
 
 def write_embeddings(path, matrix: EmbeddingMatrix):
+    for item_id in matrix.ids:
+        if "\n" in item_id or "\r" in item_id:
+            raise ValueError(f"id {item_id!r} holds a line break and could not be read back")
     blob = _EMB_MAGIC + struct.pack("<II", len(matrix.ids), matrix.dim)
     with np.errstate(over="raise"):  # a value beyond the f32 range
         blob += np.asarray(matrix.vectors, "<f4").tobytes()

@@ -20,10 +20,12 @@ def sha256_file(path) -> str:
 
 
 def provenance_for(paths) -> dict:
-    return {
-        "inputs": {str(p): sha256_file(p) for p in paths},
-        "tool": {"name": "moleval", "version": __version__},
-    }
+    return provenance_of({str(p): sha256_file(p) for p in paths})
+
+
+def provenance_of(digests: dict[str, str]) -> dict:
+    """Provenance of inputs whose sha256 digests are known, keyed by path."""
+    return {"inputs": digests, "tool": {"name": "moleval", "version": __version__}}
 
 
 def _clean(value):

@@ -180,21 +180,30 @@ _QUERY_BLOCK = 256
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit length; zero rows stay zero and so score 0."""
+    """Scales the rows of a fresh array to unit length in place and returns
+    it; zero rows stay zero and so score 0."""
     norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))[:, None]
     norms[norms == 0.0] = 1.0
-    return vectors / norms
+    vectors /= norms
+    return vectors
 
 
 def _distinct_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first row of each distinct value, row -> distinct index), comparing
-    rows by their bytes after folding -0.0 into 0.0."""
-    if not vectors.all():
-        vectors = vectors + 0.0
-    keys = vectors.view(np.dtype((np.void, vectors.shape[1] * 8))).ravel().tolist()
-    slot = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    inverse = np.fromiter(map(slot.__getitem__, keys), dtype=np.intp, count=len(keys))
-    return np.unique(inverse, return_index=True)[1], inverse
+    rows by their bytes after folding -0.0 into 0.0. Equal rows have equal
+    sums (up to the sign of zero), so only rows whose sum is shared or not
+    finite are compared by bytes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = vectors.sum(axis=1) + 0.0
+    _, slot, counts = np.unique(sums, return_inverse=True, return_counts=True)
+    suspects = np.flatnonzero((counts[slot] > 1) | ~np.isfinite(sums))
+    folded = vectors[suspects] + 0.0
+    keys = folded.view(np.dtype((np.void, vectors.shape[1] * 8))).ravel().tolist()
+    first_of: dict[bytes, int] = {}
+    first = np.arange(len(vectors))
+    first[suspects] = [first_of.setdefault(k, i) for k, i in zip(keys, suspects.tolist())]
+    firsts = np.flatnonzero(first == np.arange(len(vectors)))
+    return firsts, np.searchsorted(firsts, first)
 
 
 def retrieval_eval(

@@ -1,6 +1,8 @@
+import builtins
 import hashlib
 import json
 import math
+import pathlib
 import random
 import struct
 import weakref
@@ -31,7 +33,7 @@ from moleval.harness.records import (
     read_property_rows,
     write_embeddings,
 )
-from moleval.harness.reports import to_csv, to_json, to_md
+from moleval.harness.reports import sha256_file, to_csv, to_json, to_md
 from moleval.predmetrics import (
     DimMismatch,
     EmbeddingMatrix,
@@ -389,7 +391,7 @@ class TestEmbeddings:
         )
         path = tmp_path / "e.emb"
         write_embeddings(path, matrix)
-        loaded = read_embeddings(str(path))
+        loaded, _ = read_embeddings(str(path))
         assert loaded.ids == ("a", "b")
         # values chosen exactly representable in f32
         assert loaded.vectors.tolist() == matrix.vectors.tolist()
@@ -397,7 +399,7 @@ class TestEmbeddings:
     def test_csv_reader(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("q1,1.0,0.0\nq2,0.0,1.0\n")
-        loaded = read_embeddings(str(path))
+        loaded, _ = read_embeddings(str(path))
         assert loaded.ids == ("q1", "q2")
         assert loaded.vectors[1].tolist() == [0.0, 1.0]
 
@@ -456,7 +458,7 @@ class TestEmbeddings:
     def test_reader_widens_f32_values(self, tmp_path):
         path = tmp_path / "e.emb"
         write_embeddings(path, EmbeddingMatrix(("a",), ((0.1, -1e-3),)))
-        loaded = read_embeddings(str(path))
+        loaded, _ = read_embeddings(str(path))
         assert loaded.vectors.dtype == np.float64 and loaded.vectors.flags.c_contiguous
         want = np.array([[0.1, -1e-3]], dtype=np.float32).astype(np.float64)
         assert loaded.vectors.tobytes() == want.tobytes()
@@ -464,6 +466,33 @@ class TestEmbeddings:
     def test_write_rejects_values_beyond_f32(self, tmp_path):
         with pytest.raises(FloatingPointError):
             write_embeddings(tmp_path / "e.emb", EmbeddingMatrix(("a",), ((1e300,),)))
+
+    @pytest.mark.parametrize(
+        "brk", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
+        ids=["u2028", "u2029", "nel", "vt", "ff", "fs", "gs", "rs"],
+    )
+    def test_ids_keep_other_line_breaks(self, tmp_path, brk):
+        # an id line ends only at \n, \r\n or \r, in both formats
+        ids = (f"a{brk}b", f"{brk}c", f"d{brk}")
+        matrix = EmbeddingMatrix(ids, ((1.0, 0.5), (0.25, 2.0), (3.0, -4.0)))
+        binary = tmp_path / "e.emb"
+        write_embeddings(binary, matrix)
+        loaded, digest = read_embeddings(str(binary))
+        assert loaded.ids == ids and loaded.vectors.tolist() == matrix.vectors.tolist()
+        assert digest == hashlib.sha256(binary.read_bytes()).hexdigest()
+        csv = tmp_path / "e.csv"
+        csv.write_bytes(
+            f"{ids[0]},1.0,0.5\n{ids[1]},0.25,2.0\r\n{ids[2]},3.0,-4.0\r".encode("utf-8")
+        )
+        loaded, digest = read_embeddings(str(csv))
+        assert loaded.ids == ids and loaded.vectors.tolist() == matrix.vectors.tolist()
+        assert digest == hashlib.sha256(csv.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_write_rejects_ids_with_line_ends(self, tmp_path, brk):
+        with pytest.raises(ValueError, match="line break"):
+            write_embeddings(tmp_path / "e.emb", EmbeddingMatrix((f"a{brk}b",), ((1.0,),)))
+        assert not (tmp_path / "e.emb").exists()
 
 class TestEvalRetrieval:
     def _files(self, tmp_path, queries, targets, gold):
@@ -514,6 +543,28 @@ class TestEvalRetrieval:
         qp, tp, gp = self._files(tmp_path, queries, targets, {"x": "x"})
         with pytest.raises(DimMismatch):
             eval_retrieval(qp, tp, gp)
+
+    def test_each_embedding_file_read_once(self, tmp_path, monkeypatch):
+        # provenance hashes the bytes the reader parsed
+        _retrieval_set(tmp_path)
+        paths = [str(tmp_path / name) for name in ("q.emb", "t.csv", "gold.jsonl")]
+        opened = Counter()
+        path_open, builtin_open = pathlib.Path.open, builtins.open
+
+        def count_path_open(self, *args, **kwargs):
+            opened[str(self)] += 1
+            return path_open(self, *args, **kwargs)
+
+        def count_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", count_path_open)
+        monkeypatch.setattr(builtins, "open", count_open)
+        report = eval_retrieval(*paths)
+        monkeypatch.undo()
+        assert (opened[paths[0]], opened[paths[1]]) == (1, 1)
+        assert report.provenance["inputs"] == {p: sha256_file(p) for p in paths}
 
     def test_full_report_is_pinned(self, tmp_path, monkeypatch):
         _retrieval_set(tmp_path)
