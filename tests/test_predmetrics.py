@@ -282,7 +282,7 @@ _OVERFLOW_ROWS = [
 
 @st.composite
 def _row_sets(draw):
-    dim = draw(st.sampled_from([1, 2, 3, 5, 16]))
+    dim = draw(st.sampled_from([1, 2, 3, 5, 16, 33, 130]))
     cell = st.integers(-3, 3).map(float)
     rows = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=1, max_size=6))
     rows.append([0.0] * dim)
