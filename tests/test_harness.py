@@ -932,10 +932,12 @@ def _retrieval_set(directory):
     golds = [1, 5, 9, 3, 11, 6, 13, 2, 14, 20, 22, 17]
     q_vecs = []
     for n, g in enumerate(golds):
-        exact = n in (0, 2, 4, 6, 8)
-        q_vecs.append([x if exact or abs(x) > 1e300 else x + rng.randint(-4, 4) / 2
-                       for x in rows[g]] if g < 20 else
-                      [float(rng.randint(-4, 4)) for _ in range(dim)])
+        if g >= 20:  # an overflow row: the query is unrelated to it
+            q_vecs.append([float(rng.randint(-4, 4)) for _ in range(dim)])
+        elif n in (0, 2, 4, 6, 8):  # equal to its gold, so ties decide its rank
+            q_vecs.append(list(rows[g]))
+        else:
+            q_vecs.append([x + rng.randint(-4, 4) / 2 for x in rows[g]])
     q_ids = [f"q{n:02d}" for n in range(len(golds))]
     write_embeddings(directory / "q.emb", EmbeddingMatrix(q_ids, q_vecs))
     _write_jsonl(directory / "gold.jsonl",
