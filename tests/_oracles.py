@@ -249,6 +249,15 @@ def _ngrams(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def clipped_reference(cand, ref, n: int) -> tuple[int, int, int]:
+    """Clipped n-gram matches of `cand` against `ref`, then the number of
+    n-grams on each side."""
+    counts = _ngrams(cand, n)
+    ref_counts = _ngrams(ref, n)
+    hit = sum(min(c, ref_counts[g]) for g, c in counts.items())
+    return hit, sum(counts.values()), sum(ref_counts.values())
+
+
 def bleu_reference(candidates, references, max_n: int) -> float:
     """Corpus BLEU computed straight from the definition; one reference
     per candidate."""

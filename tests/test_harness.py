@@ -378,6 +378,45 @@ class TestEvalGeneration:
         with pytest.raises(ValueError):
             eval_generation(path, "protein")
 
+    @pytest.mark.parametrize("target_kind", ["text", "molecule"])
+    def test_full_report_is_pinned(self, tmp_path, monkeypatch, target_kind):
+        _gen_set(tmp_path, target_kind)
+        monkeypatch.chdir(tmp_path)
+        assert eval_generation("g.jsonl", target_kind).payload() == _PINNED_GEN[target_kind]
+
+
+_GEN_WORDS = ("the", "molecule", "is", "a", "an", "acid", "acids", "ring", "rings", "coating",
+              "coated", "group", "groups", "with", "of")
+_GEN_SMILES = ("CCO", "OCC", "c1ccccc1", "C1=CC=CC=C1", "CC(=O)O", "c1ccncc1", "C1CCCCC1N",
+               "CC(C)N", "C1CC", "C(C)(C)(C)(C)C", "c1cccc1", "CCCCO", "O=C(O)c1ccccc1O", "")
+
+
+def _gen_set(directory, target_kind):
+    """Writes g.jsonl, 30 seeded records: for text, captions with shared
+    stems, some predictions equal to their reference, some perturbed, one
+    empty; for molecules, SMILES with equal, re-written, unparseable
+    (`C1CC`, `c1cccc1`), invalid and empty sides."""
+    rng = random.Random(1818)
+    rows = []
+    for i in range(30):
+        if target_kind == "text":
+            ref = rng.choices(_GEN_WORDS, k=rng.randint(1, 16))
+            roll = rng.random()
+            if roll < 0.2:
+                pred = list(ref)
+            elif roll < 0.6:
+                pred = [w if rng.random() < 0.7 else rng.choice(_GEN_WORDS) for w in ref]
+            else:
+                pred = rng.choices(_GEN_WORDS, k=rng.randint(0 if i == 7 else 1, 16))
+            if i == 7:
+                pred = []
+            rows.append(_gen_row(i, " ".join(pred), [" ".join(ref)], out="caption"))
+        else:
+            ref = rng.choice(_GEN_SMILES[:-1])
+            pred = ref if rng.random() < 0.25 else rng.choice(_GEN_SMILES)
+            rows.append(_gen_row(i, pred, [ref]))
+    _write_jsonl(directory / "g.jsonl", rows)
+
 
 def test_report_rejects_unknown_metric():
     with pytest.raises(ValueError, match="vocabulary"):
@@ -956,5 +995,48 @@ _PINNED_RETRIEVAL = {
             "t.csv": "ccba1dea347de87f31a7a96c4de09c62283a36ba55100cf3c9a9d062de437e1c",
         },
         "tool": {"name": "moleval", "version": "0.1.0"},
+    },
+}
+
+
+_PINNED_GEN = {
+    "text": {
+        "task": "eval-gen-text",
+        "metrics": {
+            "bleu-2": 0.4915094081663211,
+            "bleu-4": 0.4020947888179653,
+            "rouge-1": 0.6348862330479977,
+            "rouge-2": 0.46722222222222226,
+            "rouge-l": 0.6067268923886571,
+            "meteor": 0.5611188585580055,
+        },
+        "counts": {"evaluated": 30, "skipped": 0},
+        "provenance": {
+            "inputs": {"g.jsonl": "d023ace34d2985171a7340bc91e1cdee162bd42d2500c463436c6b760b4b9cfc"},
+            "tool": {"name": "moleval", "version": "0.1.0"},
+        },
+        "details": {"sentence_level": {"bleu-2": 0.49995787018659127, "bleu-4": 0.2341920676978506}},
+    },
+    "molecule": {
+        "task": "eval-gen-molecule",
+        "metrics": {
+            "bleu-2": 0.5666308547418543,
+            "bleu-4": 0.5221520632805555,
+            "exact-match": 0.4,
+            "exact-match-raw": 0.4,
+            "levenshtein": 3.9,
+            "validity": 0.9,
+            "rdk-fts": 0.4779487179487179,
+            "morgan-fts": 0.4958173690932312,
+        },
+        "counts": {"evaluated": 30, "skipped": 0},
+        "provenance": {
+            "inputs": {"g.jsonl": "7d98e6a15313d4efd8508838a400f03067d73c9dc82164d997fb6b672b3757a7"},
+            "tool": {"name": "moleval", "version": "0.1.0"},
+        },
+        "details": {
+            "sentence_level": {"bleu-2": 0.5359597236513097, "bleu-4": 0.33671273344082925},
+            "unparseable_predictions": 2,
+        },
     },
 }

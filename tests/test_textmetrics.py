@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from _pinned_meteor import ROWS as METEOR_ROWS
 from moleval.textmetrics import (
     EmptyCorpus,
     EmptyInput,
@@ -18,6 +19,7 @@ from moleval.textmetrics import (
     exact_match_raw,
     levenshtein,
     meteor_lite,
+    ngram_counts,
     rouge,
     tokenize,
 )
@@ -110,6 +112,24 @@ def test_bleu_sentence_oracle_agreement():
                 [c.tokens for c in cands], [r.tokens for r in refs], max_n
             )
             assert got == pytest.approx(want, abs=1e-9)
+
+
+@st.composite
+def _token_pairs(draw):
+    # 0-12 tokens over a 4-6 word alphabet: repeated n-grams, equal
+    # sequences and sequences shorter than n all occur
+    alphabet = ["acid", "ring", "the", "is", "a", "cat"][: draw(st.integers(4, 6))]
+    seq = st.lists(st.sampled_from(alphabet), max_size=12).map(tuple)
+    cand = draw(seq)
+    return cand, cand if draw(st.booleans()) else draw(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_token_pairs(), min_size=1, max_size=4))
+def test_ngram_counts_match_reference(pairs):
+    got = ngram_counts([TokenSeq(c, "whitespace") for c, _ in pairs],
+                       [TokenSeq(r, "whitespace") for _, r in pairs])
+    assert got == [[oracle.clipped_reference(c, r, n) for n in range(1, 5)] for c, r in pairs]
 
 
 # -- rouge ----------------------------------------------------------------------
@@ -226,6 +246,11 @@ def test_meteor_oracle_agreement_long_sequences():
         got = meteor_lite(cand, ref)
         want = oracle.meteor_reference(cand.tokens, ref.tokens)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_meteor_pinned_bits():
+    for cand, ref, want in METEOR_ROWS:
+        assert meteor_lite(ws(cand), ws(ref)) == float.fromhex(want), (cand, ref)
 
 
 # -- levenshtein -------------------------------------------------------------------
