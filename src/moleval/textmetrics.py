@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 
 from .molgraph import MolGraph, SmilesError, canonical_smiles, parse_smiles, validity
@@ -52,13 +53,23 @@ def tokenize(text: str, scheme: str) -> TokenSeq:
     return TokenSeq(tokens=tokens, scheme=scheme)
 
 
-def _clipped(cand, ref, n: int) -> tuple[int, int, int]:
-    """Clipped n-gram matches of `cand` against `ref`, then the number of
-    n-grams on each side. The only place n-grams are counted."""
-    cand_counts = Counter(zip(*(cand[i:] for i in range(n))))
-    ref_counts = Counter(zip(*(ref[i:] for i in range(n))))
-    hit = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-    return hit, max(0, len(cand) - n + 1), max(0, len(ref) - n + 1)
+def _grams(s):
+    """Every n-gram of `s` of orders 1-4, as a tuple of n tokens."""
+    return chain(zip(s), zip(s, s[1:]), zip(s, s[1:], s[2:]), zip(s, s[1:], s[2:], s[3:]))
+
+
+def _clipped(cand, ref) -> list[tuple[int, int, int]]:
+    """Per order 1-4, the clipped n-gram matches of `cand` against `ref`,
+    then the number of n-grams on each side. One Counter per side holds
+    all four orders, since tuples of different lengths never collide. The
+    only place n-grams are counted."""
+    get = Counter(_grams(ref)).get
+    hits = [0] * 5
+    for g, c in Counter(_grams(cand)).items():
+        r = get(g, 0)
+        if r:
+            hits[len(g)] += c if c < r else r  # min(c, r)
+    return [(hits[n], max(0, len(cand) - n + 1), max(0, len(ref) - n + 1)) for n in range(1, 5)]
 
 
 def _corpus_bleu(matched, total, cand_len: int, ref_len: int) -> float:
@@ -84,8 +95,7 @@ def ngram_counts(
     if not candidates:
         raise EmptyCorpus("no sentence pairs")
     return [
-        [_clipped(cand.tokens, ref.tokens, n) for n in range(1, 5)]
-        for cand, ref in zip(candidates, references)
+        _clipped(cand.tokens, ref.tokens) for cand, ref in zip(candidates, references)
     ]
 
 
@@ -147,7 +157,7 @@ def rouge(candidate: TokenSeq, reference: TokenSeq, variant: str) -> float:
     if len(candidate) == 0 or len(reference) == 0:
         raise EmptyInput("rouge needs non-empty sequences")
     if variant in ("r1", "r2"):
-        return _f1(*_clipped(candidate.tokens, reference.tokens, int(variant[1])))
+        return _f1(*_clipped(candidate.tokens, reference.tokens)[int(variant[1]) - 1])
     if variant == "rl":
         cand, ref = candidate.tokens, reference.tokens
         return _f1(_lcs_length(cand, ref), len(cand), len(ref))
@@ -200,31 +210,32 @@ def meteor_lite(candidate: TokenSeq, reference: TokenSeq) -> float:
     fragmentation penalty."""
     if len(candidate) == 0 or len(reference) == 0:
         raise EmptyInput("meteor needs non-empty sequences")
-    cand = list(candidate.tokens)
-    ref = list(reference.tokens)
+    cand, ref = candidate.tokens, reference.tokens
+    # free reference positions by token, last first: pop() hands out the
+    # first unused equal reference, as a left-to-right scan would
+    free: dict[str, list[int]] = {}
+    for ri in range(len(ref) - 1, -1, -1):
+        free.setdefault(ref[ri], []).append(ri)
     pairs: list[tuple[int, int]] = []
-    used_cand: set[int] = set()
-    used_ref: set[int] = set()
-
-    def run_stage(key):
-        # free reference positions by key, last first: pop() hands out the
-        # first unused equal reference, as a left-to-right scan would
-        free: dict[str, list[int]] = {}
-        for ri in range(len(ref) - 1, -1, -1):
-            if ri not in used_ref:
-                free.setdefault(key(ref[ri]), []).append(ri)
-        for ci, token in enumerate(cand):
-            if ci in used_cand:
-                continue
-            slots = free.get(key(token))
+    left = []
+    for ci, token in enumerate(cand):
+        slots = free.get(token)
+        if slots:
+            pairs.append((ci, slots.pop()))
+        else:
+            left.append(ci)
+    if left:
+        # the stem stage sees only the reference positions still free, by
+        # stem, again last first
+        stems: dict[str, list[int]] = {}
+        for token, slots in free.items():
             if slots:
-                ri = slots.pop()
-                pairs.append((ci, ri))
-                used_cand.add(ci)
-                used_ref.add(ri)
-
-    run_stage(lambda t: t)
-    run_stage(_stem)
+                key = _stem(token)
+                stems[key] = sorted(stems[key] + slots, reverse=True) if key in stems else slots
+        for ci in left:
+            slots = stems.get(_stem(cand[ci]))
+            if slots:
+                pairs.append((ci, slots.pop()))
     m = len(pairs)
     if m == 0:
         return 0.0
