@@ -396,7 +396,7 @@ def _gen_set(directory, target_kind):
     """Writes g.jsonl, 30 seeded records: for text, captions with shared
     stems, some predictions equal to their reference, some perturbed, one
     empty; for molecules, SMILES with equal, re-written, unparseable
-    (`C1CC`, `c1cccc1`), invalid and empty sides."""
+    (`C1CC`, empty) and invalid (`C(C)(C)(C)(C)C`, `c1cccc1`) sides."""
     rng = random.Random(1818)
     rows = []
     for i in range(30):
