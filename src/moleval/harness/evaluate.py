@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ from ..textmetrics import (
     tokenize,
 )
 from .records import read_embeddings, read_gen_records, read_gold, read_property_rows
-from .reports import provenance_for, provenance_of, sha256_file
+from .reports import provenance_of
 
 METRIC_NAMES = frozenset(
     {
@@ -119,7 +120,8 @@ def eval_generation(records_path, target_kind: str) -> Report:
     predictions score zero where chemistry is needed but stay counted."""
     if target_kind not in ("molecule", "text"):
         raise ValueError(f"unknown target kind {target_kind!r}")
-    records = read_gen_records(records_path)
+    digest = hashlib.sha256()
+    records = read_gen_records(records_path, digest)
     preds = [r.prediction for r in records]
     refs = [r.references[0] for r in records]
     scheme = "smiles_regex" if target_kind == "molecule" else "whitespace"
@@ -156,7 +158,7 @@ def eval_generation(records_path, target_kind: str) -> Report:
         task=f"eval-gen-{target_kind}",
         metrics=metrics,
         counts={"evaluated": len(records), "skipped": 0},
-        provenance=provenance_for([records_path]),
+        provenance=provenance_of({str(records_path): digest.hexdigest()}),
         details=details,
     )
 
@@ -164,7 +166,8 @@ def eval_generation(records_path, target_kind: str) -> Report:
 def eval_retrieval(queries_path, targets_path, gold_path) -> Report:
     queries, queries_digest = read_embeddings(queries_path)
     targets, targets_digest = read_embeddings(targets_path)
-    gold = read_gold(gold_path)
+    gold_digest = hashlib.sha256()
+    gold = read_gold(gold_path, gold_digest)
     result = retrieval_eval(queries, targets, gold, ks=(1, 5, 10))
     metrics = {
         "mrr": result["mrr"],
@@ -177,13 +180,14 @@ def eval_retrieval(queries_path, targets_path, gold_path) -> Report:
         metrics=metrics,
         counts={"evaluated": len(gold), "skipped": 0},
         provenance=provenance_of({str(queries_path): queries_digest, str(targets_path): targets_digest,
-                                  str(gold_path): sha256_file(gold_path)}),
+                                  str(gold_path): gold_digest.hexdigest()}),
         details={"ranks": list(result["ranks"])},
     )
 
 
 def eval_property(records_path) -> Report:
-    kind, tasks = read_property_rows(records_path)
+    digest = hashlib.sha256()
+    kind, tasks = read_property_rows(records_path, digest)
     skip_reasons: dict[str, int] = {}
     if kind == "classification":
         scored = {
@@ -224,7 +228,7 @@ def eval_property(records_path) -> Report:
         task="eval-property",
         metrics=metrics,
         counts={"evaluated": len(tasks), "skipped": skipped},
-        provenance=provenance_for([records_path]),
+        provenance=provenance_of({str(records_path): digest.hexdigest()}),
         details=details,
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 from ..molgraph import (
@@ -13,10 +14,10 @@ from ..molgraph import (
     summarize_descriptors,
     validity,
 )
-from ..selfies import NotEncodable, encode_selfies
+from ..selfies import NotEncodable, check_encodable
 from ..textmetrics import SCHEMES, tokenize
 from .records import read_profile_rows
-from .reports import provenance_for
+from .reports import provenance_of
 
 _HIST_BUCKET = 10
 
@@ -79,7 +80,8 @@ def profile_dataset(records_path) -> dict:
     unencodable: list[str] = []
     scaffold_counts: Counter = Counter()
     described = {key: [] for key in ("mol_weight", "heavy_atoms", "rings", "aromatic_rings")}
-    for row in read_profile_rows(records_path):
+    digest = hashlib.sha256()
+    for row in read_profile_rows(records_path, digest):
         records += 1
         for key, per_row in lengths.items():
             if key in row:
@@ -95,7 +97,7 @@ def profile_dataset(records_path) -> dict:
             invalid.append(row["id"])
             continue
         try:
-            encode_selfies(graph)
+            check_encodable(graph)
         except NotEncodable:
             unencodable.append(row["id"])
         scaffold = murcko_scaffold(graph)
@@ -120,7 +122,7 @@ def profile_dataset(records_path) -> dict:
             "invalid_smiles": sorted(invalid),
             "selfies_unencodable": sorted(unencodable),
         },
-        "provenance": provenance_for([records_path]),
+        "provenance": provenance_of({str(records_path): digest.hexdigest()}),
     }
     if labels:
         payload["split_check"] = _split_check(labels)

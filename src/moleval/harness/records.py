@@ -44,10 +44,31 @@ class GenRecord:
     references: tuple[str, ...]
 
 
-def _iter_jsonl(path):
+class _Hashing(io.RawIOBase):
+    """A binary file whose bytes feed a hash as they are read."""
+
+    def __init__(self, raw, digest):
+        self._raw, self._digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:count])
+        return count
+
+
+def _iter_jsonl(path, digest=None):
+    """(line number, object) of each line. Given a hashlib object, feeds it
+    the file's bytes as they stream in, so the file is opened once."""
     # a line ends only at \n, \r\n or \r: str.splitlines would also end one
     # at U+2028, U+0085 and the other breaks JSON allows raw in a string
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as raw, io.TextIOWrapper(
+        raw if digest is None else io.BufferedReader(_Hashing(raw, digest)),
+        encoding="utf-8",
+        newline=None,
+    ) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -74,10 +95,10 @@ def _require(obj: dict, key: str, kind, lineno: int):
     return value
 
 
-def read_gen_records(path) -> list[GenRecord]:
+def read_gen_records(path, digest=None) -> list[GenRecord]:
     records = []
     seen_ids = set()
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in _iter_jsonl(path, digest):
         rec_id = _require(obj, "id", str, lineno)
         if rec_id in seen_ids:
             raise SchemaError(f"duplicate id {rec_id!r}", lineno)
@@ -99,9 +120,9 @@ def read_gen_records(path) -> list[GenRecord]:
     return records
 
 
-def read_gold(path) -> dict[str, str]:
+def read_gold(path, digest=None) -> dict[str, str]:
     gold = {}
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in _iter_jsonl(path, digest):
         query = _require(obj, "query", str, lineno)
         target = _require(obj, "target", str, lineno)
         if query in gold:
@@ -128,12 +149,12 @@ def read_results(path) -> list[TaskResult]:
     return results
 
 
-def read_property_rows(path):
+def read_property_rows(path, digest=None):
     """Returns ("classification", {task: {"labels", "scores"}}) or
     ("regression", {task: {"preds", "truths"}}). A file holds one kind."""
     kind = None
     tasks: dict[str, dict[str, list]] = {}
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in _iter_jsonl(path, digest):
         task = _require(obj, "task", str, lineno)
         if "label" in obj or "score" in obj:
             row_kind = "classification"
@@ -193,11 +214,11 @@ def read_pairs(path, scheme: str = "whitespace") -> list[tuple[list[str], list[s
 _PROFILE_TEXT_FIELDS = ("selfies", "iupac", "caption")
 
 
-def read_profile_rows(path):
+def read_profile_rows(path, digest=None):
     """Yields each row as a dict of its id, smiles and present text fields
     and split; raises EmptyFile after the last line if there was no row."""
     seen_ids = set()
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in _iter_jsonl(path, digest):
         rec_id = _require(obj, "id", str, lineno)
         if rec_id in seen_ids:
             raise SchemaError(f"duplicate id {rec_id!r}", lineno)

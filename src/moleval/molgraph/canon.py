@@ -38,7 +38,7 @@ def canonical_smiles(graph: MolGraph) -> str:
     # everything the search and the writer read, derived once per call:
     # each atom's hydrogen count and token, and its (bond order, neighbour,
     # bond token) links
-    bare_h = [graph.bare_h(idx) for idx in range(len(graph.atoms))]
+    bare_h = graph.bare_hs()
     total_h = [h if atom.explicit_h is None else atom.explicit_h for atom, h in zip(graph.atoms, bare_h)]
     tokens = [_atom_token(atom, h, bare) for atom, h, bare in zip(graph.atoms, total_h, bare_h)]
     links: list[list[tuple[int, int, str]]] = [[] for _ in graph.atoms]
@@ -46,11 +46,14 @@ def canonical_smiles(graph: MolGraph) -> str:
         token = _bond_token(graph, bond.a, bond.b, bond.order)
         links[bond.a].append((bond.order, bond.b, token))
         links[bond.b].append((bond.order, bond.a, token))
-    ranks = _initial_ranks(graph, total_h)
+    ranks = _initial_ranks(graph, total_h, links)
+    components = graph.components()
+    if len(components) == 1:
+        return _search(links, tokens, ranks)
     # each component is searched on its own, so identical components
     # (hydrates, salts) never multiply each other's tie forks
     pieces = []
-    for comp in graph.components():
+    for comp in components:
         local = {atom: i for i, atom in enumerate(comp)}
         comp_links = [[(order, local[nbr], tok) for order, nbr, tok in links[a]] for a in comp]
         comp_ranks = _dense([ranks[a] for a in comp])
@@ -61,14 +64,14 @@ def canonical_smiles(graph: MolGraph) -> str:
 # -- ranking ---------------------------------------------------------------
 
 
-def _initial_ranks(graph: MolGraph, total_h: list[int]) -> list[int]:
+def _initial_ranks(graph: MolGraph, total_h: list[int], links) -> list[int]:
     ring = graph.ring_atoms()
     invariants = []
     for idx, atom in enumerate(graph.atoms):
         invariants.append(
             (
                 atom.element,
-                graph.degree(idx),
+                len(links[idx]),
                 atom.charge,
                 total_h[idx],
                 idx in ring,

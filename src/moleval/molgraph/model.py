@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .elements import default_valence
 
@@ -27,6 +27,13 @@ class Atom:
     explicit_h: int | None = None
     chirality: str | None = None  # parsed annotation, ignored downstream
 
+    def copy(self) -> "Atom":
+        # the constructor, not dataclasses.replace, which walks fields() on
+        # every call; a new field must be added here too
+        return Atom(
+            self.element, self.charge, self.isotope, self.aromatic, self.explicit_h, self.chirality
+        )
+
 
 @dataclass
 class Bond:
@@ -48,6 +55,7 @@ class MolGraph:
         self._adj: list[list[int]] | None = None
         self._rings: list[list[int]] | None = None
         self._kekule = _UNSET
+        self._plain_sums: list[int] | None = None
         self._bare_h: list[int] | None = None
         # validity result, filled by moleval.molgraph.props.validity on first use
         self._valid: bool | None = None
@@ -80,6 +88,7 @@ class MolGraph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted atom-index lists."""
+        adjacency, bonds = self.adjacency(), self.bonds
         seen = [False] * len(self.atoms)
         out = []
         for start in range(len(self.atoms)):
@@ -90,7 +99,9 @@ class MolGraph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in self.neighbors(v):
+                for bi in adjacency[v]:
+                    bond = bonds[bi]
+                    w = bond.b if bond.a == v else bond.a
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)
@@ -167,22 +178,36 @@ class MolGraph:
 
     # -- valence and hydrogens -----------------------------------------
 
-    def plain_bond_sum(self, idx: int) -> int:
-        """Bond order sum with aromatic bonds counted as one."""
-        return sum(_ORDER_VALUE[self.bonds[bi].order] for bi in self.adjacency()[idx])
+    def plain_bond_sums(self) -> list[int]:
+        """Each atom's bond order sum with aromatic bonds counted as one,
+        from one pass over the bonds. Cached per graph."""
+        if self._plain_sums is None:
+            sums = [0] * len(self.atoms)
+            for bond in self.bonds:
+                value = _ORDER_VALUE[bond.order]
+                sums[bond.a] += value
+                sums[bond.b] += value
+            self._plain_sums = sums
+        return self._plain_sums
+
+    def bare_hs(self) -> list[int]:
+        """Every atom's bare_h. Cached per graph."""
+        if self._bare_h is None:
+            self._bare_h = self._bare_h_rule()
+        return self._bare_h
 
     def bare_h(self, idx: int) -> int:
-        """Hydrogens of the atom written without brackets (the OpenSMILES
-        rule): default valence less the bond sum, less one more for an
-        aromatic atom's pi bond, never below zero. Cached per graph."""
-        if self._bare_h is None:
-            self._bare_h = [self._bare_h_rule(i) for i in range(len(self.atoms))]
-        return self._bare_h[idx]
+        return self.bare_hs()[idx]
 
-    def _bare_h_rule(self, idx: int) -> int:
-        atom = self.atoms[idx]
-        dv = default_valence(atom.element, atom.charge)
-        return 0 if dv is None else max(0, dv - self.plain_bond_sum(idx) - atom.aromatic)
+    def _bare_h_rule(self) -> list[int]:
+        """Hydrogens of each atom written without brackets (the OpenSMILES
+        rule): default valence less the bond sum, less one more for an
+        aromatic atom's pi bond, never below zero."""
+        out = []
+        for atom, bonded in zip(self.atoms, self.plain_bond_sums()):
+            dv = default_valence(atom.element, atom.charge)
+            out.append(0 if dv is None else max(0, dv - bonded - atom.aromatic))
+        return out
 
     def implicit_h(self, idx: int) -> int:
         """Derived hydrogen count; zero for bracket atoms."""
@@ -192,11 +217,17 @@ class MolGraph:
         explicit = self.atoms[idx].explicit_h
         return self.bare_h(idx) if explicit is None else explicit
 
-    def total_valence(self, idx: int) -> int:
-        """Kekulé bond order sum plus hydrogens."""
+    def kekule_bond_sums(self) -> list[int] | None:
+        """Each atom's bond order sum in the Kekulé form, from one pass over
+        the bonds; None when no Kekulé form exists."""
         orders = self.kekulize()
-        assert orders is not None, "graph has no Kekulé form"
-        return sum(orders[bi] for bi in self.adjacency()[idx]) + self.total_h(idx)
+        if orders is None:
+            return None
+        sums = [0] * len(self.atoms)
+        for bond, order in zip(self.bonds, orders):
+            sums[bond.a] += order
+            sums[bond.b] += order
+        return sums
 
     def kekulize(self) -> list[int] | None:
         """Concrete order of every bond, or None when no Kekulé form exists.
@@ -208,10 +239,12 @@ class MolGraph:
         """
         if self._kekule is not _UNSET:
             return self._kekule
+        sums = self.plain_bond_sums()
         needy = {}  # atoms that need a pi bond, in index order
         for idx, atom in enumerate(self.atoms):
-            dv = default_valence(atom.element, atom.charge)
-            if atom.aromatic and (dv or 0) > self.plain_bond_sum(idx) + self.total_h(idx):
+            if not atom.aromatic:
+                continue
+            if (default_valence(atom.element, atom.charge) or 0) > sums[idx] + self.total_h(idx):
                 needy[idx] = True
         adj: list[list[int]] = [[] for _ in self.atoms]
         for b in self.bonds:
@@ -238,7 +271,7 @@ class MolGraph:
     def subgraph(self, keep: list[int]) -> "MolGraph":
         """Induced subgraph; atoms re-indexed preserving relative order."""
         index = {old: new for new, old in enumerate(keep)}
-        atoms = [replace(self.atoms[i]) for i in keep]
+        atoms = [self.atoms[i].copy() for i in keep]
         bonds = [
             Bond(index[b.a], index[b.b], b.order, b.stereo)
             for b in self.bonds
@@ -251,7 +284,7 @@ class MolGraph:
         n = len(self.atoms)
         atoms: list[Atom | None] = [None] * n
         for i, atom in enumerate(self.atoms):
-            atoms[perm[i]] = replace(atom)
+            atoms[perm[i]] = atom.copy()
         bonds = [Bond(perm[b.a], perm[b.b], b.order, b.stereo) for b in self.bonds]
         return MolGraph(list(atoms), bonds)  # type: ignore[arg-type]
 

@@ -18,11 +18,12 @@ def validity(graph: MolGraph) -> bool:
 
 
 def _valence_check(graph: MolGraph) -> bool:
-    if graph.kekulize() is None:
+    bonded = graph.kekule_bond_sums()
+    if bonded is None:
         return False
     for idx, atom in enumerate(graph.atoms):
         allowed = allowed_valences(atom.element, atom.charge)
-        if allowed is not None and graph.total_valence(idx) not in allowed:
+        if allowed is not None and bonded[idx] + graph.total_h(idx) not in allowed:
             return False
     return True
 

@@ -251,8 +251,29 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
     Raises NotEncodable for graphs outside the supported set: empty or
     multi-component graphs, elements beyond the core table, isotopes,
     charges beyond one digit, hydrogen counts away from their derived
-    defaults, or aromatic systems with no Kekulé form.
+    defaults, aromatic systems with no Kekulé form, or structures whose
+    ring or branch sizes need more than three index digits.
     """
+    return _write_selfies(graph, _checked_orders(graph))
+
+
+def check_encodable(graph: MolGraph) -> None:
+    """Raises NotEncodable exactly where encode_selfies does, writing the
+    stream only where its size could make the writer refuse.
+
+    The writer refuses an index of 4096 or more. An index is an atom
+    distance or a token count less one, and the stream holds one token per
+    atom plus at most one ring or branch head of at most four tokens per
+    bond, so no index reaches 4096 while atoms + 4 * bonds <= 4096.
+    """
+    orders = _checked_orders(graph)
+    if len(graph.atoms) + 4 * len(graph.bonds) > 4096:
+        _write_selfies(graph, orders)
+
+
+def _checked_orders(graph: MolGraph) -> list[int]:
+    """The Kekulé bond orders of a graph in the supported set; raises
+    NotEncodable for any other graph."""
     if not graph.atoms:
         raise NotEncodable("empty graph")
     if len(graph.components()) > 1:
@@ -267,18 +288,22 @@ def encode_selfies(graph: MolGraph) -> SelfiesStream:
         if atom.charge and allowed_valences(atom.element, atom.charge) == (0,):
             raise NotEncodable("charge leaves no bonding capacity")
 
-    orders = graph.kekulize()
-    if orders is None:
+    bonded = graph.kekule_bond_sums()
+    if bonded is None:
         raise NotEncodable("aromatic system has no Kekulé form")
 
     for idx, atom in enumerate(graph.atoms):
-        bonded = sum(orders[bi] for bi in graph.adjacency()[idx])
-        derived_h = _derived_h(atom.element, atom.charge, bonded)
+        derived_h = _derived_h(atom.element, atom.charge, bonded[idx])
         if derived_h is None:
             raise NotEncodable("bond orders exceed the element's valence")
         if derived_h != graph.total_h(idx):
             raise NotEncodable("hydrogen count is not at its derived default")
+    return graph.kekulize()
 
+
+def _write_selfies(graph: MolGraph, orders: list[int]) -> SelfiesStream:
+    """The stream of a graph that passed _checked_orders; raises
+    NotEncodable when a ring or branch size needs a fourth index digit."""
     visited = [False] * len(graph.atoms)
     position: dict[int, int] = {}
     bond_done = [False] * len(graph.bonds)

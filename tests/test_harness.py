@@ -19,9 +19,10 @@ from moleval.harness.evaluate import (
     eval_retrieval,
     merge_reports,
 )
+from moleval import selfies
 from moleval.harness import profile as profile_module
 from moleval.harness.cli import main
-from moleval.molgraph import parse_smiles
+from moleval.molgraph import MolGraph, parse_smiles
 from moleval.harness.profile import profile_dataset
 from moleval.harness.records import (
     EmptyFile,
@@ -58,6 +59,35 @@ def _gen_row(i, pred, refs, out="smiles"):
         "prediction": pred,
         "references": refs,
     }
+
+
+def _count_opens(monkeypatch) -> Counter:
+    """Counts the open and Path.open calls of each path until
+    monkeypatch.undo()."""
+    opened = Counter()
+    path_open, builtin_open = pathlib.Path.open, builtins.open
+
+    def count_path_open(self, *args, **kwargs):
+        opened[str(self)] += 1
+        return path_open(self, *args, **kwargs)
+
+    def count_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "open", count_path_open)
+    monkeypatch.setattr(builtins, "open", count_open)
+    return opened
+
+
+def _write_mixed_endings(path, rows, seed=5):
+    """JSON lines ending in \n, \r\n or \r at random, with non-ASCII text,
+    over several of the reader's 8 KiB chunks."""
+    rng = random.Random(seed)
+    text = "".join(json.dumps(row, ensure_ascii=False) + rng.choice(["\n", "\r\n", "\r"]) for row in rows)
+    path.write_bytes(text.encode("utf-8"))
+    assert len(text) > 3 * 8192
+    return str(path)
 
 
 class TestGenRecords:
@@ -333,10 +363,10 @@ class TestEvalGeneration:
             per_graph["codes"][id(graph)] += 1
             return initial_codes(graph)
 
-        def counted_bare_h(graph, idx):
+        def counted_bare_h(graph):
             alive.append(graph)
-            per_graph["bare_h"][id(graph), idx] += 1
-            return bare_h_rule(graph, idx)
+            per_graph["bare_h"][id(graph)] += 1
+            return bare_h_rule(graph)
 
         valence_check = props._valence_check
 
@@ -366,6 +396,19 @@ class TestEvalGeneration:
         assert per_graph["bare_h"] and set(per_graph["bare_h"].values()) == {1}
         assert len(per_graph["valid"]) == checked
         assert set(per_graph["valid"].values()) == {1}
+
+    @pytest.mark.parametrize("target_kind", ["molecule", "text"])
+    def test_record_file_read_once(self, tmp_path, monkeypatch, target_kind):
+        # provenance hashes the bytes the reader parsed, whatever the line ends
+        rows = [_gen_row(i, f"CC{'O' * (i % 5)}", ["OCC"], "caption") for i in range(400)]
+        rows[7]["references"] = ["éthanol — ç"]
+        path = _write_mixed_endings(tmp_path / "g.jsonl", rows)
+        opened = _count_opens(monkeypatch)
+        report = eval_generation(path, target_kind)
+        monkeypatch.undo()
+        assert opened[path] == 1
+        assert report.provenance["inputs"] == {path: sha256_file(path)}
+        assert report.counts["evaluated"] == 400
 
     def test_deterministic_rendering(self, tmp_path):
         rows = [_gen_row(i, "CCO", ["OCC"]) for i in range(5)]
@@ -588,22 +631,10 @@ class TestEvalRetrieval:
         # provenance hashes the bytes the reader parsed
         _retrieval_set(tmp_path)
         paths = [str(tmp_path / name) for name in ("q.emb", "t.csv", "gold.jsonl")]
-        opened = Counter()
-        path_open, builtin_open = pathlib.Path.open, builtins.open
-
-        def count_path_open(self, *args, **kwargs):
-            opened[str(self)] += 1
-            return path_open(self, *args, **kwargs)
-
-        def count_open(file, *args, **kwargs):
-            opened[str(file)] += 1
-            return builtin_open(file, *args, **kwargs)
-
-        monkeypatch.setattr(pathlib.Path, "open", count_path_open)
-        monkeypatch.setattr(builtins, "open", count_open)
+        opened = _count_opens(monkeypatch)
         report = eval_retrieval(*paths)
         monkeypatch.undo()
-        assert (opened[paths[0]], opened[paths[1]]) == (1, 1)
+        assert [opened[p] for p in paths] == [1, 1, 1]
         assert report.provenance["inputs"] == {p: sha256_file(p) for p in paths}
 
     def test_full_report_is_pinned(self, tmp_path, monkeypatch):
@@ -797,6 +828,46 @@ class TestProfile:
         profile_dataset(_write_jsonl(tmp_path / "d.jsonl", _profile_rows(7, ["train"] * 100)))
         assert len(alive) == 100
         assert max(alive) <= 1
+
+    def test_row_file_read_once(self, tmp_path, monkeypatch):
+        rows = _profile_rows(7, ["train"] * 400)
+        rows[3]["caption"] = "éthanol — ç"
+        path = _write_mixed_endings(tmp_path / "d.jsonl", rows)
+        opened = _count_opens(monkeypatch)
+        payload = profile_dataset(path)
+        monkeypatch.undo()
+        assert opened[path] == 1
+        assert payload["provenance"]["inputs"] == {path: sha256_file(path)}
+        assert payload["counts"]["records"] == 400
+
+    def test_selfies_writer_runs_only_above_the_size_bound(self, tmp_path, monkeypatch):
+        # below atoms + 4 * bonds <= 4096 the SELFIES verdict needs no
+        # stream, so only the 1500-atom chain enters the writer; each graph,
+        # parsed row or scaffold, has its bare H counts filled once
+        written = []
+        bare_h = Counter()
+        alive = []  # keeps counted graphs alive so no id is reused
+        write, bare_h_rule = selfies._write_selfies, MolGraph._bare_h_rule
+
+        def counted_write(graph, orders):
+            written.append(len(graph.atoms))
+            return write(graph, orders)
+
+        def counted_bare_h(graph):
+            alive.append(graph)
+            bare_h[id(graph)] += 1
+            return bare_h_rule(graph)
+
+        rows = _profile_rows(7, ["train"] * 60) + [{"id": "chain", "smiles": "C" * 1500}]
+        parsed = [parse_smiles(row["smiles"]) for row in rows if row["id"] != "unparseable"]
+        scaffolds = sum(bool(graph.rings()) for graph in parsed if oracle.validity_reference(graph))
+        monkeypatch.setattr(selfies, "_write_selfies", counted_write)
+        monkeypatch.setattr(MolGraph, "_bare_h_rule", counted_bare_h)
+        payload = profile_dataset(_write_jsonl(tmp_path / "d.jsonl", rows))
+        assert payload["exclusions"]["selfies_unencodable"] == ["salt"]
+        assert written == [1500]
+        assert len(bare_h) == len(parsed) + scaffolds
+        assert set(bare_h.values()) == {1}
 
     def test_malformed_last_line_names_it(self, tmp_path):
         path = tmp_path / "d.jsonl"

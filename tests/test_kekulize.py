@@ -25,7 +25,7 @@ POLYCYCLES = {
 def _needs_pi(graph: MolGraph, idx: int) -> bool:
     atom = graph.atoms[idx]
     dv = default_valence(atom.element, atom.charge)
-    return atom.aromatic and dv is not None and dv > graph.plain_bond_sum(idx) + graph.total_h(idx)
+    return atom.aromatic and dv is not None and dv > graph.plain_bond_sums()[idx] + graph.total_h(idx)
 
 
 def _check_assignment(graph: MolGraph, orders: list[int]) -> None:

@@ -1,9 +1,12 @@
 import random
+from dataclasses import asdict, fields
 
 import pytest
 
 from _oracles import murcko_scaffold_reference, random_molecule
 from moleval.molgraph import (
+    Atom,
+    Bond,
     MolGraph,
     allowed_valences,
     canonical_smiles,
@@ -119,6 +122,26 @@ def test_scaffold_long_tail_one_subgraph(monkeypatch):
     scaffold = murcko_scaffold(parse_smiles("C1CC1" + "C" * 2000))
     assert (len(scaffold.atoms), len(scaffold.bonds)) == (3, 3)
     assert calls == [3]
+
+
+def test_subgraph_and_permuted_copy_every_atom_field():
+    # a field that the copies dropped would take its default, not the
+    # distinct value each field holds here; the copies are new objects, so
+    # writing one (decode_selfies sets explicit_h in place) leaves the other
+    labelled = Atom(**{f.name: f"{f.name} value" for f in fields(Atom)})
+    graph = parse_smiles("[13CH3][C@@H](N)[O-]")
+    graph.atoms.append(labelled)
+    graph.bonds.append(Bond(3, 4))
+    order = list(range(len(graph.atoms)))
+    for copy, originals in (
+        (graph.subgraph(order), graph.atoms),
+        (graph.permuted(order[::-1]), graph.atoms[::-1]),
+    ):
+        for atom, original in zip(copy.atoms, originals, strict=True):
+            assert atom is not original
+            assert asdict(atom) == asdict(original)
+        copy.atoms[0].explicit_h = 7
+        assert originals[0].explicit_h != 7
 
 
 def test_random_molecules_valid_by_construction():

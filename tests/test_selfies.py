@@ -1,11 +1,14 @@
+import importlib
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import graphs_isomorphic, kekule_form, random_molecule
+from moleval import selfies
 from moleval.molgraph import canonical_smiles, parse_smiles, validity
 from moleval.selfies import (
     EmptyStream,
@@ -14,6 +17,7 @@ from moleval.selfies import (
     SelfiesStream,
     StrayCharacter,
     TokenKind,
+    check_encodable,
     classify_token,
     decode_selfies,
     encode_selfies,
@@ -303,3 +307,68 @@ def test_deeply_nested_branches_decode(levels):
     assert time.process_time() - start < 2.0
     assert [(b.a, b.b, b.order) for b in graph.bonds] == [(0, 1, 1)]
     assert validity(graph)
+
+
+def _perfbench_library():
+    path = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, path)
+    try:
+        return importlib.import_module("library")
+    finally:
+        sys.path.remove(path)
+
+
+def _refusal(encode, graph):
+    try:
+        encode(graph)
+    except NotEncodable as exc:
+        return str(exc)
+    return None
+
+
+def test_verdict_refuses_exactly_where_the_writer_does(monkeypatch):
+    lib = _perfbench_library()
+    rng = random.Random(7)
+    texts = list(lib.LIBRARY)
+    for smiles in lib.LIBRARY:
+        texts += [lib.reorder(smiles, rng) for _ in range(40)]
+    texts += [
+        lib.CHAIN_1500, lib.C60, lib.TETRA_TERT_BUTYLMETHANE, lib.NON_KEKULIZABLE,
+        "[NH4+]", "[O-]C(=O)C", "C[N+](C)(C)C", "[Cl-]", "[13CH4]", "CC.O", "[Na+].[Cl-]",
+        "[Fe]", "[Xe]C", "[CH2]C",
+    ]
+    refusals = {}
+    for text in texts:
+        graph = parse_smiles(text)
+        refusals[text] = _refusal(encode_selfies, graph)
+        assert _refusal(check_encodable, parse_smiles(text)) == refusals[text], text
+    assert sum(r is None for r in refusals.values()) > 2000
+    assert {r for r in refusals.values() if r is not None} == {
+        "aromatic system has no Kekulé form", "isotope labels not encodable", "multiple components",
+        "element Fe not encodable", "element Xe not encodable", "charge leaves no bonding capacity",
+        "hydrogen count is not at its derived default",
+    }
+
+    # the writer runs only where atoms + 4 * bonds > 4096, the one place it
+    # may refuse: a branch or a ring that needs a fourth index digit
+    written = []
+    write = selfies._write_selfies
+
+    def counted(graph, orders):
+        written.append(len(graph.atoms))
+        return write(graph, orders)
+
+    monkeypatch.setattr(selfies, "_write_selfies", counted)
+    too_large = "structure too large for index encoding"
+    for text, atoms, refusal in [
+        ("C(" + "C" * 4100 + ")C", 4102, too_large),
+        ("C1" + "C" * 4200 + "C1", 4202, too_large),
+        ("C" * 5000, 5000, None),
+        ("C(C)" * 411, 822, None),  # 822 + 4 * 821 = 4106
+        ("C(C)" * 410, None, None),  # 820 + 4 * 819 = 4096
+        ("C1" + "C" * 817 + "C1", None, None),  # 819 + 4 * 819 = 4095
+    ]:
+        written.clear()
+        assert _refusal(check_encodable, parse_smiles(text)) == refusal, text
+        assert written == ([] if atoms is None else [atoms]), text
+        assert _refusal(encode_selfies, parse_smiles(text)) == refusal, text
