@@ -182,12 +182,7 @@ class MolGraph:
         """Each atom's bond order sum with aromatic bonds counted as one,
         from one pass over the bonds. Cached per graph."""
         if self._plain_sums is None:
-            sums = [0] * len(self.atoms)
-            for bond in self.bonds:
-                value = _ORDER_VALUE[bond.order]
-                sums[bond.a] += value
-                sums[bond.b] += value
-            self._plain_sums = sums
+            self._plain_sums = self._atom_sums(_ORDER_VALUE[bond.order] for bond in self.bonds)
         return self._plain_sums
 
     def bare_hs(self) -> list[int]:
@@ -221,12 +216,14 @@ class MolGraph:
         """Each atom's bond order sum in the Kekulé form, from one pass over
         the bonds; None when no Kekulé form exists."""
         orders = self.kekulize()
-        if orders is None:
-            return None
+        return None if orders is None else self._atom_sums(orders)
+
+    def _atom_sums(self, bond_values) -> list[int]:
+        """Each atom's sum of the values of its bonds, given in bond order."""
         sums = [0] * len(self.atoms)
-        for bond, order in zip(self.bonds, orders):
-            sums[bond.a] += order
-            sums[bond.b] += order
+        for bond, value in zip(self.bonds, bond_values):
+            sums[bond.a] += value
+            sums[bond.b] += value
         return sums
 
     def kekulize(self) -> list[int] | None:
