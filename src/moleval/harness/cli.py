@@ -7,6 +7,7 @@ impossible input files), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -26,8 +27,8 @@ from ..textmetrics import SCHEMES
 from ..transition import MODALITIES, build_matrix, export_matrix, export_provenance
 from .evaluate import eval_generation, eval_property, eval_retrieval, merge_reports
 from .profile import profile_dataset
-from .records import DEFAULT_STOPLIST, read_pairs, read_results, read_stoplist
-from .reports import RENDERERS, provenance_for, render, resolve_out
+from .records import DEFAULT_STOPLIST, read_pairs, read_results, read_stoplist, read_text
+from .reports import RENDERERS, provenance_of, render, resolve_out
 
 
 class UsageError(Exception):
@@ -118,8 +119,12 @@ def _cmd_profile(args):
 
 def _cmd_eval(args):
     if args.repeat_merge:
-        payloads = [json.loads(Path(p).read_text(encoding="utf-8")) for p in args.repeat_merge]
-        return merge_reports(payloads, provenance_for(args.repeat_merge))
+        payloads, digests = [], {}
+        for path in args.repeat_merge:
+            digest = hashlib.sha256()
+            payloads.append(json.loads(read_text(path, digest)))
+            digests[str(path)] = digest.hexdigest()
+        return merge_reports(payloads, provenance_of(digests))
     if args.eval_command == "gen":
         if args.records is None:
             raise UsageError("eval gen needs --records (or --repeat-merge)")
@@ -141,7 +146,8 @@ def _cmd_eval(args):
 
 
 def _cmd_transition_build(args):
-    results = read_results(args.results)
+    digest = hashlib.sha256()
+    results = read_results(args.results, digest)
     matrix = build_matrix(results)
     if args.provenance:
         Path(args.provenance).write_text(export_provenance(matrix), encoding="utf-8")
@@ -160,15 +166,19 @@ def _cmd_transition_build(args):
         "task": "transition-build",
         "modalities": list(MODALITIES),
         "cells": cells,
-        "provenance": provenance_for([args.results]),
+        "provenance": provenance_of({str(args.results): digest.hexdigest()}),
     }
 
 
-def _load_mapping_matrix(args) -> interpret.MappingMatrix:
+def _load_mapping_matrix(args) -> tuple[interpret.MappingMatrix, dict]:
+    """The matrix and the provenance of every source given (--pairs,
+    --matrix, --stoplist), each source hashed from the one read of it."""
+    sources = {"pairs": args.pairs, "matrix": args.matrix, "stoplist": args.stoplist}
+    digests = {role: hashlib.sha256() for role, path in sources.items() if path}
     if args.matrix:
-        data = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
+        data = json.loads(read_text(args.matrix, digests["matrix"]))
         try:
-            return interpret.MappingMatrix(
+            matrix = interpret.MappingMatrix(
                 np.array(data["counts"], dtype=float),
                 tuple(data["row_tokens"]),
                 tuple(data["col_tokens"]),
@@ -176,29 +186,32 @@ def _load_mapping_matrix(args) -> interpret.MappingMatrix:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{args.matrix}: not a saved mapping matrix ({exc})") from None
-    if not args.pairs:
-        raise UsageError("tokenmap needs --pairs or --matrix")
-    pairs = read_pairs(args.pairs, args.scheme)
-    if args.stoplist is not None:
-        stoplist = read_stoplist(args.stoplist)
+        # a saved matrix is used as it is, but the provenance still names
+        # the --pairs and --stoplist given beside it
+        for role in ("pairs", "stoplist"):
+            if role in digests:
+                digests[role].update(Path(sources[role]).read_bytes())
     else:
-        stoplist = DEFAULT_STOPLIST
-    import warnings
+        if not args.pairs:
+            raise UsageError("tokenmap needs --pairs or --matrix")
+        pairs = read_pairs(args.pairs, args.scheme, digests["pairs"])
+        if args.stoplist is not None:
+            stoplist = read_stoplist(args.stoplist, digests.get("stoplist"))
+        else:
+            stoplist = DEFAULT_STOPLIST
+        import warnings
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        matrix = interpret.build_mapping_matrix(
-            pairs, top_k=args.top_k, stoplist=stoplist, count_mode=args.count_mode
-        )
-    return matrix
-
-
-def _matrix_sources(args) -> list[str]:
-    return [path for path in (args.pairs, args.matrix, args.stoplist) if path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            matrix = interpret.build_mapping_matrix(
+                pairs, top_k=args.top_k, stoplist=stoplist, count_mode=args.count_mode
+            )
+    return matrix, provenance_of({sources[role]: digest.hexdigest() for role, digest in digests.items()})
 
 
 def _cmd_tokenmap_build(args):
-    matrix = interpret.sort_matrix(_load_mapping_matrix(args))
+    matrix, provenance = _load_mapping_matrix(args)
+    matrix = interpret.sort_matrix(matrix)
     if resolve_out(args.out)[0] == "csv":
         import csv
         import io
@@ -219,7 +232,7 @@ def _cmd_tokenmap_build(args):
         # display form only; the filter always consumes raw counts
         "normalized": normalized.tolist(),
         "degraded": matrix.degraded,
-        "provenance": provenance_for(_matrix_sources(args)),
+        "provenance": provenance,
     }
 
 
@@ -252,7 +265,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _cmd_tokenmap_sweep(args):
-    matrix = _load_mapping_matrix(args)
+    matrix, provenance = _load_mapping_matrix(args)
     rows = interpret.sweep_threshold(matrix, args.grid)
     return {
         "task": "tokenmap-sweep",
@@ -266,12 +279,12 @@ def _cmd_tokenmap_sweep(args):
             }
             for r in rows
         ],
-        "provenance": provenance_for(_matrix_sources(args)),
+        "provenance": provenance,
     }
 
 
 def _cmd_tokenmap_select(args):
-    matrix = _load_mapping_matrix(args)
+    matrix, provenance = _load_mapping_matrix(args)
     if args.t is None:
         raise UsageError("tokenmap select needs --T")
     stats = interpret.local_filter(matrix, args.t)
@@ -290,7 +303,7 @@ def _cmd_tokenmap_select(args):
         "p_expected": stats.p_expected,
         "pairs": pairs,
         "groups": [{"group_key": key, "members": members} for key, members in groups.items()],
-        "provenance": provenance_for(_matrix_sources(args)),
+        "provenance": provenance,
     }
 
 

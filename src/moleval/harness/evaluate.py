@@ -78,15 +78,33 @@ def _parse_or_none(smiles: str):
         return None
 
 
+def _hydrogens_read_alike(graph) -> bool:
+    """Whether implicit_h(i) == total_h(i) for every atom, which the atom
+    codes of both fingerprints read: no bracket atom carries hydrogens."""
+    return not any(atom.explicit_h for atom in graph.atoms)
+
+
 def _molecule_record(pred: str, ref: str) -> dict:
     """Per-record molecule metrics; each distinct side is parsed, checked
     and fingerprinted once, so a prediction equal to its reference shares
-    the reference's graph."""
+    the reference's graph.
+
+    A prediction that exact-matches its reference also shares its
+    fingerprints when neither graph has a bracket atom carrying hydrogens.
+    Equal canonical forms imply an isomorphism that keeps element, aromatic
+    flag, charge, total H and bond order, so degree and ring membership too;
+    with implicit H equal to total H the atom codes read nothing else, and
+    both sides have the same features.
+    """
     pred_graph = _parse_or_none(pred)
     ref_graph = pred_graph if pred == ref else _parse_or_none(ref)
+    exact = exact_match_graphs(pred_graph, ref_graph)
     rdk = morgan = 0.0
     if pred_graph is not None and ref_graph is not None:
-        sides = (pred_graph,) if ref_graph is pred_graph else (pred_graph, ref_graph)
+        shared = ref_graph is pred_graph or (
+            exact and _hydrogens_read_alike(pred_graph) and _hydrogens_read_alike(ref_graph)
+        )
+        sides = (pred_graph,) if shared else (pred_graph, ref_graph)
         paths = [path_fp(graph) for graph in sides]
         morgans = [morgan_fp(graph) for graph in sides]
         rdk = tanimoto(paths[0], paths[-1])
@@ -94,7 +112,7 @@ def _molecule_record(pred: str, ref: str) -> dict:
     return {
         "valid": 1.0 if pred_graph is not None and validity(pred_graph) else 0.0,
         "parseable": pred_graph is not None,
-        "exact": 1.0 if exact_match_graphs(pred_graph, ref_graph) else 0.0,
+        "exact": 1.0 if exact else 0.0,
         "exact_raw": 1.0 if exact_match_raw(pred, ref) else 0.0,
         "lev": float(levenshtein(pred, ref)),
         "rdk": rdk,

@@ -133,9 +133,18 @@ def read_gold(path, digest=None) -> dict[str, str]:
     return gold
 
 
-def read_results(path) -> list[TaskResult]:
+def read_text(path, digest=None) -> str:
+    """The file's text as Path.read_text(encoding="utf-8") gives it. Given a
+    hashlib object, feeds it the file's bytes, so the file is read once."""
+    raw = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(raw)
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+
+
+def read_results(path, digest=None) -> list[TaskResult]:
     results = []
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in _iter_jsonl(path, digest):
         modality_in = _require(obj, "input", str, lineno)
         modality_out = _require(obj, "output", str, lineno)
         metric = _require(obj, "metric", str, lineno)
@@ -185,13 +194,13 @@ def read_property_rows(path, digest=None):
     return kind, tasks
 
 
-def read_pairs(path, scheme: str = "whitespace") -> list[tuple[list[str], list[str]]]:
+def read_pairs(path, scheme: str = "whitespace", digest=None) -> list[tuple[list[str], list[str]]]:
     """Token mapping input. Each line holds "input" and "output", either
     raw strings (tokenized under scheme) or pre-tokenized string lists."""
     from ..textmetrics import tokenize
 
     pairs = []
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, obj in _iter_jsonl(path, digest):
         sides = []
         for key in ("input", "output"):
             if key not in obj:
@@ -328,9 +337,9 @@ DEFAULT_STOPLIST = frozenset(
 )
 
 
-def read_stoplist(path) -> frozenset[str]:
+def read_stoplist(path, digest=None) -> frozenset[str]:
     tokens = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path, digest).splitlines():
         token = line.strip()
         if token:
             tokens.add(token)

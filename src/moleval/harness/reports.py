@@ -19,10 +19,6 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def provenance_for(paths) -> dict:
-    return provenance_of({str(p): sha256_file(p) for p in paths})
-
-
 def provenance_of(digests: dict[str, str]) -> dict:
     """Provenance of inputs whose sha256 digests are known, keyed by path."""
     return {"inputs": digests, "tool": {"name": "moleval", "version": __version__}}

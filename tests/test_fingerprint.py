@@ -17,6 +17,10 @@ from moleval.fingerprint import (
     WidthMismatch,
     _fnv1a,
     _fnv1a_lanes,
+    _fold,
+    _fold_mask,
+    _morgan_hashes,
+    _path_hashes,
     morgan_features,
     morgan_fp,
     path_features,
@@ -102,8 +106,8 @@ def test_fp_width_checked_before_walk(make, width, monkeypatch):
     def walk(*args):
         raise AssertionError("walked before checking the width")
 
-    monkeypatch.setattr(fingerprint, "path_features", walk)
-    monkeypatch.setattr(fingerprint, "morgan_features", walk)
+    monkeypatch.setattr(fingerprint, "_path_hashes", walk)
+    monkeypatch.setattr(fingerprint, "_morgan_hashes", walk)
     with pytest.raises(ValueError, match="width must be a power of two, at least 64"):
         make(parse_smiles("CCO"), width=width)
 
@@ -120,6 +124,8 @@ def test_path_features_max_len_checked_before_walk(max_len, monkeypatch):
 
 
 _STATE = st.sampled_from((0, 2**64 - 1)) | st.integers(0, 2**64 - 1)
+# 2**23 - 1 is the widest mask hashed in 4-byte lanes
+_MASKS = (2**6 - 1, 2**11 - 1, 2**23 - 1, 2**24 - 1, 2**40 - 1, 2**64 - 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -135,14 +141,19 @@ _STATE = st.sampled_from((0, 2**64 - 1)) | st.integers(0, 2**64 - 1)
         )
     ),
     st.sampled_from((0, 1, 2, 300)),
+    st.sampled_from(_MASKS),
 )
-def test_fnv1a_lanes_match_scalar(case, n):
+def test_fnv1a_lanes_match_scalar(case, n, mask):
     width, pool = case
     states = [pool[i % len(pool)][0] for i in range(n)]
     # lane i's bytes shifted by i: a 300-lane pass has every byte value
     # 0x00-0xff in each column, and neighbouring lanes differ
     texts = [bytes((b + i) % 256 for b in pool[i % len(pool)][1]) for i in range(n)]
-    assert _fnv1a_lanes(states, texts, width) == [_fnv1a(t, s) for s, t in zip(states, texts)]
+    want = [_fnv1a(t, s) for s, t in zip(states, texts)]
+    assert _fnv1a_lanes(states, texts, width, mask) == [h & mask for h in want]
+    assert [_fnv1a(t, s, mask) for s, t in zip(states, texts)] == [h & mask for h in want]
+    if mask == 2**64 - 1:
+        assert _fnv1a_lanes(states, texts, width) == want
 
 
 @pytest.mark.parametrize("text", [C60, "C" * 1500, TBU_STAR], ids=["c60", "chain", "tbu-star"])
@@ -229,6 +240,26 @@ def test_morgan_features_match_reference():
     for g in _oracle_graphs():
         for radius in range(4):
             assert morgan_features(g, radius) == morgan_features_reference(g, radius)
+
+
+def test_fingerprints_hash_only_the_folded_bits():
+    # path_fp and morgan_fp carry their hashes at the bits the fold keeps;
+    # they must set the bits a fold of the 64-bit features sets
+    for g in _oracle_graphs():
+        paths = {max_len: path_features(g, max_len) for max_len in (1, 4, 7)}
+        morgans = {radius: morgan_features(g, radius) for radius in range(4)}
+        for width in (64, 1024, 2048, 2**16):
+            for max_len, features in paths.items():
+                assert path_fp(g, max_len, width) == _fold(features, width, f"path:{max_len}")
+            for radius, features in morgans.items():
+                assert morgan_fp(g, radius, width) == _fold(features, width, f"morgan:{radius}")
+        # a fold at 2**64 bits or more would take an exabyte int: compare
+        # the bit positions it would set
+        for width in (2**64, 2**70):
+            for max_len, features in paths.items():
+                assert _path_hashes(g, max_len, _fold_mask(width)) == {f % width for f in features}
+            for radius, features in morgans.items():
+                assert _morgan_hashes(g, radius, _fold_mask(width)) == {f % width for f in features}
 
 
 # path_features_reference(graph, 7) folded at 2048 bits; the caffeine and

@@ -323,9 +323,19 @@ class TestEvalGeneration:
             except SmilesError:
                 return None
 
+        def hydrogens_read_alike(graph):
+            return all(graph.implicit_h(i) == graph.total_h(i) for i in range(len(graph.atoms)))
+
         sides = [(pred,) if pred == ref else (pred, ref) for pred, ref in pairs]
         graphs = [[parses(text) for text in side] for side in sides]
-        fingerprinted = sum(len(g) for g in graphs if None not in g)
+        # an exact match with no bracket atom carrying hydrogens is
+        # fingerprinted once, like a prediction equal to its reference
+        fingerprinted = sum(
+            1 if w["exact-match"] and all(map(hydrogens_read_alike, g)) else len(g)
+            for g, w in zip(graphs, want)
+            if None not in g
+        )
+        assert fingerprinted < sum(len(g) for g in graphs if None not in g)
         canonicalized = sum(
             len(g) for g in graphs if None not in g and all(map(oracle.validity_reference, g))
         )
@@ -396,6 +406,80 @@ class TestEvalGeneration:
         assert per_graph["bare_h"] and set(per_graph["bare_h"].values()) == {1}
         assert len(per_graph["valid"]) == checked
         assert set(per_graph["valid"].values()) == {1}
+
+    def test_shared_fingerprints_match_the_oracle(self, tmp_path, monkeypatch):
+        # an exact match with no bracket atom carrying hydrogens shares its
+        # reference's fingerprints; every record must still score as the
+        # oracle scores it, each side fingerprinted on its own
+        import moleval.harness.evaluate as evaluate
+        from moleval.molgraph.canon import _write
+
+        rng = random.Random(2020)
+
+        def rewritten(graph):
+            # the graph written from random atom ranks, components shuffled
+            parts = []
+            for links, tokens, _ in oracle.canonical_inputs_reference(graph):
+                ranks = list(range(len(tokens)))
+                rng.shuffle(ranks)
+                parts.append(_write(links, tokens, ranks))
+            rng.shuffle(parts)
+            return ".".join(parts)
+
+        pairs = []
+        for _ in range(40):
+            graph = oracle.random_molecule(rng, max_atoms=rng.choice((8, 16)))
+            ref = oracle.canonical_smiles_reference(graph)
+            pairs += [(rewritten(graph), ref), (ref, rewritten(graph))]
+        pairs += [
+            # Kekulé against aromatic spellings, and aromatic rewrites
+            ("C1=CC=CC=C1", "c1ccccc1"), ("Cn1cnc2c1c(=O)n(C)c(=O)n2C", "CN1C=NC2=C1C(=O)N(C)C(=O)N2C"),
+            ("c1ccc(O)cc1", "Oc1ccccc1"), ("c1ccccc1:c1ccccc1", "c1ccccc1c1ccccc1"),
+            ("c1ccccc1-c1ccccc1", "c1ccccc1c1ccccc1"),
+            # salts
+            ("[Na+].[Cl-]", "[Cl-].[Na+]"), ("CC(=O)[O-].[Na+]", "[Na+].[O-]C(C)=O"),
+            ("[NH4+].[Cl-]", "[Cl-].[NH4+]"),
+            # stereo marks
+            ("F/C=C/F", "F/C=C\\F"), ("C[C@@](F)(Cl)Br", "C[C@](F)(Cl)Br"), ("C[C@H](N)O", "CC(N)O"),
+            # bracket hydrogens
+            ("[OH]CC", "OCC"), ("c1cc[nH]c1", "[nH]1cccc1"), ("c1cc[nH]c1", "C1=CNC=C1"),
+            ("C[NH3+]", "[NH3+]C"), ("[NH3+]CC(=O)[O-]", "[O-]C(=O)C[NH3+]"), ("[CH3]O", "CO"),
+        ]
+
+        def hydrogens_read_alike(text):
+            graph = parse_smiles(text)
+            return all(graph.implicit_h(i) == graph.total_h(i) for i in range(len(graph.atoms)))
+
+        want = [oracle.molecule_record_reference(pred, ref) for pred, ref in pairs]
+        shared = [
+            pred != ref and w["exact-match"] == 1.0 and hydrogens_read_alike(pred) and hydrogens_read_alike(ref)
+            for (pred, ref), w in zip(pairs, want)
+        ]
+        unshared = [w["exact-match"] == 1.0 and not s for w, s in zip(want, shared)]
+        assert sum(shared) >= 60 and sum(unshared) >= 8
+
+        fingerprinted = []
+        path_fp = evaluate.path_fp
+
+        def counting_path_fp(graph):
+            fingerprinted.append(graph)
+            return path_fp(graph)
+
+        monkeypatch.setattr(evaluate, "path_fp", counting_path_fp)
+        names = {"validity": "valid", "exact-match": "exact", "exact-match-raw": "exact_raw",
+                 "levenshtein": "lev", "rdk-fts": "rdk", "morgan-fts": "morgan"}
+        for (pred, ref), w, share in zip(pairs, want, shared):
+            del fingerprinted[:]
+            got = evaluate._molecule_record(pred, ref)
+            for name, key in names.items():
+                assert got[key] == pytest.approx(w[name], abs=1e-12), (pred, ref, name)
+            assert len(fingerprinted) == (1 if share or pred == ref else 2), (pred, ref)
+        rows = [_gen_row(i, pred, [ref]) for i, (pred, ref) in enumerate(pairs)]
+        report = eval_generation(_write_jsonl(tmp_path / "g.jsonl", rows), "molecule")
+        for name in names:
+            assert report.metrics[name] == pytest.approx(
+                sum(w[name] for w in want) / len(want), abs=1e-12
+            ), name
 
     @pytest.mark.parametrize("target_kind", ["molecule", "text"])
     def test_record_file_read_once(self, tmp_path, monkeypatch, target_kind):
@@ -1112,3 +1196,60 @@ _PINNED_GEN = {
         },
     },
 }
+
+
+class TestCommandInputsReadOnce:
+    """transition build, the tokenmap subcommands and --repeat-merge hash
+    each input from the one read that parses it; the provenance digests stay
+    those of the files' bytes, whatever the line ends."""
+
+    def _run(self, monkeypatch, capsys, argv, paths):
+        opened = _count_opens(monkeypatch)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert [opened[p] for p in paths] == [1] * len(paths)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["provenance"]["inputs"] == {p: sha256_file(p) for p in paths}
+        return payload
+
+    def test_transition_build(self, tmp_path, monkeypatch, capsys):
+        rows = [{"input": "iupac", "output": "smiles", "metric": "bleu", "value": i / 2000, "note": "é — ç"}
+                for i in range(900)]
+        path = _write_mixed_endings(tmp_path / "results.jsonl", rows)
+        self._run(monkeypatch, capsys, ["transition", "build", "--results", path], [path])
+
+    def _sources(self, tmp_path):
+        rows = [{"input": f"the acid {i % 7} smells é", "output": f"box lic {i % 5} ."} for i in range(900)]
+        pairs = _write_mixed_endings(tmp_path / "pairs.jsonl", rows)
+        stoplist = tmp_path / "stop.txt"
+        stoplist.write_bytes("the\r\nand\rç\n".encode("utf-8"))
+        return pairs, str(stoplist)
+
+    @pytest.mark.parametrize("sub, extra", [("build", []), ("sweep", ["--grid", "0:2:0.5"]),
+                                            ("select", ["--T", "0.5"])])
+    def test_tokenmap_from_pairs(self, tmp_path, monkeypatch, capsys, sub, extra):
+        pairs, stoplist = self._sources(tmp_path)
+        argv = ["tokenmap", sub, "--pairs", pairs, "--stoplist", stoplist, *extra]
+        self._run(monkeypatch, capsys, argv, [pairs, stoplist])
+
+    @pytest.mark.parametrize("sub, extra", [("build", []), ("sweep", ["--grid", "0:2:0.5"]),
+                                            ("select", ["--T", "0.5"])])
+    def test_tokenmap_from_saved_matrix(self, tmp_path, monkeypatch, capsys, sub, extra):
+        # the provenance also names the --pairs and --stoplist given beside
+        # a saved matrix, which the command does not otherwise read
+        pairs, stoplist = self._sources(tmp_path)
+        saved = str(tmp_path / "matrix.json")
+        assert main(["tokenmap", "build", "--pairs", pairs, "--out", saved]) == 0
+        saved_text = pathlib.Path(saved).read_text(encoding="utf-8")
+        pathlib.Path(saved).write_bytes(saved_text.replace("\n", "\r\n").encode("utf-8"))
+        argv = ["tokenmap", sub, "--matrix", saved, "--pairs", pairs, "--stoplist", stoplist, *extra]
+        self._run(monkeypatch, capsys, argv, [pairs, saved, stoplist])
+
+    def test_repeat_merge(self, tmp_path, monkeypatch, capsys):
+        records = _write_jsonl(tmp_path / "g.jsonl", [_gen_row(i, "CCO", ["OCC"]) for i in range(3)])
+        reports = [str(tmp_path / f"r{i}.json") for i in range(3)]
+        for report in reports:
+            assert main(["eval", "gen", "--records", records, "--target-kind", "molecule",
+                         "--out", report]) == 0
+        payload = self._run(monkeypatch, capsys, ["eval", "gen", "--repeat-merge", *reports], reports)
+        assert payload["counts"] == {"runs": 3}
