@@ -77,8 +77,9 @@ def _fnv1a_lanes(
 
 
 def _check_width(width: int) -> None:
-    if width < 64 or width & (width - 1):
-        raise ValueError("width must be a power of two, at least 64")
+    # a fold builds one int of `width` bits: 2 MB at the upper bound
+    if width < 64 or width & (width - 1) or width > 1 << 24:
+        raise ValueError("width must be a power of two, at least 64 and at most 2**24")
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def _initial_codes(graph: MolGraph) -> list[int]:
                 atom.element,
                 str(graph.degree(idx)),
                 str(atom.charge),
-                str(graph.implicit_h(idx)),
+                str(graph.total_h(idx)),
                 str(int(idx in ring)),
                 str(int(atom.aromatic)),
             )
@@ -237,24 +238,18 @@ def _fold(features: set[int], width: int, kind: str) -> Fingerprint:
     return Fingerprint(bits=bits, width=width, kind=kind)
 
 
-def _fold_mask(width: int) -> int:
-    """The feature bits a fold at `width` keeps: feature % width is
-    feature & mask for a 64-bit feature."""
-    return min(width, 1 << 64) - 1
-
-
 def morgan_fp(graph: MolGraph, radius: int = 2, width: int = 2048) -> Fingerprint:
     if not 0 <= radius <= 6:
         raise ValueError("radius must be in [0, 6]")
     _check_width(width)  # before the walk, not after it
-    return _fold(_morgan_hashes(graph, radius, _fold_mask(width)), width, f"morgan:{radius}")
+    return _fold(_morgan_hashes(graph, radius, width - 1), width, f"morgan:{radius}")
 
 
 def path_fp(graph: MolGraph, max_len: int = 7, width: int = 2048) -> Fingerprint:
     if not 1 <= max_len <= 7:
         raise ValueError("max_len must be in [1, 7]")
     _check_width(width)  # before the walk, not after it
-    return _fold(_path_hashes(graph, max_len, _fold_mask(width)), width, f"path:{max_len}")
+    return _fold(_path_hashes(graph, max_len, width - 1), width, f"path:{max_len}")
 
 
 def tanimoto(a: Fingerprint, b: Fingerprint) -> float:

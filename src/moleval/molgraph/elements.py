@@ -7,9 +7,8 @@ from __future__ import annotations
 ORGANIC_SUBSET = {"B", "C", "N", "O", "P", "S", "F", "Cl", "Br", "I"}
 AROMATIC_SUBSET = {"b", "c", "n", "o", "p", "s"}
 
-# Allowed valence sets. P and S have several stable valence states; the
-# smallest entry doubles as the default valence used to derive implicit
-# hydrogen counts.
+# Allowed valence sets, ascending. P and S have several stable valence
+# states; hydrogens_to_fill derives hydrogen counts from them.
 ALLOWED_VALENCES: dict[str, tuple[int, ...]] = {
     "B": (3,),
     "C": (4,),
@@ -61,8 +60,18 @@ def allowed_valences(element: str, charge: int = 0) -> tuple[int, ...] | None:
     return base
 
 
+def hydrogens_to_fill(valences: tuple[int, ...], bond_sum: int) -> int | None:
+    """Hydrogens that fill an atom with bond order sum `bond_sum` up to the
+    smallest of its allowed `valences` (ascending) at or above that sum, the
+    OpenSMILES 3.1.5 rule; None when the bonds exceed every valence."""
+    for valence in valences:
+        if valence >= bond_sum:
+            return valence - bond_sum
+    return None
+
+
 def default_valence(element: str, charge: int = 0) -> int | None:
-    """Smallest allowed valence, used for implicit hydrogen derivation."""
+    """Smallest allowed valence: the one an aromatic atom fills."""
     vals = allowed_valences(element, charge)
     return vals[0] if vals else None
 

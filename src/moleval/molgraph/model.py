@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .elements import default_valence
+from .elements import allowed_valences, default_valence, hydrogens_to_fill
 
 # Bond orders. Aromatic bonds use a sentinel order; bond order sums count
 # them as 1, and MolGraph.kekulize gives each a concrete single or double.
@@ -195,18 +195,17 @@ class MolGraph:
         return self.bare_hs()[idx]
 
     def _bare_h_rule(self) -> list[int]:
-        """Hydrogens of each atom written without brackets (the OpenSMILES
-        rule): default valence less the bond sum, less one more for an
-        aromatic atom's pi bond, never below zero."""
+        """Hydrogens of each atom written without brackets (OpenSMILES
+        3.1.5): hydrogens_to_fill over the atom's allowed valences, or, for
+        an aromatic atom, over its smallest valence with its pi bond added
+        to the bond sum; 0 where no valence fits or the element has none."""
         out = []
         for atom, bonded in zip(self.atoms, self.plain_bond_sums()):
-            dv = default_valence(atom.element, atom.charge)
-            out.append(0 if dv is None else max(0, dv - bonded - atom.aromatic))
+            valences = allowed_valences(atom.element, atom.charge) or ()
+            if atom.aromatic:
+                valences, bonded = valences[:1], bonded + 1
+            out.append(hydrogens_to_fill(valences, bonded) or 0)
         return out
-
-    def implicit_h(self, idx: int) -> int:
-        """Derived hydrogen count; zero for bracket atoms."""
-        return 0 if self.atoms[idx].explicit_h is not None else self.bare_h(idx)
 
     def total_h(self, idx: int) -> int:
         explicit = self.atoms[idx].explicit_h

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from statistics import median
 
 from .elements import allowed_valences, atomic_weight
@@ -31,13 +32,15 @@ def _valence_check(graph: MolGraph) -> bool:
 def descriptors(graph: MolGraph) -> dict:
     """Molecular weight, heavy atom count, and ring counts.
 
-    Hydrogen mass covers both explicit and derived hydrogens.
+    Hydrogen mass covers both explicit and derived hydrogens. The weight is
+    the correctly rounded sum of the per-atom terms (math.fsum), so its bits
+    do not depend on atom order.
     """
-    weight = 0.0
+    terms = []
     heavy = 0
     for idx, atom in enumerate(graph.atoms):
-        weight += atomic_weight(atom.element, atom.isotope)
-        weight += graph.total_h(idx) * atomic_weight("H")
+        terms.append(atomic_weight(atom.element, atom.isotope))
+        terms.append(graph.total_h(idx) * atomic_weight("H"))
         if atom.element != "H":
             heavy += 1
     rings = graph.rings()
@@ -45,7 +48,7 @@ def descriptors(graph: MolGraph) -> dict:
         1 for cyc in rings if all(graph.atoms[i].aromatic for i in cyc)
     )
     return {
-        "mol_weight": weight,
+        "mol_weight": math.fsum(terms),
         "heavy_atoms": heavy,
         "rings": len(rings),
         "aromatic_rings": aromatic_rings,

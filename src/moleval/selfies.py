@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .molgraph.elements import ALLOWED_VALENCES, allowed_valences, max_valence
+from .molgraph.elements import ALLOWED_VALENCES, allowed_valences, hydrogens_to_fill, max_valence
 from .molgraph.model import DOUBLE, SINGLE, TRIPLE, Atom, Bond, MolGraph
 
 
@@ -212,16 +212,8 @@ class _Decoder:
         # bonds never exceed caps, so every atom has a derived count
         for atom, cap in zip(self.atoms, self.caps):
             bonded = max_valence(atom.element, atom.charge) - cap
-            atom.explicit_h = _derived_h(atom.element, atom.charge, bonded)
+            atom.explicit_h = hydrogens_to_fill(allowed_valences(atom.element, atom.charge), bonded)
         return MolGraph(self.atoms, self.bonds)
-
-
-def _derived_h(element: str, charge: int, bonded: int) -> int | None:
-    """Hydrogens that fill an atom with bond order sum `bonded` up to the
-    smallest allowed valence at or above it; None when the bonds exceed
-    every allowed valence."""
-    target = next((v for v in allowed_valences(element, charge) if v >= bonded), None)
-    return None if target is None else target - bonded
 
 
 def decode_selfies(stream: SelfiesStream | str) -> MolGraph:
@@ -293,7 +285,7 @@ def _checked_orders(graph: MolGraph) -> list[int]:
         raise NotEncodable("aromatic system has no Kekulé form")
 
     for idx, atom in enumerate(graph.atoms):
-        derived_h = _derived_h(atom.element, atom.charge, bonded[idx])
+        derived_h = hydrogens_to_fill(allowed_valences(atom.element, atom.charge), bonded[idx])
         if derived_h is None:
             raise NotEncodable("bond orders exceed the element's valence")
         if derived_h != graph.total_h(idx):

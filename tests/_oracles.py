@@ -201,7 +201,7 @@ def random_molecule(rng: random.Random, max_atoms: int = 12) -> MolGraph:
         # pin one atom's hydrogens explicitly at the value it would get anyway
         idx = rng.randrange(len(atoms))
         graph = MolGraph(atoms, bonds)
-        atoms[idx].explicit_h = graph.implicit_h(idx)
+        atoms[idx].explicit_h = graph.total_h(idx)
     return MolGraph(atoms, bonds)
 
 
@@ -506,7 +506,7 @@ def _atom_codes_reference(graph: MolGraph) -> list[int]:
                 atom.element,
                 str(graph.degree(idx)),
                 str(atom.charge),
-                str(graph.implicit_h(idx)),
+                str(graph.total_h(idx)),
                 str(int(graph.in_ring(idx))),
                 str(int(atom.aromatic)),
             )

@@ -18,7 +18,6 @@ from moleval.fingerprint import (
     _fnv1a,
     _fnv1a_lanes,
     _fold,
-    _fold_mask,
     _morgan_hashes,
     _path_hashes,
     morgan_features,
@@ -94,15 +93,21 @@ def test_tanimoto_mismatches():
 
 
 def test_width_validation():
-    with pytest.raises(ValueError):
-        Fingerprint(bits=0, width=100, kind="morgan:2")
-    with pytest.raises(ValueError):
-        Fingerprint(bits=0, width=32, kind="morgan:2")
+    for width in (32, 100, 2**25, 2**64):
+        with pytest.raises(ValueError, match="width must be a power of two, at least 64"):
+            Fingerprint(bits=0, width=width, kind="morgan:2")
 
 
-@pytest.mark.parametrize("width", [0, -64, 32, 100])
+def test_widest_width_accepted():
+    assert path_fp(parse_smiles("CCO"), width=2**24).width == 2**24
+    assert Fingerprint(bits=0, width=2**24, kind="morgan:2").width == 2**24
+
+
+@pytest.mark.parametrize("width", [0, -64, 32, 100, 2**25, 2**64])
 @pytest.mark.parametrize("make", [path_fp, morgan_fp])
 def test_fp_width_checked_before_walk(make, width, monkeypatch):
+    # a width above 2**24 is refused too: at 2**64 the fold's int would not
+    # fit in memory
     def walk(*args):
         raise AssertionError("walked before checking the width")
 
@@ -253,17 +258,18 @@ def test_fingerprints_hash_only_the_folded_bits():
                 assert path_fp(g, max_len, width) == _fold(features, width, f"path:{max_len}")
             for radius, features in morgans.items():
                 assert morgan_fp(g, radius, width) == _fold(features, width, f"morgan:{radius}")
-        # a fold at 2**64 bits or more would take an exabyte int: compare
-        # the bit positions it would set
-        for width in (2**64, 2**70):
-            for max_len, features in paths.items():
-                assert _path_hashes(g, max_len, _fold_mask(width)) == {f % width for f in features}
-            for radius, features in morgans.items():
-                assert _morgan_hashes(g, radius, _fold_mask(width)) == {f % width for f in features}
+        # at the widest width, 2**24, compare the bit positions a fold
+        # would set, which builds no 2 MB int per feature
+        width = 2**24
+        for max_len, features in paths.items():
+            assert _path_hashes(g, max_len, width - 1) == {f % width for f in features}
+        for radius, features in morgans.items():
+            assert _morgan_hashes(g, radius, width - 1) == {f % width for f in features}
 
 
-# path_features_reference(graph, 7) folded at 2048 bits; the caffeine and
-# C60 atom codes carry the OpenSMILES hydrogen counts (C60 has none)
+# path_features_reference(graph, 7) folded at 2048 bits; the atom codes
+# carry total H, so tryptophan's [nH] and the zwitterion's [NH3+] count
+# their written hydrogens, and C60's carbons carry none
 PINNED_PATH_FP = {
     "aspirin": (
         "0x40010018012000000008209000000040000000000010000820000000009000"
@@ -293,6 +299,23 @@ PINNED_PATH_FP = {
         "0000000000000000000000000000000000000000000000000000000000000000"
         "0000000000000000000000000000000000000000000000008000000000000000"
         "0000000000000000000000000000000000000000008000000000000"
+    ),
+    "glycine_zwitterion": (
+        "0x40000000000020000000000000000004000000008000000000001000000000"
+        "0000000000000000000000000000000000000000000000000001000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000000008000000000801000000002000000000000000000000000000"
+    ),
+    "tryptophan": (
+        "0x22000080080000004000120100080040004000000000001880044040000110"
+        "108000e000100048100004808001500808800000000080000000800040050080"
+        "0000040080000000000000080000044040488100800000500000102008000002"
+        "001c000000004001400000011000040000600000401000404088400000401288"
+        "800000000040001400000000040080004000c070218040c00000000020080000"
+        "9010040050480008011000800000742401940080480080a00000881000000000"
+        "08008084000020400010080101e0404180000000008084000000100000000400"
+        "800408040000080000000089800000004464110040002000044000400040002"
     ),
 }
 
@@ -329,6 +352,26 @@ PINNED_MORGAN_FP = {
         "0000000000000000000000000000000000000000000000000000000000000000"
         "0000000000000000000000000000000000000000000"
     ),
+    "glycine_zwitterion": (
+        "0x10000000000000000000000000400000000000080000000020000000002000"
+        "0000000000000000000000000000000000000000001000000000000000080000"
+        "0000000000000000000002000000000000000000000000000000000000000000"
+        "0000000000000000000000000600000000000000000000400000000000000000"
+        "0000000000000000000000000020000000000000800000000000000000000000"
+        "0040000000000002000000000000000000000000000000000000000000000000"
+        "0000000000000000000000000000000000000000000000000000000000000000"
+        "0000000000"
+    ),
+    "tryptophan": (
+        "0x40000000000000000000000000000000000000000001000200000000000000"
+        "0000000000000000008000000080000000000000200002002000000000000040"
+        "0000000000080000000000000001000000000000000080001000000000000000"
+        "0005000000008000010000020000000000000000000000000000000000000080"
+        "0000010000800000004000000000000440100000000010004000000000000000"
+        "0000000000000000000000100008000100000000000000000000000000000000"
+        "2000000004000004000000000000000000000000000000000000000000000000"
+        "00000000000000000000000000000000001000000008080000000000000"
+    ),
 }
 
 
@@ -336,6 +379,8 @@ PINNED_SMILES = {
     "aspirin": "CC(=O)Oc1ccccc1C(=O)O",
     "caffeine": "Cn1cnc2c1c(=O)n(C)c(=O)n2C",
     "c60": C60,
+    "glycine_zwitterion": "[NH3+]CC(=O)[O-]",
+    "tryptophan": "NC(Cc1c[nH]c2ccccc12)C(=O)O",
 }
 
 
@@ -349,10 +394,6 @@ def test_morgan_fp_pinned_bits(name):
     assert hex(morgan_fp(parse_smiles(PINNED_SMILES[name])).bits) == PINNED_MORGAN_FP[name]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: a bracket atom's code carries implicit H 0, not its hydrogen count",
-)
 @pytest.mark.parametrize("pred, ref", [("OCC", "[OH]CC"), ("C[C@H](N)O", "CC(N)O")])
 def test_exact_matches_fingerprint_alike(pred, ref):
     a, b = parse_smiles(pred), parse_smiles(ref)

@@ -200,16 +200,10 @@ def test_charged_boron_carbon_phosphorus_valences():
     assert not validity(parse_smiles("[C-](C)(C)(C)C"))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="MolGraph._bare_h_rule fills a bare atom to its smallest valence only, "
-    "not to the next one at or above its bond order sum",
-)
-@pytest.mark.parametrize("text", ["CS(C)C", "CP(C)(C)C", "O=S(=O)O"])
+@pytest.mark.parametrize("text", ["CS(C)C", "CP(C)(C)C", "O=S(=O)O", "O=P(O)O"])
 def test_bare_sulfur_and_phosphorus_take_next_valence(text):
     # OpenSMILES 3.1.5: a bare atom takes the next normal valence at or above
-    # its bond order sum (S 2/4/6, P 3/5), so here S or P carries one H, as
-    # selfies._derived_h already derives it
+    # its bond order sum (S 2/4/6, P 3/5), so here S or P carries one H
     graph = parse_smiles(text)
     assert graph.total_h(1) == 1
     assert validity(graph)
