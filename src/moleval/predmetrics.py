@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,36 +175,120 @@ class EmbeddingMatrix:
         return self.vectors[self.index(item_id)]
 
 
-# query rows scored per matrix product; bounds the score block at
-# _QUERY_BLOCK x n_targets float64 values
-_QUERY_BLOCK = 256
+# OpenBLAS runs a product of at most 65536 * 4 = 2**18 multiply-adds on the
+# calling thread (interface/gemm.c: SMP_THRESHOLD_MIN times
+# GEMM_MULTITHREAD_THRESHOLD). Scores are computed in tiles of that size, so
+# retrieval never starts a BLAS worker thread, which spins after each call.
+_TILE_MACS = 2**18
+# query rows per tile; the target columns fill the rest of the budget
+_TILE_ROWS = 32
+# a row whose float sum of squares is below this is first scaled by a power
+# of two, so that squares which underflow cannot move the sum by a rounding
+_MIN_SQUARES = 2.0**-500
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     """Scales the rows of a fresh array to unit length in place and returns
-    it; zero rows stay zero and so score 0."""
-    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))[:, None]
+    it; zero rows stay zero and so score 0. A row whose sum of squares
+    overflows or underflows is first scaled by a power of two (exactly), so
+    that its largest magnitude lies in [0.5, 1)."""
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->i", vectors, vectors)
+    odd = np.flatnonzero(~(squares < np.inf) | (squares < _MIN_SQUARES))
+    if odd.size:
+        _, exponent = np.frexp(np.abs(vectors[odd]).max(axis=1))
+        vectors[odd] = np.ldexp(vectors[odd], -exponent[:, None])
+        squares[odd] = np.einsum("ij,ij->i", vectors[odd], vectors[odd])
+    norms = np.sqrt(squares)
     norms[norms == 0.0] = 1.0
-    vectors /= norms
+    vectors /= norms[:, None]
     return vectors
 
 
-def _distinct_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first row of each distinct value, row -> distinct index), comparing
-    rows by their bytes after folding -0.0 into 0.0. Equal rows have equal
-    sums (up to the sign of zero), so only rows whose sum is shared or not
-    finite are compared by bytes."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = vectors.sum(axis=1) + 0.0
-    _, slot, counts = np.unique(sums, return_inverse=True, return_counts=True)
-    suspects = np.flatnonzero((counts[slot] > 1) | ~np.isfinite(sums))
-    folded = vectors[suspects] + 0.0
-    keys = folded.view(np.dtype((np.void, vectors.shape[1] * 8))).ravel().tolist()
-    first_of: dict[bytes, int] = {}
-    first = np.arange(len(vectors))
-    first[suspects] = [first_of.setdefault(k, i) for k, i in zip(keys, suspects.tolist())]
-    firsts = np.flatnonzero(first == np.arange(len(vectors)))
-    return firsts, np.searchsorted(firsts, first)
+def _score_error(dim: int) -> float:
+    """A bound δ on |s - cos(x, y)|, where s is the float score of two rows
+    of length `dim` (unit rows from `_unit_rows`, then their float product),
+    whatever the summation order, blocking or FMA use of the BLAS kernel.
+
+    With u = 2**-53 and γ_n = n·u / (1 - n·u) (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., §3.1):
+    - fl(Σ x_i²) = Σ x_i² · (1 + θ) with |θ| ≤ γ_d, since every term is
+      nonnegative; the square root halves θ and adds one rounding, the
+      division one more, so each unit value is x̂_i = x_i/‖x‖ · (1 + α_i)
+      with |α_i| ≤ γ_{d+2} (Lemma 3.3).
+    - The product obeys |fl(x̂·ŷ) - x̂·ŷ| ≤ γ_d Σ|x̂_i ŷ_i| ≤ γ_d (1 + γ_{d+2})²
+      by Cauchy-Schwarz, and |x̂·ŷ - cos(x, y)| ≤ Σ|x_i y_i|/(‖x‖‖y‖) ·
+      (2γ_{d+2} + γ_{d+2}²) ≤ 2γ_{d+2} + γ_{d+2}².
+    - With γ = γ_{d+2}, the two sum to at most 3γ + 3γ² + γ³, which is below
+      4γ by more than γ/2 while γ ≤ 0.1. That margin exceeds the absolute
+      errors of values that underflow (each at most 2**-1074, a few per
+      element): `_unit_rows` keeps every scaled row's sum of squares at or
+      above 2**-500, so those stay far below one rounding.
+    So δ = 4γ_{d+2}, and two scores more than 2δ apart (a float difference,
+    whose rounding the same margin covers) order their exact cosines the
+    same way."""
+    n = (dim + 2) * 2.0**-53
+    return 4 * n / (1 - n)
+
+
+def _integer_form(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, shifts): each value of a row is digits << shifts (>> where
+    negative, which drops only zero bits) times one power of two for the
+    whole row, chosen to make these integers the smallest."""
+    mantissa, exponent = np.frexp(rows)
+    digits = (mantissa * 2.0**53).astype(np.int64)
+    _, low_bit = np.frexp((digits & -digits).astype(np.float64))
+    lowest = np.where(digits != 0, exponent + low_bit, np.iinfo(np.int32).max)
+    row_low = lowest.min(axis=-1, keepdims=True)
+    return digits, exponent - np.where(digits.any(axis=-1, keepdims=True), row_low, 0) + 1
+
+
+def _python_integers(digits: np.ndarray, shifts: np.ndarray) -> list[int]:
+    """The integers of `_integer_form` as Python ints, which never overflow."""
+    return [d << s if s >= 0 else d >> -s for d, s in zip(digits.tolist(), shifts.tolist())]
+
+
+class _ExactCosines:
+    """Exact cosine order against one target matrix.
+
+    Rows are held as integers, each row times one power of two, which
+    cancels in the comparison. A product of integer rows whose terms sum to
+    under 2**52 in magnitude is exact in float64 in any order; one that may
+    not be is summed in Python integers instead."""
+
+    def __init__(self, targets: np.ndarray):
+        self.digits, self.shifts = _integer_form(targets)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.ints = np.ldexp(self.digits.astype(np.float64), self.shifts)
+            self.norms = np.einsum("ij,ij->i", self.ints, self.ints)
+
+    def orders(self, q: np.ndarray, rows: np.ndarray, g: int) -> np.ndarray:
+        """The sign of cos(q, t) - cos(q, g) for the nonzero row q, each
+        target row t in `rows` and the target row g. cos(q, t) has the sign
+        of q·t, and two cosines of one nonzero sign compare as (q·t)²·|g|²
+        against (q·g)²·|t|²; a zero row has cosine 0."""
+        q_digits, q_shifts = _integer_form(q)
+        members = np.append(rows, g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q_ints = np.ldexp(q_digits.astype(np.float64), q_shifts)
+            ints = self.ints[members]
+            dots = np.einsum("ij,j->i", ints, q_ints)
+            terms = np.einsum("ij,j->i", np.abs(ints), np.abs(q_ints))
+            fits = (terms < 2.0**52) & (self.norms[members] < 2.0**52)
+        dots = np.where(fits, dots, 0.0).astype(np.int64).astype(object)
+        norms = np.where(fits, self.norms[members], 0.0).astype(np.int64).astype(object)
+        if not fits.all():
+            q_py = _python_integers(q_digits, q_shifts)
+            for k in np.flatnonzero(~fits).tolist():
+                t_py = _python_integers(self.digits[members[k]], self.shifts[members[k]])
+                dots[k] = sum(map(operator.mul, q_py, t_py))
+                norms[k] = sum(map(operator.mul, t_py, t_py))
+        qt, qg = dots[:-1], dots[-1]
+        sign = (qt > 0).astype(int) - (qt < 0).astype(int)
+        other = (qg > 0) - (qg < 0)
+        lhs, rhs = qt * qt * norms[-1], qg * qg * norms[:-1]
+        by_size = sign * ((lhs > rhs).astype(int) - (lhs < rhs).astype(int))
+        return np.where((sign != other) | (sign == 0), sign - other, by_size)
 
 
 def retrieval_eval(
@@ -213,7 +298,14 @@ def retrieval_eval(
     ks: list[int] = (1, 5, 10),
 ) -> dict:
     """Cosine-ranked retrieval. A gold target's rank is 1 + the targets
-    scoring higher + the targets scoring equal with a smaller id."""
+    whose cosine is higher + the targets with an equal cosine and a smaller
+    id, on the exact cosines of the float64 values; a zero row has cosine 0
+    with every row.
+
+    Float scores only filter: a target scoring more than 2δ
+    (`_score_error`) above or below the gold is ahead or behind. Within
+    that band, a row equal to the gold's (-0.0 read as 0.0) ties, and any
+    other row is compared exactly (`_ExactCosines`)."""
     if queries.dim != targets.dim:
         raise DimMismatch(f"query dim {queries.dim} vs target dim {targets.dim}")
     if not gold:
@@ -224,26 +316,44 @@ def retrieval_eval(
         if tid not in targets:
             raise MissingId(f"target id {tid!r} not present")
     pairs = sorted(gold.items())
-    q_unit = _unit_rows(queries.vectors[[queries.index(q) for q, _ in pairs]])
+    q_rows = [queries.index(q) for q, _ in pairs]
     gold_rows = np.array([targets.index(t) for _, t in pairs], dtype=np.intp)
-    # Equal rows must tie exactly, and BLAS may round the same row
-    # differently at different tile positions: score each distinct row
-    # once and copy its score to the duplicates.
-    firsts, inverse = _distinct_rows(targets.vectors)
-    t_unit_t = _unit_rows(targets.vectors[firsts]).T
+    q_unit = _unit_rows(queries.vectors[q_rows])
+    t_unit = _unit_rows(targets.vectors.copy())
     n_targets = len(targets.ids)
     id_rank = np.empty(n_targets, dtype=np.intp)
     id_rank[sorted(range(n_targets), key=targets.ids.__getitem__)] = np.arange(n_targets)
+    band = 2 * _score_error(targets.dim)
+    tile_rows = max(1, min(_TILE_ROWS, len(pairs), _TILE_MACS // targets.dim))
+    tile_cols = max(1, _TILE_MACS // (tile_rows * targets.dim))
+    block_scores = np.empty((tile_rows, n_targets))
+    exact = None  # made when a row first needs an exact comparison
     ranks: list[int] = []
-    for start in range(0, len(pairs), _QUERY_BLOCK):
-        block = slice(start, start + _QUERY_BLOCK)
-        scores = (q_unit[block] @ t_unit_t)[:, inverse]
-        cols = gold_rows[block]
-        gold_scores = scores[np.arange(len(cols)), cols][:, None]
-        ahead = (scores > gold_scores) | (
-            (scores == gold_scores) & (id_rank < id_rank[cols][:, None])
-        )
-        ranks.extend((1 + ahead.sum(axis=1)).tolist())
+    for start in range(0, len(pairs), tile_rows):
+        q_block = q_unit[start : start + tile_rows]
+        scores = block_scores[: len(q_block)]
+        for col in range(0, n_targets, tile_cols):
+            scores[:, col : col + tile_cols] = q_block @ t_unit[col : col + tile_cols].T
+        cols = gold_rows[start : start + tile_rows]
+        gap = scores - scores[np.arange(len(cols)), cols][:, None]
+        ahead = (gap > band).sum(axis=1)
+        near = np.abs(gap, out=gap) <= band
+        # a zero query ties every target, so its rank follows target ids
+        zero = ~q_block.any(axis=1)
+        ahead[zero] = id_rank[cols[zero]]
+        near[zero] = False
+        for i in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+            g = cols[i]
+            band_rows = np.flatnonzero(near[i])
+            smaller_id = id_rank[band_rows] < id_rank[g]
+            equal = (targets.vectors[band_rows] == targets.vectors[g]).all(axis=1)
+            ahead[i] += (equal & smaller_id).sum()
+            if not equal.all():
+                if exact is None:
+                    exact = _ExactCosines(targets.vectors)
+                orders = exact.orders(queries.vectors[q_rows[start + i]], band_rows[~equal], g)
+                ahead[i] += ((orders > 0) | ((orders == 0) & smaller_id[~equal])).sum()
+        ranks.extend((1 + ahead).tolist())
     mrr = sum(1.0 / r for r in ranks) / len(ranks)
     recall_at = {k: sum(1 for r in ranks if r <= k) / len(ranks) for k in ks}
     return {"mrr": mrr, "recall_at": recall_at, "ranks": ranks}

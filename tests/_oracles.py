@@ -7,10 +7,11 @@ algorithms than the package uses, so agreement is meaningful.
 from __future__ import annotations
 
 import math
+import operator
 import random
-import struct
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 from moleval.molgraph.canon import UnsupportedFeature, _bond_token, _write
@@ -445,22 +446,6 @@ def cosine_reference(u, v) -> float:
     return sum(a * b for a, b in zip(u, v)) / (nu * nv)
 
 
-def distinct_rows_reference(rows):
-    """(first index of each distinct row, row -> distinct index in order of
-    first appearance), rows compared by the bytes of their float64 values
-    with -0.0 read as 0.0."""
-    firsts: list[int] = []
-    inverse: list[int] = []
-    seen: dict[bytes, int] = {}
-    for i, row in enumerate(rows):
-        key = b"".join(struct.pack("<d", float(x) + 0.0) for x in row)
-        if key not in seen:
-            seen[key] = len(firsts)
-            firsts.append(i)
-        inverse.append(seen[key])
-    return firsts, inverse
-
-
 def retrieval_ranks_reference(queries, targets, gold):
     """gold: query id -> target id. Returns rank per query (1-based)."""
     ranks = {}
@@ -471,6 +456,39 @@ def retrieval_ranks_reference(queries, targets, gold):
             if tid == gold[qid]:
                 ranks[qid] = pos
                 break
+    return ranks
+
+
+def exact_ranks(queries, targets, gold):
+    """gold: query id -> target id. Rank per query (1-based) by README's
+    rule on exact cosines: 1 + the targets whose cosine is greater + the
+    targets with an equal cosine and a smaller id. A zero row has cosine 0
+    with every row.
+
+    Each row is read exactly as integers over one common denominator. For
+    a fixed query q, cos(q, t) orders targets as the Fraction
+    sign(q.t) * (q.t)**2 / |t|**2, so no square root is taken."""
+
+    def integers(row):
+        ratios = [float(x).as_integer_ratio() for x in row]
+        den = math.lcm(*(d for _, d in ratios))
+        return [n * (den // d) for n, d in ratios]
+
+    t_rows = {tid: integers(vec) for tid, vec in targets.items()}
+    t_norms = {tid: sum(x * x for x in row) for tid, row in t_rows.items()}
+    ranks = {}
+    for qid, qvec in queries.items():
+        q_ints = integers(qvec)
+        nonzero = [i for i, x in enumerate(q_ints) if x]
+        q_terms = [q_ints[i] for i in nonzero]
+        keys = {}
+        for tid, row in t_rows.items():
+            dot = sum(map(operator.mul, q_terms, map(row.__getitem__, nonzero)))
+            keys[tid] = Fraction(dot * abs(dot), t_norms[tid]) if dot else Fraction(0)
+        gid = gold[qid]
+        ranks[qid] = 1 + sum(
+            1 for tid, key in keys.items() if key > keys[gid] or (key == keys[gid] and tid < gid)
+        )
     return ranks
 
 

@@ -1,14 +1,20 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from moleval.harness import write_embeddings
 from moleval.predmetrics import (
-    _distinct_rows,
+    _ExactCosines,
+    _score_error,
     DegenerateLabels,
     DimMismatch,
     EmbeddingMatrix,
@@ -23,6 +29,8 @@ from moleval.predmetrics import (
     retrieval_eval,
     roc_auc,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_roc_examples():
@@ -196,6 +204,12 @@ def test_retrieval_errors():
         retrieval_eval(q, t2, {"ghost": "t"})
 
 
+def _exact_ranks(q_ids, q_vecs, t_ids, t_vecs, gold):
+    """oracle.exact_ranks in the order of retrieval_eval's ranks"""
+    want = oracle.exact_ranks(dict(zip(q_ids, q_vecs)), dict(zip(t_ids, t_vecs)), gold)
+    return [want[q] for q in sorted(gold)]
+
+
 def test_retrieval_oracle_and_l2_invariance():
     rng = random.Random(16)
     for _ in range(40):
@@ -208,28 +222,23 @@ def test_retrieval_oracle_and_l2_invariance():
         q_vecs = [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(nq)]
         gold = {q: rng.choice(t_ids) for q in q_ids}
         out = retrieval_eval(_matrix(q_ids, q_vecs), _matrix(t_ids, t_vecs), gold)
-        want = oracle.retrieval_ranks_reference(
-            dict(zip(q_ids, q_vecs)), dict(zip(t_ids, t_vecs)), gold
-        )
-        got_ranks = dict(zip(sorted(gold), out["ranks"]))
-        # oracle breaks similarity ties arbitrarily; compare where unambiguous
-        for qid in gold:
-            assert got_ranks[qid] == want[qid]
+        assert out["ranks"] == _exact_ranks(q_ids, q_vecs, t_ids, t_vecs, gold)
         # recall monotone in k
         rec = out["recall_at"]
         assert rec[1] <= rec[5] <= rec[10]
 
+        # a power of two per row leaves every cosine exactly as it was
         def scale(vectors):
             out_vecs = []
             for v in vectors:
-                norm = math.sqrt(sum(x * x for x in v)) or 1.0
-                out_vecs.append([x / norm for x in v])
+                power = rng.randint(-900, 1000)
+                out_vecs.append([math.ldexp(x, power) for x in v])
             return out_vecs
 
-        normed = retrieval_eval(
+        scaled = retrieval_eval(
             _matrix(q_ids, scale(q_vecs)), _matrix(t_ids, scale(t_vecs)), gold
         )
-        assert normed["ranks"] == out["ranks"]
+        assert scaled["ranks"] == out["ranks"]
 
 
 def test_retrieval_exact_ties_across_tiles_and_blocks():
@@ -261,15 +270,13 @@ def test_retrieval_exact_ties_across_tiles_and_blocks():
             q_vecs.append([x + rng.gauss(0.0, 1.5) for x in t_vecs[target]])
             gold[qid] = t_ids[target]
     out = retrieval_eval(_matrix(q_ids, q_vecs), _matrix(t_ids, t_vecs), gold)
-    want = oracle.retrieval_ranks_reference(
-        dict(zip(q_ids, q_vecs)), dict(zip(t_ids, t_vecs)), gold
-    )
-    assert out["ranks"] == [want[q] for q in sorted(gold)]
-    tied = [want[q] for i, q in enumerate(q_ids) if i % 25 == 0]
+    want = _exact_ranks(q_ids, q_vecs, t_ids, t_vecs, gold)
+    assert out["ranks"] == want
+    tied = [w for i, w in enumerate(want) if i % 25 == 0]
     assert set(tied) == {1, 2}
 
 
-# finite 16-column rows whose float64 row sum overflows: numpy's pairwise sum
+# finite 16-column rows whose float64 sums overflow: numpy's pairwise sum
 # adds lanes 0 and 8, and 1 and 9, first, so these sum to NaN, +inf and -inf
 _BIG = 1.5e308
 _OVERFLOW_ROWS = [
@@ -299,23 +306,210 @@ def _row_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_row_sets())
-def test_distinct_rows_matches_reference(rows):
-    vectors = np.array(rows, dtype=np.float64)
+def test_retrieval_equal_rows_tie(rows):
+    # every row queries itself and the next row: equal rows, -0.0 twins and
+    # rows whose squares overflow tie exactly, whatever their position
+    t_ids = [f"t{i:02d}" for i in range(len(rows))]
+    q_ids = [f"{side}{i:02d}" for side in "ab" for i in range(len(rows))]
+    gold = {q: t_ids[(int(q[1:]) + (q[0] == "b")) % len(rows)] for q in q_ids}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        firsts, inverse = _distinct_rows(vectors)
-    want_firsts, want_inverse = oracle.distinct_rows_reference(rows)
-    assert firsts.tolist() == want_firsts
-    assert inverse.tolist() == want_inverse
+        out = retrieval_eval(_matrix(q_ids, rows + rows), _matrix(t_ids, rows), gold)
+    assert out["ranks"] == _exact_ranks(q_ids, rows + rows, t_ids, rows, gold)
 
 
-def test_distinct_rows_overflow_twins_stay_one_row():
-    # two equal rows whose sums are NaN must not split
-    vectors = np.array([_OVERFLOW_ROWS[0], [1.0] * 16, _OVERFLOW_ROWS[0]])
+def _planted_set(kind, seed, n_targets=300, n_queries=70, dim=48):
+    """Targets and queries of one kind of value with planted exact ties:
+    block-swapped twins (distinct rows whose cosines are equal against any
+    query whose first two blocks are equal), byte-equal duplicates, -0.0
+    twins, zero rows, and rows scaled by 2**1000 (squares overflow) or
+    2**-700 (squares underflow), whose cosines are those of the rows they
+    scale. 70 queries and 300 targets of dimension 48 span more than one
+    query block and more than one tile."""
+    rng = np.random.default_rng(seed)
+    w = dim // 4
+
+    def draw(shape):
+        if kind == "integer":
+            return rng.integers(-5, 6, size=shape).astype(np.float64)
+        if kind == "binary":
+            return (rng.random(shape) < 0.08).astype(np.float64)
+        values = rng.standard_normal(shape).astype(np.float16).astype(np.float64)
+        return np.where(rng.random(shape) < 0.1, 0.0, values)
+
+    def swapped(row):
+        return np.concatenate([row[w : 2 * w], row[:w], row[2 * w :]])
+
+    t = draw((n_targets, dim))
+    slots = rng.permutation(n_targets)
+    sources, plants = slots[:60], slots[60:120]
+    for k, (src, dst) in enumerate(zip(sources, plants)):
+        t[dst] = [
+            swapped(t[src]),
+            t[src],
+            np.where(t[src] == 0.0, -0.0, t[src]),
+            np.zeros(dim),
+            np.ldexp(t[src], 1000),
+            np.ldexp(t[src], -700),
+        ][k % 6]
+    big, twin = slots[120:122]
+    t[big] = 0.0
+    t[big, [0, w, 2 * w]] = [_BIG, -_BIG, _BIG]
+    t[twin] = swapped(t[big])
+    golds = rng.choice(slots[:122], size=n_queries)
+    q = np.array(t[golds])
+    noisy = np.arange(n_queries) % 3 != 0  # the others equal their gold
+    if kind == "binary":
+        q[noisy] = np.abs(q[noisy] - (rng.random((noisy.sum(), dim)) < 0.04))
+    else:
+        q[noisy] += draw((noisy.sum(), dim))
+    q[noisy, w : 2 * w] = q[noisy, :w]
+    for rows, power in ((slice(1, None, 6), 1000), (slice(2, None, 6), -700)):
+        _, exponent = np.frexp(np.abs(q[rows]).max(axis=1))
+        q[rows] = np.ldexp(q[rows], power - exponent[:, None])
+    q[4] = 0.0
+    q[5] = np.where(q[5] == 0.0, -0.0, q[5])
+    t_ids = [f"t{i:03d}" for i in range(n_targets)]
+    q_ids = [f"q{i:02d}" for i in range(n_queries)]
+    return q_ids, q, t_ids, t, {q_ids[i]: t_ids[g] for i, g in enumerate(golds)}
+
+
+@pytest.mark.parametrize("kind", ["integer", "binary", "float16"])
+def test_retrieval_matches_exact_ranks_on_planted_sets(kind):
+    for seed in range(3):
+        q_ids, q, t_ids, t, gold = _planted_set(kind, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = retrieval_eval(EmbeddingMatrix(q_ids, q), EmbeddingMatrix(t_ids, t), gold)
+        assert out["ranks"] == _exact_ranks(q_ids, q.tolist(), t_ids, t.tolist(), gold)
+
+
+def test_retrieval_probe_integer_twins():
+    # integer-valued rows, 400 queries x 800 targets x 64: each gold is a
+    # block-swapped twin of the target before it, so the two tie exactly;
+    # float scores ranked 9 of the first 60 one too high
+    rng = np.random.default_rng(0)
+    nt, nq, dim, w = 800, 400, 64, 16
+    t = rng.integers(-6, 7, size=(nt, dim)).astype(np.float64)
+    t[1::2] = np.concatenate([t[::2, w : 2 * w], t[::2, :w], t[::2, 2 * w :]], axis=1)
+    q = t[1 : 2 * nq : 2] + rng.integers(-3, 4, size=(nq, dim))
+    q[:, w : 2 * w] = q[:, :w]
+    t_ids = [f"t{i:03d}" for i in range(nt)]
+    q_ids = [f"q{i:03d}" for i in range(nq)]
+    gold = {qid: t_ids[2 * i + 1] for i, qid in enumerate(q_ids)}
+    out = retrieval_eval(EmbeddingMatrix(q_ids, q), EmbeddingMatrix(t_ids, t), gold)
+    checked = {qid: gold[qid] for qid in q_ids[:60]}
+    assert out["ranks"][:60] == _exact_ranks(q_ids[:60], q[:60].tolist(), t_ids, t.tolist(), checked)
+
+
+def test_retrieval_probe_binary_fingerprints():
+    # 256-bit fingerprints at 8% density, 500 queries x 3,000 targets, golds
+    # unrelated to their queries, so exact ties with the gold are common;
+    # float scores ranked 10 queries wrongly, query 0 among them
+    rng = np.random.default_rng(1)
+    nt, nq, dim = 3000, 500, 256
+    t = (rng.random((nt, dim)) < 0.08).astype(np.float64)
+    golds = rng.permutation(nt)[:nq]
+    q = (rng.random((nq, dim)) < 0.08).astype(np.float64)
+    t_ids = [f"t{i:04d}" for i in range(nt)]
+    q_ids = [f"q{i:03d}" for i in range(nq)]
+    gold = {qid: t_ids[g] for qid, g in zip(q_ids, golds)}
+    out = retrieval_eval(EmbeddingMatrix(q_ids, q), EmbeddingMatrix(t_ids, t), gold)
+    checked = {qid: gold[qid] for qid in q_ids[:40]}
+    assert out["ranks"][:40] == _exact_ranks(q_ids[:40], q[:40].tolist(), t_ids, t.tolist(), checked)
+
+
+def test_retrieval_band_edge(monkeypatch):
+    # the gold scores exactly 1; a target whose float score is more than 2δ
+    # below it needs no exact comparison, and one inside 2δ needs one
+    dim = 64
+    delta = _score_error(dim)
+    compared = []
+    orders = _ExactCosines.orders
+
+    def counting(self, q, rows, g):
+        compared.extend(rows.tolist())
+        return orders(self, q, rows, g)
+
+    monkeypatch.setattr(_ExactCosines, "orders", counting)
+    axis = np.eye(dim)[0]
+
+    def below_axis(gap):  # cosine with the axis close to 1 - gap
+        row = np.array(axis)
+        row[1] = math.sqrt(2 * gap)
+        return row
+
+    queries = EmbeddingMatrix(["q"], axis[None])
+    for gap, calls in ((2.5 * delta, 0), (1.5 * delta, 1)):
+        row = below_axis(gap)
+        score = row[0] / np.linalg.norm(row)
+        assert (1 - score > 2 * delta) == (calls == 0)
+        compared.clear()
+        targets = EmbeddingMatrix(["a", "gold"], np.stack([row, axis]))
+        out = retrieval_eval(queries, targets, {"q": "gold"})
+        assert len(compared) == calls
+        want = _exact_ranks(["q"], [axis.tolist()], ["a", "gold"], targets.vectors.tolist(), {"q": "gold"})
+        assert out["ranks"] == want == [1]
+    # inside the band the other way round: the target is ahead of the gold
+    compared.clear()
+    targets = EmbeddingMatrix(["a", "gold"], np.stack([axis, below_axis(1.5 * delta)]))
+    assert retrieval_eval(queries, targets, {"q": "gold"})["ranks"] == [2]
+    assert len(compared) == 1
+
+
+def _threads() -> int:
+    with open("/proc/self/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_retrieval_starts_no_blas_thread():
+    # a forked child scores 10 queries against 1,000 x 256 targets, the
+    # benchmark's shape, on its one thread
+    read, write = os.pipe()
     with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        firsts, inverse = _distinct_rows(vectors)
-    assert firsts.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            rng = np.random.default_rng(3)
+            targets = EmbeddingMatrix([f"t{i:04d}" for i in range(1000)], rng.standard_normal((1000, 256)))
+            queries = EmbeddingMatrix([f"q{i}" for i in range(10)], rng.standard_normal((10, 256)))
+            before = _threads()
+            retrieval_eval(queries, targets, {f"q{i}": f"t{7 * i:04d}" for i in range(10)})
+            os.write(write, f"{before} {_threads()}".encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        got = pipe.read()
+    os.waitpid(pid, 0)
+    assert got == "1 1"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="OpenBLAS thread setting")
+def test_retrieval_report_same_for_one_and_two_blas_threads(tmp_path):
+    # 1,000 x 1,000 x 256, where float scores differed between thread counts
+    rng = np.random.default_rng(11)
+    t = rng.standard_normal((1000, 256)).astype(np.float32)
+    golds = rng.permutation(1000)
+    q = t[golds] + rng.standard_normal((1000, 256)).astype(np.float32) * np.float32(3.0)
+    write_embeddings(tmp_path / "t.emb", EmbeddingMatrix([f"t{i:04d}" for i in range(1000)], t))
+    write_embeddings(tmp_path / "q.emb", EmbeddingMatrix([f"q{i:04d}" for i in range(1000)], q))
+    (tmp_path / "gold.jsonl").write_text(
+        "".join(f'{{"query": "q{i:04d}", "target": "t{g:04d}"}}\n' for i, g in enumerate(golds))
+    )
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run(
+            [sys.executable, "-m", "moleval.harness.cli", "eval", "retrieval", "--queries", "q.emb",
+             "--targets", "t.emb", "--gold", "gold.jsonl", "--out", "report.json"],
+            cwd=tmp_path, env=env, check=True, timeout=120,
+        )
+        reports.append((tmp_path / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_retrieval_leaves_inputs_untouched():
