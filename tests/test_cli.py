@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 import moleval.harness.cli as cli_mod
 from moleval.harness.cli import MAX_GRID_POINTS, _parse_grid, build_parser, main
 from moleval.transition import MODALITIES, build_matrix, export_matrix
-from moleval.harness.records import read_results
+from moleval.harness.records import read_results, read_stoplist
 
 
 def _write_jsonl(path, rows):
@@ -339,6 +340,19 @@ def test_custom_stoplist(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert "the" not in data["row_tokens"]
     assert "." in data["col_tokens"]  # custom stoplist replaces the default
+
+
+@pytest.mark.parametrize("brk", ["\u2028", "\x0c"], ids=["u2028", "ff"])
+def test_text_inputs_end_lines_only_at_newlines(tmp_path, brk):
+    # a stoplist, config or --in line ends only at \n, \r\n or \r, as a
+    # JSONL line does; other breaks stay inside the line
+    path = tmp_path / "lines.txt"
+    path.write_bytes(f"x{brk}y\nz\r\nw\r".encode("utf-8"))
+    assert read_stoplist(path) == {f"x{brk}y", "z", "w"}
+    args = argparse.Namespace(items=[], infile=str(path))
+    assert cli_mod._input_strings(args) == [f"x{brk}y", "z", "w"]
+    path.write_bytes(f"seed = 3{brk}top_k = 2\r\ngrid = 0:1:0.5\r".encode("utf-8"))
+    assert cli_mod._read_config(path) == [f"--seed=3{brk}top_k = 2", "--grid=0:1:0.5"]
 
 
 def test_profile_cli(tmp_path, capsys):

@@ -503,6 +503,71 @@ class TestEvalGeneration:
         monkeypatch.chdir(tmp_path)
         assert eval_generation("g.jsonl", target_kind).payload() == _PINNED_GEN[target_kind]
 
+    @pytest.mark.parametrize("target_kind", ["text", "molecule"])
+    def test_record_order_changes_no_bit(self, tmp_path, target_kind):
+        # a mean is correctly rounded, so it does not depend on the order
+        # of the records it averages
+        _gen_set(tmp_path, target_kind)
+        path = tmp_path / "g.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        report = eval_generation(path, target_kind)
+        want = [(name, value.hex()) for name, value in report.metrics.items()], report.details
+        for seed in range(20):
+            random.Random(seed).shuffle(lines)
+            path.write_text("".join(lines), encoding="utf-8")
+            report = eval_generation(path, target_kind)
+            got = [(name, value.hex()) for name, value in report.metrics.items()], report.details
+            assert got == want, seed
+
+    @pytest.mark.parametrize("target_kind", ["text", "molecule"])
+    def test_pinned_under_compensated_sum(self, tmp_path, monkeypatch, target_kind):
+        # CPython 3.12's sum() compensates float rounding; a mean must not
+        # depend on which sum() the interpreter has
+        assert _compensated_sum([0.1] * 10) == 1.0 != sum([0.1] * 10)
+        _gen_set(tmp_path, target_kind)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        payload = eval_generation("g.jsonl", target_kind).payload()
+        monkeypatch.undo()
+        assert payload == _PINNED_GEN[target_kind]
+
+
+def _compensated_sum(iterable, start=0):
+    """CPython 3.12's sum() (Python/bltinmodule.c): ints are added exactly
+    while the total is an int; once it is a float, float items go through
+    Neumaier's compensated loop, and the compensation is added at the end."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(item) not in (int, bool):
+                break
+    if type(total) is float:
+        compensation = 0.0
+        for item in items:
+            if type(item) in (int, bool):
+                total += float(item)
+                continue
+            if type(item) is not float:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                total = total + item
+                break
+            added = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - added) + item
+            else:
+                compensation += (item - added) + total
+            total = added
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        total = total + item
+    return total
+
 
 _GEN_WORDS = ("the", "molecule", "is", "a", "an", "acid", "acids", "ring", "rings", "coating",
               "coated", "group", "groups", "with", "of")
@@ -777,6 +842,35 @@ class TestEvalProperty:
         path = _write_jsonl(tmp_path / "p.jsonl", [{"task": "a", "label": 2, "score": 0.9}])
         with pytest.raises(SchemaError):
             read_property_rows(path)
+
+
+    @pytest.mark.parametrize("kind", ["classification", "regression"])
+    def test_full_report_is_pinned(self, tmp_path, monkeypatch, kind):
+        _property_set(tmp_path, kind)
+        monkeypatch.chdir(tmp_path)
+        assert eval_property("p.jsonl").payload() == _PINNED_PROPERTY[kind]
+
+
+def _property_set(directory, kind):
+    """Writes p.jsonl, seeded rows of one kind: for classification, tasks
+    `a` and `b` with both classes and scores on a coarse grid (so ties
+    occur), and task `c` with negatives only; for regression, tasks `x` and
+    `y` of unequal sizes."""
+    rng = random.Random(1919)
+    rows = []
+    if kind == "classification":
+        for task, size in (("a", 23), ("b", 17), ("c", 5)):
+            for i in range(size):
+                label = 0 if task == "c" else int(i % 3 == 0 or rng.random() < 0.3)
+                score = round(min(1.0, max(0.0, 0.3 * label + rng.random() * 0.7)), 2)
+                rows.append({"task": task, "label": label, "score": score})
+    else:
+        for task, size in (("x", 19), ("y", 11)):
+            for _ in range(size):
+                truth = rng.uniform(-3.0, 3.0)
+                rows.append({"task": task, "pred": truth + rng.gauss(0.0, 0.7), "truth": truth})
+    rng.shuffle(rows)
+    _write_jsonl(directory / "p.jsonl", rows)
 
 
 class TestMergeReports:
@@ -1185,6 +1279,30 @@ _PINNED_GEN = {
             "sentence_level": {"bleu-2": 0.5359597236513097, "bleu-4": 0.33671273344082925},
             "unparseable_predictions": 2,
         },
+    },
+}
+
+
+_PINNED_PROPERTY = {
+    "classification": {
+        "task": "eval-property",
+        "metrics": {"f1": 0.45248868778280543, "roc-auc": 0.7827380952380953, "pr-auc": 0.8210242634349778},
+        "counts": {"evaluated": 3, "skipped": 2},
+        "provenance": {
+            "inputs": {"p.jsonl": "f2dd8c8ae7a4c2c2ce2f6e0cd62d3c039e3858aebc23a63aaf80e8f8d879bf70"},
+            "tool": {"name": "moleval", "version": "0.1.0"},
+        },
+        "details": {"kind": "classification", "skip_reasons": {"degenerate-roc-auc": 1, "degenerate-pr-auc": 1}},
+    },
+    "regression": {
+        "task": "eval-property",
+        "metrics": {"mse": 0.3869612965506891, "rmse": 0.6126632940767479, "mae": 0.4747932858299525},
+        "counts": {"evaluated": 2, "skipped": 0},
+        "provenance": {
+            "inputs": {"p.jsonl": "81c39f5946b3ea90b439f15c371feb3cee8b5b58cbf3cbaf68a66c4521c34534"},
+            "tool": {"name": "moleval", "version": "0.1.0"},
+        },
+        "details": {"kind": "regression"},
     },
 }
 
