@@ -27,7 +27,7 @@ from ..textmetrics import SCHEMES
 from ..transition import MODALITIES, build_matrix, export_matrix, export_provenance
 from .evaluate import eval_generation, eval_property, eval_retrieval, merge_reports
 from .profile import profile_dataset
-from .records import DEFAULT_STOPLIST, read_pairs, read_results, read_stoplist, read_text
+from .records import DEFAULT_STOPLIST, _lines, read_pairs, read_results, read_stoplist, read_text
 from .reports import RENDERERS, provenance_of, render, resolve_out
 
 
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_config(path) -> list[str]:
     """The `key = value` lines of a config file as `--key=value` words."""
     words = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_lines(read_text(path)), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -61,7 +61,7 @@ def _read_config(path) -> list[str]:
 def _input_strings(args) -> list[str]:
     items = list(args.items)
     if args.infile:
-        for line in Path(args.infile).read_text(encoding="utf-8").splitlines():
+        for line in _lines(read_text(args.infile)):
             if line.strip():
                 items.append(line.strip())
     if not items:

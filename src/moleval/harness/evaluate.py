@@ -19,11 +19,11 @@ from ..predmetrics import (
 )
 from ..textmetrics import (
     bleu_from_counts,
+    clipped_counts,
     exact_match_graphs,
     exact_match_raw,
     levenshtein,
     meteor_lite,
-    ngram_counts,
     rouge,
     rouge_from_counts,
     tokenize,
@@ -67,8 +67,15 @@ class Report:
 
 
 def _mean(values) -> float:
+    """Correctly rounded (math.fsum; Shewchuk 1997), so the order of the
+    values and the Python version move no bit."""
     values = list(values)
-    return sum(values) / len(values)
+    return math.fsum(values) / len(values)
+
+
+def _means(rows: list[dict[str, float]]) -> dict[str, float]:
+    """The `_mean` of each metric over rows that all name the same ones."""
+    return {name: _mean(row[name] for row in rows) for name in rows[0]}
 
 
 def _parse_or_none(smiles: str):
@@ -78,10 +85,10 @@ def _parse_or_none(smiles: str):
         return None
 
 
-def _molecule_record(pred: str, ref: str) -> dict:
-    """Per-record molecule metrics; each distinct side is parsed, checked
-    and fingerprinted once, so a prediction equal to its reference shares
-    the reference's graph.
+def _molecule_record(pred: str, ref: str) -> tuple[dict[str, float], bool]:
+    """Per-record molecule metrics, and whether the prediction parsed; each
+    distinct side is parsed, checked and fingerprinted once, so a
+    prediction equal to its reference shares the reference's graph.
 
     A prediction that exact-matches its reference also shares its
     fingerprints. Equal canonical forms imply an isomorphism that keeps
@@ -99,18 +106,18 @@ def _molecule_record(pred: str, ref: str) -> dict:
         morgans = [morgan_fp(graph) for graph in sides]
         rdk = tanimoto(paths[0], paths[-1])
         morgan = tanimoto(morgans[0], morgans[-1])
-    return {
-        "valid": 1.0 if pred_graph is not None and validity(pred_graph) else 0.0,
-        "parseable": pred_graph is not None,
-        "exact": 1.0 if exact else 0.0,
-        "exact_raw": 1.0 if exact_match_raw(pred, ref) else 0.0,
-        "lev": float(levenshtein(pred, ref)),
-        "rdk": rdk,
-        "morgan": morgan,
+    row = {
+        "exact-match": 1.0 if exact else 0.0,
+        "exact-match-raw": 1.0 if exact_match_raw(pred, ref) else 0.0,
+        "levenshtein": float(levenshtein(pred, ref)),
+        "validity": 1.0 if pred_graph is not None and validity(pred_graph) else 0.0,
+        "rdk-fts": rdk,
+        "morgan-fts": morgan,
     }
+    return row, pred_graph is not None
 
 
-def _text_record(cand_tokens, ref_tokens, orders) -> dict:
+def _text_record(cand_tokens, ref_tokens, orders) -> dict[str, float]:
     """Per-record text metrics; ROUGE-1/2 read the pair's BLEU counts."""
     if len(cand_tokens) == 0 or len(ref_tokens) == 0:
         return {"rouge-1": 0.0, "rouge-2": 0.0, "rouge-l": 0.0, "meteor": 0.0}
@@ -130,15 +137,23 @@ def eval_generation(records_path, target_kind: str) -> Report:
         raise ValueError(f"unknown target kind {target_kind!r}")
     digest = hashlib.sha256()
     records = read_gen_records(records_path, digest)
-    preds = [r.prediction for r in records]
-    refs = [r.references[0] for r in records]
     scheme = "smiles_regex" if target_kind == "molecule" else "whitespace"
-    cand_seqs = [tokenize(p, scheme) for p in preds]
-    ref_seqs = [tokenize(r, scheme) for r in refs]
+    counts, rows = [], []
+    unparseable = 0
+    for record in records:
+        pred, ref = record.prediction, record.references[0]
+        cand_tokens, ref_tokens = tokenize(pred, scheme), tokenize(ref, scheme)
+        orders = clipped_counts(cand_tokens.tokens, ref_tokens.tokens)
+        counts.append(orders)
+        if target_kind == "molecule":
+            row, parsed = _molecule_record(pred, ref)
+            unparseable += not parsed
+        else:
+            row = _text_record(cand_tokens, ref_tokens, orders)
+        rows.append(row)
 
-    counts = ngram_counts(cand_seqs, ref_seqs)
     bleus = bleu_from_counts(counts)
-    metrics = {"bleu-2": bleus["bleu-2"], "bleu-4": bleus["bleu-4"]}
+    metrics = {"bleu-2": bleus["bleu-2"], "bleu-4": bleus["bleu-4"], **_means(rows)}
     details: dict = {
         "sentence_level": {
             "bleu-2": bleus["sentence-bleu-2"],
@@ -146,21 +161,7 @@ def eval_generation(records_path, target_kind: str) -> Report:
         }
     }
     if target_kind == "molecule":
-        rows = [_molecule_record(pred, ref) for pred, ref in zip(preds, refs)]
-        metrics["exact-match"] = _mean(r["exact"] for r in rows)
-        metrics["exact-match-raw"] = _mean(r["exact_raw"] for r in rows)
-        metrics["levenshtein"] = _mean(r["lev"] for r in rows)
-        metrics["validity"] = _mean(r["valid"] for r in rows)
-        metrics["rdk-fts"] = _mean(r["rdk"] for r in rows)
-        metrics["morgan-fts"] = _mean(r["morgan"] for r in rows)
-        details["unparseable_predictions"] = sum(1 for r in rows if not r["parseable"])
-    else:
-        rows = [
-            _text_record(cand, ref, orders)
-            for cand, ref, orders in zip(cand_seqs, ref_seqs, counts)
-        ]
-        for name in ("rouge-1", "rouge-2", "rouge-l", "meteor"):
-            metrics[name] = _mean(r[name] for r in rows)
+        details["unparseable_predictions"] = unparseable
 
     return Report(
         task=f"eval-gen-{target_kind}",
@@ -219,15 +220,10 @@ def eval_property(records_path) -> Report:
         if pr_values:
             metrics["pr-auc"] = _mean(pr_values)
     else:
-        per_task = [
+        metrics = _means([
             regression_metrics(data["preds"], data["truths"])
             for _, data in sorted(tasks.items())
-        ]
-        metrics = {
-            "mse": _mean(m["mse"] for m in per_task),
-            "rmse": _mean(m["rmse"] for m in per_task),
-            "mae": _mean(m["mae"] for m in per_task),
-        }
+        ])
     skipped = sum(skip_reasons.values())
     details = {"kind": kind}
     if skip_reasons:

@@ -257,7 +257,8 @@ def read_embeddings(path) -> tuple[EmbeddingMatrix, str]:
 
 def _lines(text: str) -> list[str]:
     # a line ends only at \n, \r\n or \r, as in _iter_jsonl: str.splitlines
-    # would also end one at U+2028, U+0085, \x0c and other breaks an id may hold
+    # would also end one at U+2028, U+0085, \x0c and other breaks an id, a
+    # token or a config value may hold
     return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
 
 
@@ -339,7 +340,7 @@ DEFAULT_STOPLIST = frozenset(
 
 def read_stoplist(path, digest=None) -> frozenset[str]:
     tokens = set()
-    for line in read_text(path, digest).splitlines():
+    for line in _lines(read_text(path, digest)):
         token = line.strip()
         if token:
             tokens.add(token)

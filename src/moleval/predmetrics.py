@@ -62,7 +62,7 @@ def roc_auc(s: ScoredLabels) -> float:
         for k in range(i, j + 1):
             ranks[order[k]] = mean_rank
         i = j + 1
-    pos_rank_sum = sum(r for r, y in zip(ranks, s.labels) if y == 1)
+    pos_rank_sum = math.fsum(r for r, y in zip(ranks, s.labels) if y == 1)
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
 
 
@@ -73,13 +73,20 @@ def pr_auc(s: ScoredLabels) -> float:
     if n_pos == 0:
         raise DegenerateLabels(f"no positive labels, task {s.task_id!r}")
     order = sorted(range(len(s.scores)), key=lambda i: (-s.scores[i], i))
-    hits = 0
-    acc = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if s.labels[idx] == 1:
-            hits += 1
-            acc += hits / rank
-    return acc / n_pos
+    ranks = [rank for rank, idx in enumerate(order, start=1) if s.labels[idx] == 1]
+    return math.fsum(hits / rank for hits, rank in enumerate(ranks, start=1)) / n_pos
+
+
+def _f1(task: ScoredLabels, threshold: float) -> float:
+    preds = [1 if score >= threshold else 0 for score in task.scores]
+    tp = sum(1 for y, p in zip(task.labels, preds) if y == 1 and p == 1)
+    fp = sum(1 for y, p in zip(task.labels, preds) if y == 0 and p == 1)
+    fn = sum(1 for y, p in zip(task.labels, preds) if y == 1 and p == 0)
+    if tp == 0:
+        return 0.0  # no predicted or no true positives
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2 * precision * recall / (precision + recall)
 
 
 def f1_mean(tasks: list[ScoredLabels], threshold: float = 0.5) -> float:
@@ -87,18 +94,7 @@ def f1_mean(tasks: list[ScoredLabels], threshold: float = 0.5) -> float:
         raise ValueError("threshold must lie in (0, 1)")
     if not tasks:
         raise EmptySequence("no tasks")
-    total = 0.0
-    for task in tasks:
-        preds = [1 if score >= threshold else 0 for score in task.scores]
-        tp = sum(1 for y, p in zip(task.labels, preds) if y == 1 and p == 1)
-        fp = sum(1 for y, p in zip(task.labels, preds) if y == 0 and p == 1)
-        fn = sum(1 for y, p in zip(task.labels, preds) if y == 1 and p == 0)
-        if tp == 0:
-            continue  # no predicted or no true positives scores 0
-        precision = tp / (tp + fp)
-        recall = tp / (tp + fn)
-        total += 2 * precision * recall / (precision + recall)
-    return total / len(tasks)
+    return math.fsum(_f1(task, threshold) for task in tasks) / len(tasks)
 
 
 def regression_metrics(pred: list[float], truth: list[float]) -> dict[str, float]:
@@ -108,8 +104,8 @@ def regression_metrics(pred: list[float], truth: list[float]) -> dict[str, float
         raise EmptySequence("no values")
     sq = [(p - t) ** 2 for p, t in zip(pred, truth)]
     ab = [abs(p - t) for p, t in zip(pred, truth)]
-    mse = sum(sq) / len(sq)
-    return {"mse": mse, "rmse": math.sqrt(mse), "mae": sum(ab) / len(ab)}
+    mse = math.fsum(sq) / len(sq)
+    return {"mse": mse, "rmse": math.sqrt(mse), "mae": math.fsum(ab) / len(ab)}
 
 
 def pool(seq: list[list[float]], mode: str) -> list[float]:
@@ -119,7 +115,7 @@ def pool(seq: list[list[float]], mode: str) -> list[float]:
     if any(len(v) != dim for v in seq):
         raise DimMismatch("vectors differ in dimension")
     if mode == "avg":
-        return [sum(v[k] for v in seq) / len(seq) for k in range(dim)]
+        return [math.fsum(v[k] for v in seq) / len(seq) for k in range(dim)]
     if mode == "max":
         return [max(v[k] for v in seq) for k in range(dim)]
     raise ValueError(f"unknown pooling mode {mode!r}")
@@ -354,6 +350,6 @@ def retrieval_eval(
                 orders = exact.orders(queries.vectors[q_rows[start + i]], band_rows[~equal], g)
                 ahead[i] += ((orders > 0) | ((orders == 0) & smaller_id[~equal])).sum()
         ranks.extend((1 + ahead).tolist())
-    mrr = sum(1.0 / r for r in ranks) / len(ranks)
+    mrr = math.fsum(1.0 / r for r in ranks) / len(ranks)
     recall_at = {k: sum(1 for r in ranks if r <= k) / len(ranks) for k in ks}
     return {"mrr": mrr, "recall_at": recall_at, "ranks": ranks}

@@ -58,11 +58,12 @@ def _grams(s):
     return chain(zip(s), zip(s, s[1:]), zip(s, s[1:], s[2:]), zip(s, s[1:], s[2:], s[3:]))
 
 
-def _clipped(cand, ref) -> list[tuple[int, int, int]]:
-    """Per order 1-4, the clipped n-gram matches of `cand` against `ref`,
-    then the number of n-grams on each side. One Counter per side holds
-    all four orders, since tuples of different lengths never collide. The
-    only place n-grams are counted."""
+def clipped_counts(cand, ref) -> list[tuple[int, int, int]]:
+    """Per order 1-4, the clipped n-gram matches of the token sequence
+    `cand` against `ref`, then the number of n-grams on each side: what
+    BLEU and ROUGE-1/2 read. One Counter per side holds all four orders,
+    since tuples of different lengths never collide. The only place
+    n-grams are counted."""
     get = Counter(_grams(ref)).get
     hits = [0] * 5
     for g, c in Counter(_grams(cand)).items():
@@ -78,25 +79,9 @@ def _corpus_bleu(matched, total, cand_len: int, ref_len: int) -> float:
     pairs = [(m, t) for m, t in zip(matched, total) if t > 0]
     if cand_len == 0 or not pairs or any(m == 0 for m, _ in pairs):
         return 0.0
-    log_sum = sum(math.log(m / t) for m, t in pairs)
+    log_sum = math.fsum(math.log(m / t) for m, t in pairs)
     brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
     return brevity * math.exp(log_sum / len(pairs))
-
-
-def ngram_counts(
-    candidates: list[TokenSeq], references: list[TokenSeq]
-) -> list[list[tuple[int, int, int]]]:
-    """Per pair, the clipped counts of orders 1-4 (see `_clipped`): the one
-    n-gram pass that BLEU and ROUGE-1/2 both read."""
-    if len(candidates) != len(references):
-        raise LengthMismatch(
-            f"{len(candidates)} candidates vs {len(references)} references"
-        )
-    if not candidates:
-        raise EmptyCorpus("no sentence pairs")
-    return [
-        _clipped(cand.tokens, ref.tokens) for cand, ref in zip(candidates, references)
-    ]
 
 
 def bleu_from_counts(counts: list[list[tuple[int, int, int]]]) -> dict[str, float]:
@@ -104,7 +89,7 @@ def bleu_from_counts(counts: list[list[tuple[int, int, int]]]) -> dict[str, floa
     the brevity penalty; a zero precision at any order gives 0) and mean
     sentence BLEU-2/4 (zero precisions smoothed to 1e-9 so short sentences
     still produce a graded signal; an empty candidate scores 0) from the
-    `ngram_counts` of a corpus."""
+    `clipped_counts` of each pair of a corpus."""
     eps = 1e-9
     matched = [0] * 4
     total = [0] * 4
@@ -134,30 +119,30 @@ def bleu_from_counts(counts: list[list[tuple[int, int, int]]]) -> dict[str, floa
     return {
         "bleu-2": _corpus_bleu(matched[:2], total[:2], cand_len, ref_len),
         "bleu-4": _corpus_bleu(matched, total, cand_len, ref_len),
-        "sentence-bleu-2": sum(sentence_2) / len(sentence_2),
-        "sentence-bleu-4": sum(sentence_4) / len(sentence_4),
+        "sentence-bleu-2": math.fsum(sentence_2) / len(sentence_2),
+        "sentence-bleu-4": math.fsum(sentence_4) / len(sentence_4),
     }
 
 
-def bleu_scores(
-    candidates: list[TokenSeq], references: list[TokenSeq]
-) -> dict[str, float]:
-    """Corpus and mean sentence BLEU-2/4; see `bleu_from_counts`."""
-    return bleu_from_counts(ngram_counts(candidates, references))
-
-
 def bleu(candidates: list[TokenSeq], references: list[TokenSeq], max_n: int) -> float:
-    """Corpus BLEU of order `max_n` (2 or 4); see `bleu_scores`."""
+    """Corpus BLEU of order `max_n` (2 or 4); see `bleu_from_counts`."""
     if max_n not in (2, 4):
         raise ValueError("max_n must be 2 or 4")
-    return bleu_scores(candidates, references)[f"bleu-{max_n}"]
+    if len(candidates) != len(references):
+        raise LengthMismatch(
+            f"{len(candidates)} candidates vs {len(references)} references"
+        )
+    if not candidates:
+        raise EmptyCorpus("no sentence pairs")
+    counts = [clipped_counts(c.tokens, r.tokens) for c, r in zip(candidates, references)]
+    return bleu_from_counts(counts)[f"bleu-{max_n}"]
 
 
 def rouge(candidate: TokenSeq, reference: TokenSeq, variant: str) -> float:
     if len(candidate) == 0 or len(reference) == 0:
         raise EmptyInput("rouge needs non-empty sequences")
     if variant in ("r1", "r2"):
-        return _f1(*_clipped(candidate.tokens, reference.tokens)[int(variant[1]) - 1])
+        return _f1(*clipped_counts(candidate.tokens, reference.tokens)[int(variant[1]) - 1])
     if variant == "rl":
         cand, ref = candidate.tokens, reference.tokens
         return _f1(_lcs_length(cand, ref), len(cand), len(ref))
@@ -165,7 +150,7 @@ def rouge(candidate: TokenSeq, reference: TokenSeq, variant: str) -> float:
 
 
 def rouge_from_counts(orders: list[tuple[int, int, int]], n: int) -> float:
-    """ROUGE-n (n = 1 or 2) from one pair's `ngram_counts` entry; equals
+    """ROUGE-n (n = 1 or 2) from one pair's `clipped_counts`; equals
     `rouge(candidate, reference, f"r{n}")` on non-empty sequences."""
     return _f1(*orders[n - 1])
 

@@ -90,7 +90,7 @@ def build_matrix(results: list[TaskResult]) -> TransitionMatrix:
                 f"cell {key[0]}->{key[1]} has metrics {sorted(metrics)}"
             )
         metric, values = next(iter(metrics.items()))
-        measured[key] = (sum(values) / len(values), metric)
+        measured[key] = (math.fsum(values) / len(values), metric)
 
     # a measured X->smiles generation BLEU fills all internal-target cells
     # of row X uniformly

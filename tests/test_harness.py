@@ -457,13 +457,12 @@ class TestEvalGeneration:
             return path_fp(graph)
 
         monkeypatch.setattr(evaluate, "path_fp", counting_path_fp)
-        names = {"validity": "valid", "exact-match": "exact", "exact-match-raw": "exact_raw",
-                 "levenshtein": "lev", "rdk-fts": "rdk", "morgan-fts": "morgan"}
+        names = ("validity", "exact-match", "exact-match-raw", "levenshtein", "rdk-fts", "morgan-fts")
         for (pred, ref), w, share in zip(pairs, want, shared):
             del fingerprinted[:]
-            got = evaluate._molecule_record(pred, ref)
-            for name, key in names.items():
-                assert got[key] == pytest.approx(w[name], abs=1e-12), (pred, ref, name)
+            got, _ = evaluate._molecule_record(pred, ref)
+            for name in names:
+                assert got[name] == pytest.approx(w[name], abs=1e-12), (pred, ref, name)
             assert len(fingerprinted) == (1 if share or pred == ref else 2), (pred, ref)
         rows = [_gen_row(i, pred, [ref]) for i, (pred, ref) in enumerate(pairs)]
         report = eval_generation(_write_jsonl(tmp_path / "g.jsonl", rows), "molecule")
@@ -1246,29 +1245,29 @@ _PINNED_GEN = {
         "metrics": {
             "bleu-2": 0.4915094081663211,
             "bleu-4": 0.4020947888179653,
-            "rouge-1": 0.6348862330479977,
+            "rouge-1": 0.6348862330479978,
             "rouge-2": 0.46722222222222226,
             "rouge-l": 0.6067268923886571,
-            "meteor": 0.5611188585580055,
+            "meteor": 0.5611188585580056,
         },
         "counts": {"evaluated": 30, "skipped": 0},
         "provenance": {
             "inputs": {"g.jsonl": "d023ace34d2985171a7340bc91e1cdee162bd42d2500c463436c6b760b4b9cfc"},
             "tool": {"name": "moleval", "version": "0.1.0"},
         },
-        "details": {"sentence_level": {"bleu-2": 0.49995787018659127, "bleu-4": 0.2341920676978506}},
+        "details": {"sentence_level": {"bleu-2": 0.4999578701865912, "bleu-4": 0.23419206769785056}},
     },
     "molecule": {
         "task": "eval-gen-molecule",
         "metrics": {
             "bleu-2": 0.5666308547418543,
-            "bleu-4": 0.5221520632805555,
+            "bleu-4": 0.5221520632805554,
             "exact-match": 0.4,
             "exact-match-raw": 0.4,
             "levenshtein": 3.9,
             "validity": 0.9,
-            "rdk-fts": 0.4779487179487179,
-            "morgan-fts": 0.4958173690932312,
+            "rdk-fts": 0.47794871794871796,
+            "morgan-fts": 0.49581736909323115,
         },
         "counts": {"evaluated": 30, "skipped": 0},
         "provenance": {
@@ -1276,7 +1275,7 @@ _PINNED_GEN = {
             "tool": {"name": "moleval", "version": "0.1.0"},
         },
         "details": {
-            "sentence_level": {"bleu-2": 0.5359597236513097, "bleu-4": 0.33671273344082925},
+            "sentence_level": {"bleu-2": 0.5359597236513098, "bleu-4": 0.33671273344082925},
             "unparseable_predictions": 2,
         },
     },
@@ -1286,7 +1285,7 @@ _PINNED_GEN = {
 _PINNED_PROPERTY = {
     "classification": {
         "task": "eval-property",
-        "metrics": {"f1": 0.45248868778280543, "roc-auc": 0.7827380952380953, "pr-auc": 0.8210242634349778},
+        "metrics": {"f1": 0.45248868778280543, "roc-auc": 0.7827380952380953, "pr-auc": 0.8210242634349777},
         "counts": {"evaluated": 3, "skipped": 2},
         "provenance": {
             "inputs": {"p.jsonl": "f2dd8c8ae7a4c2c2ce2f6e0cd62d3c039e3858aebc23a63aaf80e8f8d879bf70"},
@@ -1296,7 +1295,7 @@ _PINNED_PROPERTY = {
     },
     "regression": {
         "task": "eval-property",
-        "metrics": {"mse": 0.3869612965506891, "rmse": 0.6126632940767479, "mae": 0.4747932858299525},
+        "metrics": {"mse": 0.3869612965506891, "rmse": 0.6126632940767479, "mae": 0.4747932858299526},
         "counts": {"evaluated": 2, "skipped": 0},
         "provenance": {
             "inputs": {"p.jsonl": "81c39f5946b3ea90b439f15c371feb3cee8b5b58cbf3cbaf68a66c4521c34534"},
