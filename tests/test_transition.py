@@ -146,3 +146,21 @@ def test_provenance_export_shape():
     assert len(lines) == len(MODALITIES) + 1
     assert "identity" in lines[1] and "tool" in lines[1]
     assert lines[-1].split(",")[1] == "zero"
+
+
+def test_measured_internal_pair_keeps_tool_unless_row_filled():
+    # a tool converts between internal representations, so a measured
+    # non-BLEU score of an internal pair does not replace its 1.0; only a
+    # row fill from a measured X->smiles BLEU does
+    accuracy = TaskResult("smiles", "inchi", "accuracy", 0.3)
+    m = build_matrix([accuracy])
+    assert m.cell("smiles", "inchi") == 1.0 and m.tag("smiles", "inchi") == "tool"
+    m = build_matrix([accuracy, TaskResult("smiles", "smiles", "bleu", 0.6)])
+    assert m.cell("smiles", "inchi") == pytest.approx(0.6)
+    assert m.tag("smiles", "inchi") == "measured(bleu)"
+    assert m.cell("smiles", "smiles") == 1.0 and m.tag("smiles", "smiles") == "identity"
+    m = build_matrix(
+        [TaskResult("graph", "inchi", "accuracy", 0.3), TaskResult("graph", "smiles", "bleu-4", 0.45)]
+    )
+    assert m.cell("graph", "inchi") == pytest.approx(0.45)
+    assert m.tag("graph", "inchi") == "measured(bleu-4)"
