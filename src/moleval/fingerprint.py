@@ -104,21 +104,11 @@ def _atom_codes(graph: MolGraph) -> list[int]:
 
 
 def _initial_codes(graph: MolGraph) -> list[int]:
-    ring = graph.ring_atoms()
-    codes = []
-    for idx, atom in enumerate(graph.atoms):
-        payload = "|".join(
-            (
-                atom.element,
-                str(graph.degree(idx)),
-                str(atom.charge),
-                str(graph.total_h(idx)),
-                str(int(idx in ring)),
-                str(int(atom.aromatic)),
-            )
-        )
-        codes.append(_fnv1a(payload.encode()))
-    return codes
+    """FNV-1a of each atom's graph invariant, its fields joined by "|".
+    Each distinct invariant is hashed once."""
+    invariants = graph.atom_invariants()
+    hashed = {inv: _fnv1a("|".join(map(str, inv)).encode()) for inv in set(invariants)}
+    return [hashed[inv] for inv in invariants]
 
 
 def morgan_features(graph: MolGraph, radius: int) -> set[int]:

@@ -36,17 +36,19 @@ def canonical_smiles(graph: MolGraph) -> str:
     not aligned with any external toolkit's canonical form.
     """
     # everything the search and the writer read, derived once per call:
-    # each atom's hydrogen count and token, and its (bond order, neighbour,
-    # bond token) links
-    bare_h = graph.bare_hs()
-    total_h = [h if atom.explicit_h is None else atom.explicit_h for atom, h in zip(graph.atoms, bare_h)]
-    tokens = [_atom_token(atom, h, bare) for atom, h, bare in zip(graph.atoms, total_h, bare_h)]
+    # each atom's rank by its graph invariant, its token (whose H count is
+    # the invariant's total H), and its (bond order, neighbour, bond token)
+    # links
+    invariants = graph.atom_invariants()
+    ranks = _dense(invariants)
+    tokens = [
+        _atom_token(atom, inv.total_h, bare) for atom, inv, bare in zip(graph.atoms, invariants, graph.bare_hs())
+    ]
     links: list[list[tuple[int, int, str]]] = [[] for _ in graph.atoms]
     for bond in graph.bonds:
         token = _bond_token(graph, bond.a, bond.b, bond.order)
         links[bond.a].append((bond.order, bond.b, token))
         links[bond.b].append((bond.order, bond.a, token))
-    ranks = _initial_ranks(graph, total_h, links)
     components = graph.components()
     if len(components) == 1:
         return _search(links, tokens, ranks)
@@ -62,23 +64,6 @@ def canonical_smiles(graph: MolGraph) -> str:
 
 
 # -- ranking ---------------------------------------------------------------
-
-
-def _initial_ranks(graph: MolGraph, total_h: list[int], links) -> list[int]:
-    ring = graph.ring_atoms()
-    invariants = []
-    for idx, atom in enumerate(graph.atoms):
-        invariants.append(
-            (
-                atom.element,
-                len(links[idx]),
-                atom.charge,
-                total_h[idx],
-                idx in ring,
-                atom.aromatic,
-            )
-        )
-    return _dense(invariants)
 
 
 def _dense(keys: list) -> list[int]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .elements import allowed_valences, default_valence, hydrogens_to_fill
 
@@ -33,6 +34,21 @@ class Atom:
         return Atom(
             self.element, self.charge, self.isotope, self.aromatic, self.explicit_h, self.chirality
         )
+
+
+class AtomInvariant(NamedTuple):
+    """An atom's Daylight-style invariant, the start of canonical ranks
+    (Weininger et al. 1989) and of fingerprint atom codes (Rogers & Hahn
+    2010). Ring membership and aromaticity are 0/1. Being a tuple subclass,
+    its instances are freed after use; CPython would keep up to 2,000 freed
+    plain 6-tuples on its free list, which a 1,500-atom chain fills."""
+
+    element: str
+    degree: int
+    charge: int
+    total_h: int
+    in_ring: int
+    aromatic: int
 
 
 @dataclass
@@ -210,6 +226,16 @@ class MolGraph:
     def total_h(self, idx: int) -> int:
         explicit = self.atoms[idx].explicit_h
         return self.bare_h(idx) if explicit is None else explicit
+
+    def atom_invariants(self) -> list[AtomInvariant]:
+        """Each atom's invariant. Built anew on each call, not cached."""
+        ring, adjacency, total_h = self.ring_atoms(), self.adjacency(), self.total_h
+        return [
+            AtomInvariant(
+                atom.element, len(adjacency[idx]), atom.charge, total_h(idx), int(idx in ring), int(atom.aromatic)
+            )
+            for idx, atom in enumerate(self.atoms)
+        ]
 
     def kekule_bond_sums(self) -> list[int] | None:
         """Each atom's bond order sum in the Kekulé form, from one pass over

@@ -83,51 +83,35 @@ def build_matrix(results: list[TaskResult]) -> TransitionMatrix:
     for r in usable:
         cell = by_cell.setdefault((r.input, r.output), {})
         cell.setdefault(r.metric, []).append(r.value)
+    # each measured cell's mean and tag; a measured X->smiles generation
+    # BLEU also fills all internal-target cells of row X uniformly
     measured: dict[tuple[str, str], tuple[float, str]] = {}
-    for key, metrics in by_cell.items():
-        if len(metrics) > 1:
-            raise ConflictingResults(
-                f"cell {key[0]}->{key[1]} has metrics {sorted(metrics)}"
-            )
-        metric, values = next(iter(metrics.items()))
-        measured[key] = (math.fsum(values) / len(values), metric)
-
-    # a measured X->smiles generation BLEU fills all internal-target cells
-    # of row X uniformly
     row_fill: dict[str, tuple[float, str]] = {}
-    for (row, col), (value, metric) in measured.items():
+    for (row, col), metrics in by_cell.items():
+        if len(metrics) > 1:
+            raise ConflictingResults(f"cell {row}->{col} has metrics {sorted(metrics)}")
+        metric, values = next(iter(metrics.items()))
+        measured[(row, col)] = (math.fsum(values) / len(values), f"measured({metric})")
         if col == "smiles" and _is_bleu(metric):
-            row_fill[row] = (value, metric)
+            row_fill[row] = measured[(row, col)]
 
     matrix = TransitionMatrix()
     for row in MODALITIES:
         for col in MODALITIES:
             key = (row, col)
             if row == col:
-                matrix.entries[key] = 1.0
-                matrix.provenance[key] = "identity"
+                value, tag = 1.0, "identity"
             elif row == "property":
-                matrix.entries[key] = 0.0
-                matrix.provenance[key] = "zero"
-            elif row in INTERNAL and col in INTERNAL:
-                if row in row_fill:
-                    value, metric = row_fill[row]
-                    matrix.entries[key] = value
-                    matrix.provenance[key] = f"measured({metric})"
-                else:
-                    matrix.entries[key] = 1.0
-                    matrix.provenance[key] = "tool"
+                value, tag = 0.0, "zero"
             elif col in INTERNAL and row in row_fill:
-                value, metric = row_fill[row]
-                matrix.entries[key] = value
-                matrix.provenance[key] = f"measured({metric})"
+                value, tag = row_fill[row]
+            elif row in INTERNAL and col in INTERNAL:
+                value, tag = 1.0, "tool"
             elif key in measured:
-                value, metric = measured[key]
-                matrix.entries[key] = value
-                matrix.provenance[key] = f"measured({metric})"
+                value, tag = measured[key]
             else:
-                matrix.entries[key] = None
-                matrix.provenance[key] = "missing"
+                value, tag = None, "missing"
+            matrix.entries[key], matrix.provenance[key] = value, tag
     return matrix
 
 
