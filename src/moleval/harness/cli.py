@@ -17,6 +17,7 @@ import numpy as np
 from .. import interpret
 from ..molgraph import (
     SmilesError,
+    UnsupportedFeature,
     canonical_smiles,
     descriptors,
     parse_smiles,
@@ -84,7 +85,10 @@ def _cmd_parse(args):
         entry["valid"] = validity(graph)
         if entry["valid"]:
             valid_count += 1
-            entry["canonical"] = canonical_smiles(graph)
+            try:
+                entry["canonical"] = canonical_smiles(graph)
+            except UnsupportedFeature as exc:
+                entry["error"] = str(exc)
             entry.update(descriptors(graph))
         molecules.append(entry)
     return {
@@ -117,12 +121,33 @@ def _cmd_profile(args):
     return profile_dataset(args.records)
 
 
+def _read_report(path, digest) -> dict:
+    """A saved report: a JSON object whose task, if given, is a string and
+    whose metrics, if given, map names to numbers."""
+    try:
+        payload = json.loads(read_text(path, digest))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc.msg})") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a report (expected a JSON object)")
+    task = payload.get("task")
+    if task is not None and not isinstance(task, str):
+        raise ValueError(f"{path}: task {json.dumps(task)} is not a string")
+    metrics = payload.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise ValueError(f"{path}: metrics {json.dumps(metrics)} is not an object")
+    for name, value in metrics.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: metric {name!r} is {json.dumps(value)}, not a number")
+    return payload
+
+
 def _cmd_eval(args):
     if args.repeat_merge:
         payloads, digests = [], {}
         for path in args.repeat_merge:
             digest = hashlib.sha256()
-            payloads.append(json.loads(read_text(path, digest)))
+            payloads.append(_read_report(path, digest))
             digests[str(path)] = digest.hexdigest()
         return merge_reports(payloads, provenance_of(digests))
     if args.eval_command == "gen":
@@ -178,6 +203,9 @@ def _load_mapping_matrix(args) -> tuple[interpret.MappingMatrix, dict]:
     if args.matrix:
         data = json.loads(read_text(args.matrix, digests["matrix"]))
         try:
+            for key in ("row_tokens", "col_tokens"):
+                if not isinstance(data[key], list) or not all(isinstance(t, str) for t in data[key]):
+                    raise TypeError(f"{key} must be a list of strings")
             matrix = interpret.MappingMatrix(
                 np.array(data["counts"], dtype=float),
                 tuple(data["row_tokens"]),
@@ -199,13 +227,9 @@ def _load_mapping_matrix(args) -> tuple[interpret.MappingMatrix, dict]:
             stoplist = read_stoplist(args.stoplist, digests.get("stoplist"))
         else:
             stoplist = DEFAULT_STOPLIST
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            matrix = interpret.build_mapping_matrix(
-                pairs, top_k=args.top_k, stoplist=stoplist, count_mode=args.count_mode
-            )
+        matrix = interpret.build_mapping_matrix(
+            pairs, top_k=args.top_k, stoplist=stoplist, count_mode=args.count_mode
+        )
     return matrix, provenance_of({sources[role]: digest.hexdigest() for role, digest in digests.items()})
 
 

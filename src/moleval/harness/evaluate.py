@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import statistics
 from dataclasses import dataclass, field
 
 from ..fingerprint import morgan_fp, path_fp, tanimoto
@@ -66,16 +67,9 @@ class Report:
         return body
 
 
-def _mean(values) -> float:
-    """Correctly rounded (math.fsum; Shewchuk 1997), so the order of the
-    values and the Python version move no bit."""
-    values = list(values)
-    return math.fsum(values) / len(values)
-
-
 def _means(rows: list[dict[str, float]]) -> dict[str, float]:
-    """The `_mean` of each metric over rows that all name the same ones."""
-    return {name: _mean(row[name] for row in rows) for name in rows[0]}
+    """The mean of each metric over rows that all name the same ones."""
+    return {name: statistics.fmean(row[name] for row in rows) for name in rows[0]}
 
 
 def _parse_or_none(smiles: str):
@@ -216,9 +210,9 @@ def eval_property(records_path) -> Report:
                 skip_reasons["degenerate-pr-auc"] = skip_reasons.get("degenerate-pr-auc", 0) + 1
         metrics = {"f1": f1_mean(list(scored.values()))}
         if roc_values:
-            metrics["roc-auc"] = _mean(roc_values)
+            metrics["roc-auc"] = statistics.fmean(roc_values)
         if pr_values:
-            metrics["pr-auc"] = _mean(pr_values)
+            metrics["pr-auc"] = statistics.fmean(pr_values)
     else:
         metrics = _means([
             regression_metrics(data["preds"], data["truths"])
@@ -251,8 +245,9 @@ def merge_reports(payloads: list[dict], provenance: dict) -> dict:
     merged = {}
     for name in sorted(names):
         values = [float(p["metrics"][name]) for p in payloads]
-        mean = _mean(values)
-        var = _mean((v - mean) ** 2 for v in values)
+        mean = statistics.fmean(values)
+        # a product, as (v - mean) ** 2 raises OverflowError where it is inf
+        var = statistics.fmean((v - mean) * (v - mean) for v in values)
         merged[name] = {"mean": mean, "std": math.sqrt(var)}
     return {
         "task": tasks.pop(),

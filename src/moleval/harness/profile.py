@@ -7,6 +7,7 @@ from collections import Counter
 
 from ..molgraph import (
     SmilesError,
+    UnsupportedFeature,
     canonical_smiles,
     descriptors,
     murcko_scaffold,
@@ -101,7 +102,10 @@ def profile_dataset(records_path) -> dict:
         except NotEncodable:
             unencodable.append(row["id"])
         scaffold = murcko_scaffold(graph)
-        scaffold_counts[canonical_smiles(scaffold) if scaffold.atoms else ""] += 1
+        try:
+            scaffold_counts[canonical_smiles(scaffold) if scaffold.atoms else ""] += 1
+        except UnsupportedFeature:
+            pass  # a scaffold the canonical writer refuses is not counted
         values = descriptors(graph)
         for key, column in described.items():
             column.append(values[key])

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,6 +93,14 @@ def _require(obj: dict, key: str, kind, lineno: int):
         return float(value)
     if not isinstance(value, kind):
         raise SchemaError(f"field {key!r} must be {kind.__name__}", lineno)
+    return value
+
+
+def _finite(obj: dict, key: str, lineno: int) -> float:
+    # json reads NaN, Infinity and -Infinity as floats
+    value = _require(obj, key, float, lineno)
+    if not math.isfinite(value):
+        raise SchemaError(f"field {key!r} must be finite", lineno)
     return value
 
 
@@ -179,13 +188,13 @@ def read_property_rows(path, digest=None):
             label = _require(obj, "label", float, lineno)
             if label not in (0.0, 1.0):
                 raise SchemaError("label must be 0 or 1", lineno)
-            score = _require(obj, "score", float, lineno)
+            score = _finite(obj, "score", lineno)
             bucket = tasks.setdefault(task, {"labels": [], "scores": []})
             bucket["labels"].append(int(label))
             bucket["scores"].append(score)
         else:
-            pred = _require(obj, "pred", float, lineno)
-            truth = _require(obj, "truth", float, lineno)
+            pred = _finite(obj, "pred", lineno)
+            truth = _finite(obj, "truth", lineno)
             bucket = tasks.setdefault(task, {"preds": [], "truths": []})
             bucket["preds"].append(pred)
             bucket["truths"].append(truth)

@@ -9,9 +9,8 @@ flagged proportion against what a globally normal matrix would produce.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +61,6 @@ class FilterStats:
     global_std: float
     neighbor_means: np.ndarray
     neighbor_stds: np.ndarray
-    # (the matrix given, its sorted copy the flags index), so select_pairs
-    # on the same matrix does not sort it again
-    sorted_from: tuple[MappingMatrix, MappingMatrix] | None = field(
-        default=None, repr=False, compare=False
-    )
 
 
 @dataclass(frozen=True)
@@ -114,10 +108,6 @@ def build_mapping_matrix(
         if len(freq) < 2:
             raise TooFewTokens(f"fewer than 2 distinct {axis} tokens after filtering")
         if len(freq) < top_k:
-            warnings.warn(
-                f"only {len(freq)} distinct {axis} tokens available for top_k={top_k}",
-                stacklevel=2,
-            )
             degraded = True
         ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
         selected.append(tuple(token for token, _ in ranked[:top_k]))
@@ -238,7 +228,6 @@ def local_filter(matrix: MappingMatrix, T: float) -> FilterStats:
         global_std=float(counts.std()),
         neighbor_means=means,
         neighbor_stds=stds,
-        sorted_from=(matrix, ordered),
     )
 
 
@@ -274,10 +263,7 @@ def select_pairs(matrix: MappingMatrix, stats: FilterStats) -> list[MappingPair]
     """Flagged cells as pairs, identical-name pairs dropped, grouped by
     shared input or output tokens. A group is keyed by its smallest token
     that occurs at least twice among its pairs' inputs and outputs."""
-    if stats.sorted_from is not None and stats.sorted_from[0] is matrix:
-        ordered = stats.sorted_from[1]
-    else:
-        ordered = sort_matrix(matrix)
+    ordered = sort_matrix(matrix)
     if stats.flags.shape != ordered.counts.shape:
         raise ValueError("stats were not produced from this matrix")
     raw = _flagged_pairs(ordered, stats.flags)

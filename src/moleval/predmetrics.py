@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import operator
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ def pr_auc(s: ScoredLabels) -> float:
         raise DegenerateLabels(f"no positive labels, task {s.task_id!r}")
     order = sorted(range(len(s.scores)), key=lambda i: (-s.scores[i], i))
     ranks = [rank for rank, idx in enumerate(order, start=1) if s.labels[idx] == 1]
-    return math.fsum(hits / rank for hits, rank in enumerate(ranks, start=1)) / n_pos
+    return statistics.fmean(hits / rank for hits, rank in enumerate(ranks, start=1))
 
 
 def _f1(task: ScoredLabels, threshold: float) -> float:
@@ -94,7 +95,7 @@ def f1_mean(tasks: list[ScoredLabels], threshold: float = 0.5) -> float:
         raise ValueError("threshold must lie in (0, 1)")
     if not tasks:
         raise EmptySequence("no tasks")
-    return math.fsum(_f1(task, threshold) for task in tasks) / len(tasks)
+    return statistics.fmean(_f1(task, threshold) for task in tasks)
 
 
 def regression_metrics(pred: list[float], truth: list[float]) -> dict[str, float]:
@@ -102,10 +103,12 @@ def regression_metrics(pred: list[float], truth: list[float]) -> dict[str, float
         raise LengthMismatch("prediction and truth lengths differ")
     if not pred:
         raise EmptySequence("no values")
-    sq = [(p - t) ** 2 for p, t in zip(pred, truth)]
-    ab = [abs(p - t) for p, t in zip(pred, truth)]
-    mse = math.fsum(sq) / len(sq)
-    return {"mse": mse, "rmse": math.sqrt(mse), "mae": math.fsum(ab) / len(ab)}
+    diffs = [p - t for p, t in zip(pred, truth)]
+    # d * d, as d ** 2 raises OverflowError where d * d is inf
+    sq = [d * d for d in diffs]
+    ab = [abs(d) for d in diffs]
+    mse = statistics.fmean(sq)
+    return {"mse": mse, "rmse": math.sqrt(mse), "mae": statistics.fmean(ab)}
 
 
 def pool(seq: list[list[float]], mode: str) -> list[float]:
@@ -115,7 +118,7 @@ def pool(seq: list[list[float]], mode: str) -> list[float]:
     if any(len(v) != dim for v in seq):
         raise DimMismatch("vectors differ in dimension")
     if mode == "avg":
-        return [math.fsum(v[k] for v in seq) / len(seq) for k in range(dim)]
+        return [statistics.fmean(v[k] for v in seq) for k in range(dim)]
     if mode == "max":
         return [max(v[k] for v in seq) for k in range(dim)]
     raise ValueError(f"unknown pooling mode {mode!r}")
@@ -350,6 +353,6 @@ def retrieval_eval(
                 orders = exact.orders(queries.vectors[q_rows[start + i]], band_rows[~equal], g)
                 ahead[i] += ((orders > 0) | ((orders == 0) & smaller_id[~equal])).sum()
         ranks.extend((1 + ahead).tolist())
-    mrr = math.fsum(1.0 / r for r in ranks) / len(ranks)
+    mrr = statistics.fmean(1.0 / r for r in ranks)
     recall_at = {k: sum(1 for r in ranks if r <= k) / len(ranks) for k in ks}
     return {"mrr": mrr, "recall_at": recall_at, "ranks": ranks}

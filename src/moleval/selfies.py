@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .molgraph.elements import ALLOWED_VALENCES, allowed_valences, hydrogens_to_fill, max_valence
 from .molgraph.model import DOUBLE, SINGLE, TRIPLE, Atom, Bond, MolGraph
@@ -31,13 +30,6 @@ class StrayCharacter(ValueError):
 
 class NotEncodable(ValueError):
     pass
-
-
-class TokenKind(Enum):
-    ATOM = "atom"
-    BONDED_ATOM = "bonded_atom"
-    RING = "ring"
-    BRANCH = "branch"
 
 
 @dataclass(frozen=True)
@@ -97,17 +89,6 @@ def tokenize_selfies(text: str) -> SelfiesStream:
         tokens.append(m.group(0))
         pos = m.end()
     return SelfiesStream(tuple(tokens))
-
-
-def classify_token(token: str) -> TokenKind:
-    m = _STRUCT_TOKEN.fullmatch(token)
-    if m:
-        return TokenKind.RING if m.group(2) == "Ring" else TokenKind.BRANCH
-    m = _ATOM_TOKEN.fullmatch(token)
-    if m and m.group(1):
-        return TokenKind.BONDED_ATOM
-    # unknown bracketed text counts as an atom token deriving nothing
-    return TokenKind.ATOM
 
 
 # -- decoding ----------------------------------------------------------------

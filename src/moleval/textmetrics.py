@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
@@ -79,9 +80,8 @@ def _corpus_bleu(matched, total, cand_len: int, ref_len: int) -> float:
     pairs = [(m, t) for m, t in zip(matched, total) if t > 0]
     if cand_len == 0 or not pairs or any(m == 0 for m, _ in pairs):
         return 0.0
-    log_sum = math.fsum(math.log(m / t) for m, t in pairs)
     brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
-    return brevity * math.exp(log_sum / len(pairs))
+    return brevity * math.exp(statistics.fmean(math.log(m / t) for m, t in pairs))
 
 
 def bleu_from_counts(counts: list[list[tuple[int, int, int]]]) -> dict[str, float]:
@@ -119,8 +119,8 @@ def bleu_from_counts(counts: list[list[tuple[int, int, int]]]) -> dict[str, floa
     return {
         "bleu-2": _corpus_bleu(matched[:2], total[:2], cand_len, ref_len),
         "bleu-4": _corpus_bleu(matched, total, cand_len, ref_len),
-        "sentence-bleu-2": math.fsum(sentence_2) / len(sentence_2),
-        "sentence-bleu-4": math.fsum(sentence_4) / len(sentence_4),
+        "sentence-bleu-2": statistics.fmean(sentence_2),
+        "sentence-bleu-4": statistics.fmean(sentence_4),
     }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import statistics
 from dataclasses import dataclass, field
 
 MODALITIES = (
@@ -91,7 +92,7 @@ def build_matrix(results: list[TaskResult]) -> TransitionMatrix:
         if len(metrics) > 1:
             raise ConflictingResults(f"cell {row}->{col} has metrics {sorted(metrics)}")
         metric, values = next(iter(metrics.items()))
-        measured[(row, col)] = (math.fsum(values) / len(values), f"measured({metric})")
+        measured[(row, col)] = (statistics.fmean(values), f"measured({metric})")
         if col == "smiles" and _is_bleu(metric):
             row_fill[row] = measured[(row, col)]
 
@@ -132,20 +133,3 @@ def export_matrix(matrix: TransitionMatrix) -> str:
 
 def export_provenance(matrix: TransitionMatrix) -> str:
     return _grid_csv(matrix.provenance)
-
-
-def parse_matrix(text: str) -> TransitionMatrix:
-    lines = [line for line in text.strip().splitlines() if line]
-    header = lines[0].split(",")[1:]
-    if tuple(header) != MODALITIES:
-        raise ValueError("unexpected modality header")
-    matrix = TransitionMatrix()
-    for line in lines[1:]:
-        parts = line.split(",")
-        row = parts[0]
-        if row not in MODALITIES:
-            raise UnknownModality(f"unknown row {row!r}")
-        for col, cell in zip(MODALITIES, parts[1:]):
-            matrix.entries[(row, col)] = float(cell) if cell else None
-            matrix.provenance[(row, col)] = ""
-    return matrix

@@ -106,6 +106,23 @@ def test_repeat_merge(tmp_path, capsys):
     assert data["metrics"]["validity"]["std"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "report, named",
+    [
+        ({"task": "eval-gen-molecule", "metrics": {"validity": None}}, "metric 'validity' is null, not a number"),
+        ([{"task": "eval-gen-molecule"}], "not a report"),
+        ({"task": "eval-gen-molecule", "metrics": [1]}, "metrics [1] is not an object"),
+        ({"task": ["eval-gen-molecule"], "metrics": {}}, 'task ["eval-gen-molecule"] is not a string'),
+    ],
+    ids=["null-metric", "array", "metrics-list", "task-list"],
+)
+def test_repeat_merge_bad_report_is_data_error(tmp_path, capsys, report, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(report), encoding="utf-8")
+    assert main(["eval", "gen", "--repeat-merge", str(bad), str(bad)]) == 2
+    assert f"{bad}: {named}" in capsys.readouterr().err
+
+
 def test_convert_round_trip(capsys):
     assert main(["convert", "--from", "smiles", "--to", "selfies", "C1=CC=CC=C1"]) == 0
     stream = capsys.readouterr().out.strip()
@@ -238,6 +255,17 @@ def test_tokenmap_build_and_reload(tmp_path, capsys):
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
+@pytest.mark.parametrize(
+    "key, labels", [("row_tokens", "ab"), ("col_tokens", [1, 2]), ("row_tokens", ["a", None])]
+)
+def test_saved_matrix_labels_must_be_lists_of_strings(tmp_path, capsys, key, labels):
+    saved = tmp_path / "matrix.json"
+    data = {"counts": [[1, 2], [3, 4]], "row_tokens": ["a", "b"], "col_tokens": ["x", "y"], key: labels}
+    saved.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["tokenmap", "build", "--matrix", str(saved)]) == 2
+    assert f"{key} must be a list of strings" in capsys.readouterr().err
+
+
 def test_tokenmap_build_csv_grid(tmp_path, capsys):
     pairs = _pairs_file(tmp_path)
     assert main(["tokenmap", "build", "--pairs", pairs, "--out", "csv"]) == 0
@@ -256,34 +284,6 @@ def test_tokenmap_select_groups(tmp_path, capsys):
     assert data["threshold_T"] == 0.5
     assert all("group_key" in p for p in data["pairs"])
     assert all(set(g) == {"group_key", "members"} for g in data["groups"])
-
-
-def test_tokenmap_select_sorts_once(tmp_path, capsys, monkeypatch):
-    import dataclasses
-
-    from moleval import interpret
-
-    argv = ["tokenmap", "select", "--pairs", _pairs_file(tmp_path), "--T", "0.5"]
-    sort_matrix, select_pairs = interpret.sort_matrix, interpret.select_pairs
-    sorts = []
-
-    def counting_sort(matrix):
-        sorts.append(matrix)
-        return sort_matrix(matrix)
-
-    monkeypatch.setattr(interpret, "sort_matrix", counting_sort)
-    assert main(argv) == 0
-    report = capsys.readouterr().out
-    assert len(sorts) == 1
-    # stats without their sorted matrix make select_pairs sort again: same bytes
-    monkeypatch.setattr(
-        interpret,
-        "select_pairs",
-        lambda matrix, stats: select_pairs(matrix, dataclasses.replace(stats, sorted_from=None)),
-    )
-    assert main(argv) == 0
-    assert capsys.readouterr().out == report
-    assert len(sorts) == 3
 
 
 def test_tokenmap_select_needs_threshold(tmp_path):
@@ -355,6 +355,41 @@ def test_text_inputs_end_lines_only_at_newlines(tmp_path, brk):
     assert cli_mod._read_config(path) == [f"--seed=3{brk}top_k = 2", "--grid=0:1:0.5"]
 
 
+def _ring_label(number):
+    return str(number) if number < 10 else f"%{number}"
+
+
+# a valid 30 x 30 carbon grid: each grid row is a chain, bonded to the next
+# row by ring bonds; its canonical form would need more than 99 open ring
+# bonds, so the writer refuses it and its scaffold (the whole grid)
+GRID = ".".join(
+    "".join("C" + (_ring_label(j) if i else "") + (_ring_label(j) if i < 29 else "") for j in range(1, 31))
+    for i in range(30)
+)
+
+
+def test_parse_reports_a_writer_refusal_on_its_line(capsys):
+    assert main(["parse", GRID, "CCO"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    grid, ethanol = data["molecules"]
+    assert grid["parsed"] is True and grid["valid"] is True
+    assert "canonical" not in grid
+    assert grid["error"] == "more than 99 open ring bonds"
+    assert (grid["heavy_atoms"], grid["rings"]) == (900, 841)
+    assert ethanol["canonical"] == "CCO"
+    assert data["counts"] == {"given": 2, "valid": 2}
+
+
+def test_profile_leaves_a_refused_scaffold_out_of_the_counts(tmp_path, capsys):
+    rows = [{"id": "grid", "smiles": GRID}, {"id": "toluene", "smiles": "Cc1ccccc1"}]
+    rec = _write_jsonl(tmp_path / "d.jsonl", rows)
+    assert main(["profile", "--records", rec]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["counts"] == {"records": 2, "profiled": 2, "excluded": 0}
+    assert data["scaffolds"] == [{"scaffold": "c1ccccc1", "count": 1}]
+    assert data["descriptors"]["heavy_atoms"]["max"] == 900
+
+
 def test_profile_cli(tmp_path, capsys):
     rows = [{"id": str(i), "smiles": "CCO"} for i in range(3)]
     rec = _write_jsonl(tmp_path / "d.jsonl", rows)
@@ -416,6 +451,12 @@ def test_property_cli(tmp_path, capsys):
     assert main(["eval", "property", "--records", rec]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["metrics"]["roc-auc"] == 1.0
+
+
+def test_property_squared_error_beyond_float_range_renders_null(tmp_path, capsys):
+    rec = _write_jsonl(tmp_path / "p.jsonl", [{"task": "a", "pred": 1e200, "truth": -1e200}])
+    assert main(["eval", "property", "--records", rec]) == 0
+    assert json.loads(capsys.readouterr().out)["metrics"] == {"mae": 2e200, "mse": None, "rmse": None}
 
 
 def test_internal_error_exit_code(monkeypatch, tmp_path):

@@ -842,6 +842,20 @@ class TestEvalProperty:
         with pytest.raises(SchemaError):
             read_property_rows(path)
 
+    @pytest.mark.parametrize(
+        "rows, field",
+        [
+            ([{"task": "a", "label": 1, "score": math.nan}], "score"),
+            ([{"task": "a", "label": 0, "score": 0.3}, {"task": "a", "label": 1, "score": math.inf}], "score"),
+            ([{"task": "a", "pred": 0.5, "truth": 1.0}, {"task": "a", "pred": math.nan, "truth": 1.0}], "pred"),
+            ([{"task": "a", "pred": 0.5, "truth": -math.inf}], "truth"),
+        ],
+    )
+    def test_non_finite_value_names_line(self, tmp_path, rows, field):
+        path = _write_jsonl(tmp_path / "p.jsonl", rows)
+        with pytest.raises(SchemaError, match=f"line {len(rows)}: field '{field}' must be finite"):
+            read_property_rows(path)
+
 
     @pytest.mark.parametrize("kind", ["classification", "regression"])
     def test_full_report_is_pinned(self, tmp_path, monkeypatch, kind):
@@ -890,6 +904,12 @@ class TestMergeReports:
     def test_needs_two(self):
         with pytest.raises(ValueError):
             merge_reports([{"task": "x", "metrics": {}}], provenance={})
+
+    def test_squared_deviation_beyond_float_range_is_inf(self):
+        a = {"task": "eval-property", "metrics": {"mse": 1e200}}
+        b = {"task": "eval-property", "metrics": {"mse": 0.0}}
+        merged = merge_reports([a, b], provenance={})
+        assert merged["metrics"]["mse"] == {"mean": 5e199, "std": math.inf}
 
 
 class TestProfile:

@@ -150,9 +150,10 @@ def test_build_top_k_selection():
     assert m.col_tokens == ("x", "y")
 
 
-def test_build_degrade_warns():
+def test_build_degrade_flags_without_warning():
     pairs = [(["a", "b"], ["x", "y"])]
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         m = build_mapping_matrix(pairs, top_k=20)
     assert m.degraded
     assert len(m.row_tokens) == 2

@@ -16,9 +16,7 @@ from moleval.selfies import (
     NotEncodable,
     SelfiesStream,
     StrayCharacter,
-    TokenKind,
     check_encodable,
-    classify_token,
     decode_selfies,
     encode_selfies,
     tokenize_selfies,
@@ -45,17 +43,6 @@ def test_empty_stream():
         decode_selfies("")
     with pytest.raises(EmptyStream):
         decode_selfies(SelfiesStream(()))
-
-
-def test_token_kinds():
-    assert classify_token("[C]") is TokenKind.ATOM
-    assert classify_token("[=N]") is TokenKind.BONDED_ATOM
-    assert classify_token("[#C]") is TokenKind.BONDED_ATOM
-    assert classify_token("[Ring1]") is TokenKind.RING
-    assert classify_token("[=Branch2]") is TokenKind.BRANCH
-    # unknown bracketed text behaves as an atom token deriving nothing
-    assert classify_token("[Xe]") is TokenKind.ATOM
-    assert classify_token("[whatever]") is TokenKind.ATOM
 
 
 def test_index_alphabet_is_fixed():

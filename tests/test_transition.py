@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -11,7 +13,6 @@ from moleval.transition import (
     build_matrix,
     export_matrix,
     export_provenance,
-    parse_matrix,
 )
 
 
@@ -129,12 +130,19 @@ def test_export_and_parse_round_trip():
     text = export_matrix(m)
     assert text.splitlines()[0] == "," + ",".join(MODALITIES)
     assert ",1.000," in text
-    parsed = parse_matrix(text)
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["", *MODALITIES]
+    assert [row[0] for row in rows] == list(MODALITIES)
+    parsed = {
+        (row[0], col): float(cell) if cell else None
+        for row in rows
+        for col, cell in zip(MODALITIES, row[1:], strict=True)
+    }
     for key, value in m.entries.items():
         if value is None:
-            assert parsed.entries[key] is None
+            assert parsed[key] is None
         else:
-            assert parsed.entries[key] == pytest.approx(value, abs=1e-3)
+            assert parsed[key] == pytest.approx(value, abs=1e-3)
     # missing cells serialize as empty fields
     row = text.splitlines()[MODALITIES.index("image") + 1]
     assert ",," in row
