@@ -206,13 +206,20 @@ def _load_mapping_matrix(args) -> tuple[interpret.MappingMatrix, dict]:
             for key in ("row_tokens", "col_tokens"):
                 if not isinstance(data[key], list) or not all(isinstance(t, str) for t in data[key]):
                     raise TypeError(f"{key} must be a list of strings")
+            counts = data["counts"]
+            if not isinstance(counts, list) or not all(
+                isinstance(row, list)
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
+                for row in counts
+            ):
+                raise TypeError("counts must be a list of rows of numbers")
             matrix = interpret.MappingMatrix(
-                np.array(data["counts"], dtype=float),
+                np.array(counts, dtype=float),
                 tuple(data["row_tokens"]),
                 tuple(data["col_tokens"]),
                 degraded=bool(data.get("degraded", False)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{args.matrix}: not a saved mapping matrix ({exc})") from None
         # a saved matrix is used as it is, but the provenance still names
         # the --pairs and --stoplist given beside it

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import statistics
 from dataclasses import dataclass, field
 
 from ..fingerprint import morgan_fp, path_fp, tanimoto
@@ -13,6 +12,7 @@ from ..predmetrics import (
     DegenerateLabels,
     ScoredLabels,
     f1_mean,
+    mean,
     pr_auc,
     regression_metrics,
     retrieval_eval,
@@ -69,7 +69,7 @@ class Report:
 
 def _means(rows: list[dict[str, float]]) -> dict[str, float]:
     """The mean of each metric over rows that all name the same ones."""
-    return {name: statistics.fmean(row[name] for row in rows) for name in rows[0]}
+    return {name: mean([row[name] for row in rows]) for name in rows[0]}
 
 
 def _parse_or_none(smiles: str):
@@ -210,9 +210,9 @@ def eval_property(records_path) -> Report:
                 skip_reasons["degenerate-pr-auc"] = skip_reasons.get("degenerate-pr-auc", 0) + 1
         metrics = {"f1": f1_mean(list(scored.values()))}
         if roc_values:
-            metrics["roc-auc"] = statistics.fmean(roc_values)
+            metrics["roc-auc"] = mean(roc_values)
         if pr_values:
-            metrics["pr-auc"] = statistics.fmean(pr_values)
+            metrics["pr-auc"] = mean(pr_values)
     else:
         metrics = _means([
             regression_metrics(data["preds"], data["truths"])
@@ -245,10 +245,10 @@ def merge_reports(payloads: list[dict], provenance: dict) -> dict:
     merged = {}
     for name in sorted(names):
         values = [float(p["metrics"][name]) for p in payloads]
-        mean = statistics.fmean(values)
-        # a product, as (v - mean) ** 2 raises OverflowError where it is inf
-        var = statistics.fmean((v - mean) * (v - mean) for v in values)
-        merged[name] = {"mean": mean, "std": math.sqrt(var)}
+        centre = mean(values)
+        # a product, as (v - centre) ** 2 raises OverflowError where it is inf
+        var = mean([(v - centre) * (v - centre) for v in values])
+        merged[name] = {"mean": centre, "std": math.sqrt(var)}
     return {
         "task": tasks.pop(),
         "metrics": merged,

@@ -268,7 +268,10 @@ def _lines(text: str) -> list[str]:
     # a line ends only at \n, \r\n or \r, as in _iter_jsonl: str.splitlines
     # would also end one at U+2028, U+0085, \x0c and other breaks an id, a
     # token or a config value may hold
-    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a line break, or is empty
+    return lines
 
 
 def _read_binary_embeddings(raw: bytes, path) -> EmbeddingMatrix:
@@ -280,11 +283,8 @@ def _read_binary_embeddings(raw: bytes, path) -> EmbeddingMatrix:
     data_end = 12 + rows * dim * 4
     if len(raw) < data_end:
         raise FormatError(f"{path}: truncated vector data")
-    vectors = (
-        np.frombuffer(raw, "<f4", count=rows * dim, offset=12)
-        .reshape(rows, dim)
-        .astype(np.float64)
-    )
+    # a read-only view of the bytes read, kept as float32
+    vectors = np.frombuffer(raw, "<f4", count=rows * dim, offset=12).reshape(rows, dim)
     try:
         id_block = raw[data_end:].decode("utf-8")
     except UnicodeDecodeError:
@@ -332,7 +332,7 @@ def write_embeddings(path, matrix: EmbeddingMatrix):
             raise ValueError(f"id {item_id!r} holds a line break and could not be read back")
     blob = _EMB_MAGIC + struct.pack("<II", len(matrix.ids), matrix.dim)
     with np.errstate(over="raise"):  # a value beyond the f32 range
-        blob += np.asarray(matrix.vectors, "<f4").tobytes()
+        blob += np.asarray(matrix.values, "<f4").tobytes()
     blob += "".join(item_id + "\n" for item_id in matrix.ids).encode("utf-8")
     Path(path).write_bytes(blob)
 

@@ -37,8 +37,16 @@ class MappingMatrix:
             raise ValueError("token labels do not match matrix shape")
         if n < 2 or m < 2:
             raise TooFewTokens("mapping matrix needs at least 2 tokens per axis")
+        for axis, tokens in (("row_tokens", self.row_tokens), ("col_tokens", self.col_tokens)):
+            repeated = [token for token, seen in Counter(tokens).items() if seen > 1]
+            if repeated:
+                raise ValueError(f"repeated label {repeated[0]!r} in {axis}")
         if not np.all(np.isfinite(self.counts)) or np.any(self.counts < 0):
             raise ValueError("counts must be finite and non-negative")
+        # the filter sums counts and their squares
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.square(self.counts).sum()):
+                raise ValueError("counts too large: their squares sum past the float range")
 
     @property
     def row_sums(self) -> np.ndarray:

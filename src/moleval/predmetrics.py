@@ -98,6 +98,16 @@ def f1_mean(tasks: list[ScoredLabels], threshold: float = 0.5) -> float:
     return statistics.fmean(_f1(task, threshold) for task in tasks)
 
 
+def mean(values: list[float]) -> float:
+    """The arithmetic mean. statistics.fmean raises OverflowError where
+    finite values sum past the float range; their mean is then taken
+    exactly, and it is finite. The mean is infinite only where a value is."""
+    try:
+        return statistics.fmean(values)
+    except OverflowError:
+        return statistics.mean(values)
+
+
 def regression_metrics(pred: list[float], truth: list[float]) -> dict[str, float]:
     if len(pred) != len(truth):
         raise LengthMismatch("prediction and truth lengths differ")
@@ -107,8 +117,8 @@ def regression_metrics(pred: list[float], truth: list[float]) -> dict[str, float
     # d * d, as d ** 2 raises OverflowError where d * d is inf
     sq = [d * d for d in diffs]
     ab = [abs(d) for d in diffs]
-    mse = statistics.fmean(sq)
-    return {"mse": mse, "rmse": math.sqrt(mse), "mae": statistics.fmean(ab)}
+    mse = mean(sq)
+    return {"mse": mse, "rmse": math.sqrt(mse), "mae": mean(ab)}
 
 
 def pool(seq: list[list[float]], mode: str) -> list[float]:
@@ -125,11 +135,16 @@ def pool(seq: list[list[float]], mode: str) -> list[float]:
 
 
 class EmbeddingMatrix:
-    """Embedding rows keyed by id, held as one read-only C-contiguous
-    (n, dim) float64 array. Accepts an array or nested sequences of equal
-    length; values must be finite."""
+    """Embedding rows keyed by id. Accepts an array or nested sequences of
+    equal length; values must be finite.
 
-    __slots__ = ("ids", "vectors", "_rows")
+    `values` holds the rows as given, read-only and C-contiguous: a float32
+    array (an EMB1 file's block as read) stays float32, 4 bytes a value, and
+    anything else is held as float64. `vectors` is the (n, dim) float64
+    array of the same values, read-only and C-contiguous: the float64 values
+    themselves, or float32 ones widened exactly on its first read."""
+
+    __slots__ = ("ids", "values", "_vectors", "_rows")
 
     def __init__(self, ids, vectors):
         ids = tuple(ids)
@@ -140,26 +155,42 @@ class EmbeddingMatrix:
             raise ValueError("ids must be unique")
         if not isinstance(vectors, np.ndarray) and len({len(v) for v in vectors}) > 1:
             raise DimMismatch("rows differ in dimension")
-        array = np.ascontiguousarray(vectors, dtype=np.float64)
+        if isinstance(vectors, np.ndarray) and vectors.dtype == np.float32:
+            array = np.ascontiguousarray(vectors)
+        else:
+            array = np.ascontiguousarray(vectors, dtype=np.float64)
         if not ids:
             array = array.reshape(0, 0)
         elif array.ndim != 2:
             raise DimMismatch("vectors must form an (n, dim) matrix")
         elif array.shape[1] < 1:
             raise DimMismatch("dimension must be at least 1")
-        finite = np.isfinite(array).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"non-finite value in row {ids[int(np.argmin(finite))]!r}")
+        # a row of finite values can sum past the float range (float64
+        # values only), so only a row whose sum is not finite is read value
+        # by value
+        with np.errstate(over="ignore", invalid="ignore"):
+            suspect = np.flatnonzero(~np.isfinite(array.sum(axis=1, dtype=np.float64)))
+        bad = suspect[~np.isfinite(array[suspect]).all(axis=1)]
+        if bad.size:
+            raise ValueError(f"non-finite value in row {ids[bad[0]]!r}")
         self.ids = ids
-        # a read-only view: row() hands out slices of it, and the array may
-        # be the caller's own
-        self.vectors = array.view()
-        self.vectors.flags.writeable = False
+        # a read-only view: the array may be the caller's own, and row() and
+        # vectors hand out slices of it or the array itself
+        self.values = array.view()
+        self.values.flags.writeable = False
+        self._vectors = self.values if array.dtype == np.float64 else None
         self._rows = rows
 
     @property
+    def vectors(self) -> np.ndarray:
+        if self._vectors is None:
+            self._vectors = self.values.astype(np.float64)
+            self._vectors.flags.writeable = False
+        return self._vectors
+
+    @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self.values.shape[1]
 
     def __contains__(self, item_id) -> bool:
         return item_id in self._rows
@@ -247,47 +278,41 @@ def _python_integers(digits: np.ndarray, shifts: np.ndarray) -> list[int]:
     return [d << s if s >= 0 else d >> -s for d, s in zip(digits.tolist(), shifts.tolist())]
 
 
-class _ExactCosines:
-    """Exact cosine order against one target matrix.
+def _exact_orders(targets: np.ndarray, q: np.ndarray, rows: np.ndarray, g: int) -> np.ndarray:
+    """The sign of cos(q, t) - cos(q, g), on exact values, for the nonzero
+    row q, each row t of `targets` named in `rows` and the row g. cos(q, t)
+    has the sign of q·t, and two cosines of one nonzero sign compare as
+    (q·t)²·|g|² against (q·g)²·|t|²; a zero row has cosine 0.
 
-    Rows are held as integers, each row times one power of two, which
-    cancels in the comparison. A product of integer rows whose terms sum to
-    under 2**52 in magnitude is exact in float64 in any order; one that may
-    not be is summed in Python integers instead."""
-
-    def __init__(self, targets: np.ndarray):
-        self.digits, self.shifts = _integer_form(targets)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.ints = np.ldexp(self.digits.astype(np.float64), self.shifts)
-            self.norms = np.einsum("ij,ij->i", self.ints, self.ints)
-
-    def orders(self, q: np.ndarray, rows: np.ndarray, g: int) -> np.ndarray:
-        """The sign of cos(q, t) - cos(q, g) for the nonzero row q, each
-        target row t in `rows` and the target row g. cos(q, t) has the sign
-        of q·t, and two cosines of one nonzero sign compare as (q·t)²·|g|²
-        against (q·g)²·|t|²; a zero row has cosine 0."""
-        q_digits, q_shifts = _integer_form(q)
-        members = np.append(rows, g)
-        with np.errstate(over="ignore", invalid="ignore"):
-            q_ints = np.ldexp(q_digits.astype(np.float64), q_shifts)
-            ints = self.ints[members]
-            dots = np.einsum("ij,j->i", ints, q_ints)
-            terms = np.einsum("ij,j->i", np.abs(ints), np.abs(q_ints))
-            fits = (terms < 2.0**52) & (self.norms[members] < 2.0**52)
-        dots = np.where(fits, dots, 0.0).astype(np.int64).astype(object)
-        norms = np.where(fits, self.norms[members], 0.0).astype(np.int64).astype(object)
-        if not fits.all():
-            q_py = _python_integers(q_digits, q_shifts)
-            for k in np.flatnonzero(~fits).tolist():
-                t_py = _python_integers(self.digits[members[k]], self.shifts[members[k]])
-                dots[k] = sum(map(operator.mul, q_py, t_py))
-                norms[k] = sum(map(operator.mul, t_py, t_py))
-        qt, qg = dots[:-1], dots[-1]
-        sign = (qt > 0).astype(int) - (qt < 0).astype(int)
-        other = (qg > 0) - (qg < 0)
-        lhs, rhs = qt * qt * norms[-1], qg * qg * norms[:-1]
-        by_size = sign * ((lhs > rhs).astype(int) - (lhs < rhs).astype(int))
-        return np.where((sign != other) | (sign == 0), sign - other, by_size)
+    Rows are taken as integers, each row times one power of two, which
+    cancels in the comparison; only the rows named are widened. A product of
+    integer rows whose terms sum to under 2**52 in magnitude is exact in
+    float64 in any order; one that may not be is summed in Python integers
+    instead."""
+    q_digits, q_shifts = _integer_form(np.asarray(q, dtype=np.float64))
+    members = np.append(rows, g)
+    digits, shifts = _integer_form(targets[members].astype(np.float64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_ints = np.ldexp(q_digits.astype(np.float64), q_shifts)
+        ints = np.ldexp(digits.astype(np.float64), shifts)
+        norms = np.einsum("ij,ij->i", ints, ints)
+        dots = np.einsum("ij,j->i", ints, q_ints)
+        terms = np.einsum("ij,j->i", np.abs(ints), np.abs(q_ints))
+        fits = (terms < 2.0**52) & (norms < 2.0**52)
+    dots = np.where(fits, dots, 0.0).astype(np.int64).astype(object)
+    norms = np.where(fits, norms, 0.0).astype(np.int64).astype(object)
+    if not fits.all():
+        q_py = _python_integers(q_digits, q_shifts)
+        for k in np.flatnonzero(~fits).tolist():
+            t_py = _python_integers(digits[k], shifts[k])
+            dots[k] = sum(map(operator.mul, q_py, t_py))
+            norms[k] = sum(map(operator.mul, t_py, t_py))
+    qt, qg = dots[:-1], dots[-1]
+    sign = (qt > 0).astype(int) - (qt < 0).astype(int)
+    other = (qg > 0) - (qg < 0)
+    lhs, rhs = qt * qt * norms[-1], qg * qg * norms[:-1]
+    by_size = sign * ((lhs > rhs).astype(int) - (lhs < rhs).astype(int))
+    return np.where((sign != other) | (sign == 0), sign - other, by_size)
 
 
 def retrieval_eval(
@@ -298,13 +323,13 @@ def retrieval_eval(
 ) -> dict:
     """Cosine-ranked retrieval. A gold target's rank is 1 + the targets
     whose cosine is higher + the targets with an equal cosine and a smaller
-    id, on the exact cosines of the float64 values; a zero row has cosine 0
-    with every row.
+    id, on the exact cosines of the values (float32 ones widened exactly);
+    a zero row has cosine 0 with every row.
 
     Float scores only filter: a target scoring more than 2δ
     (`_score_error`) above or below the gold is ahead or behind. Within
     that band, a row equal to the gold's (-0.0 read as 0.0) ties, and any
-    other row is compared exactly (`_ExactCosines`)."""
+    other row is compared exactly (`_exact_orders`)."""
     if queries.dim != targets.dim:
         raise DimMismatch(f"query dim {queries.dim} vs target dim {targets.dim}")
     if not gold:
@@ -315,24 +340,30 @@ def retrieval_eval(
         if tid not in targets:
             raise MissingId(f"target id {tid!r} not present")
     pairs = sorted(gold.items())
-    q_rows = [queries.index(q) for q, _ in pairs]
+    q_rows = np.array([queries.index(q) for q, _ in pairs], dtype=np.intp)
     gold_rows = np.array([targets.index(t) for _, t in pairs], dtype=np.intp)
-    q_unit = _unit_rows(queries.vectors[q_rows])
-    t_unit = _unit_rows(targets.vectors.copy())
     n_targets = len(targets.ids)
     id_rank = np.empty(n_targets, dtype=np.intp)
     id_rank[sorted(range(n_targets), key=targets.ids.__getitem__)] = np.arange(n_targets)
     band = 2 * _score_error(targets.dim)
     tile_rows = max(1, min(_TILE_ROWS, len(pairs), _TILE_MACS // targets.dim))
     tile_cols = max(1, _TILE_MACS // (tile_rows * targets.dim))
+    # each target tile's unit rows, kept while a later query tile reads them
+    t_units = [None] * -(-n_targets // tile_cols)
     block_scores = np.empty((tile_rows, n_targets))
-    exact = None  # made when a row first needs an exact comparison
     ranks: list[int] = []
     for start in range(0, len(pairs), tile_rows):
-        q_block = q_unit[start : start + tile_rows]
+        last = start + tile_rows >= len(pairs)
+        # rows taken by index are a fresh array, which _unit_rows may scale
+        tile_q_rows = q_rows[start : start + tile_rows]
+        q_block = _unit_rows(queries.values[tile_q_rows].astype(np.float64, copy=False))
         scores = block_scores[: len(q_block)]
-        for col in range(0, n_targets, tile_cols):
-            scores[:, col : col + tile_cols] = q_block @ t_unit[col : col + tile_cols].T
+        for tile, col in enumerate(range(0, n_targets, tile_cols)):
+            t_unit = t_units[tile]
+            if t_unit is None:
+                t_unit = _unit_rows(targets.values[col : col + tile_cols].astype(np.float64))
+            t_units[tile] = None if last else t_unit
+            scores[:, col : col + tile_cols] = q_block @ t_unit.T
         cols = gold_rows[start : start + tile_rows]
         gap = scores - scores[np.arange(len(cols)), cols][:, None]
         ahead = (gap > band).sum(axis=1)
@@ -345,12 +376,11 @@ def retrieval_eval(
             g = cols[i]
             band_rows = np.flatnonzero(near[i])
             smaller_id = id_rank[band_rows] < id_rank[g]
-            equal = (targets.vectors[band_rows] == targets.vectors[g]).all(axis=1)
+            equal = (targets.values[band_rows] == targets.values[g]).all(axis=1)
             ahead[i] += (equal & smaller_id).sum()
             if not equal.all():
-                if exact is None:
-                    exact = _ExactCosines(targets.vectors)
-                orders = exact.orders(queries.vectors[q_rows[start + i]], band_rows[~equal], g)
+                q = queries.values[tile_q_rows[i]]
+                orders = _exact_orders(targets.values, q, band_rows[~equal], g)
                 ahead[i] += ((orders > 0) | ((orders == 0) & smaller_id[~equal])).sum()
         ranks.extend((1 + ahead).tolist())
     mrr = statistics.fmean(1.0 / r for r in ranks)

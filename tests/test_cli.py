@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,30 @@ def test_saved_matrix_labels_must_be_lists_of_strings(tmp_path, capsys, key, lab
     assert f"{key} must be a list of strings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"counts": [["1", 2], [3, 4]]}, "counts must be a list of rows of numbers"),
+        ({"counts": [[True, 2], [3, 4]]}, "counts must be a list of rows of numbers"),
+        ({"row_tokens": ["a", "a"]}, "repeated label 'a' in row_tokens"),
+        ({"col_tokens": ["y", "y"]}, "repeated label 'y' in col_tokens"),
+        ({"counts": [[1e308, 1e308], [3, 4]]}, "counts too large"),
+        ({"counts": [[1e200, 2], [3, 4]]}, "counts too large"),
+        ({"counts": [[10**400, 2], [3, 4]]}, "int too large to convert to float"),
+    ],
+    ids=["string", "bool", "row-repeat", "col-repeat", "sum-overflow", "square-overflow", "huge-int"],
+)
+def test_saved_matrix_bad_values_are_data_errors(tmp_path, capsys, change, named):
+    saved = tmp_path / "matrix.json"
+    data = {"counts": [[1, 2], [3, 4]], "row_tokens": ["a", "b"], "col_tokens": ["x", "y"], **change}
+    saved.write_text(json.dumps(data), encoding="utf-8")
+    for command in (["build"], ["sweep", "--grid", "0:1:0.5"], ["select", "--T", "1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning is no report
+            assert main(["tokenmap", *command, "--matrix", str(saved)]) == 2
+        assert f"{saved}: not a saved mapping matrix ({named}" in capsys.readouterr().err
+
+
 def test_tokenmap_build_csv_grid(tmp_path, capsys):
     pairs = _pairs_file(tmp_path)
     assert main(["tokenmap", "build", "--pairs", pairs, "--out", "csv"]) == 0
@@ -457,6 +482,26 @@ def test_property_squared_error_beyond_float_range_renders_null(tmp_path, capsys
     rec = _write_jsonl(tmp_path / "p.jsonl", [{"task": "a", "pred": 1e200, "truth": -1e200}])
     assert main(["eval", "property", "--records", rec]) == 0
     assert json.loads(capsys.readouterr().out)["metrics"] == {"mae": 2e200, "mse": None, "rmse": None}
+
+
+@pytest.mark.parametrize("tasks", [["t", "t"], ["t", "u"]], ids=["one-task", "two-tasks"])
+def test_property_mean_of_errors_past_float_range(tmp_path, capsys, tasks):
+    # each absolute error is finite and so is their mean, though their sum
+    # (within a task, or of the task means) is not
+    rows = [{"task": task, "pred": 1e308, "truth": 0} for task in tasks]
+    rec = _write_jsonl(tmp_path / "p.jsonl", rows)
+    assert main(["eval", "property", "--records", rec]) == 0
+    assert json.loads(capsys.readouterr().out)["metrics"] == {"mae": 1e308, "mse": None, "rmse": None}
+
+
+def test_repeat_merge_mean_past_float_range(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"task": "eval-property", "metrics": {"mae": 1e308, "mse": 2.0}}))
+    assert main(["eval", "property", "--repeat-merge", str(report), str(report)]) == 0
+    assert json.loads(capsys.readouterr().out)["metrics"] == {
+        "mae": {"mean": 1e308, "std": 0.0},
+        "mse": {"mean": 2.0, "std": 0.0},
+    }
 
 
 def test_internal_error_exit_code(monkeypatch, tmp_path):

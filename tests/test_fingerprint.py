@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 
@@ -15,6 +16,7 @@ from moleval.fingerprint import (
     Fingerprint,
     KindMismatch,
     WidthMismatch,
+    _atom_codes,
     _fnv1a,
     _fnv1a_lanes,
     _fold,
@@ -166,6 +168,10 @@ def test_path_walk_memory_bounded(text):
     # guards the benchmark's peak_rss_mb: the walk holds a bounded chunk of
     # paths, never a whole level (unchunked, C60 and the chain peak at 2-3 MiB)
     graph = parse_smiles(text)
+    # the atom codes are cached on the graph, and the collection empties
+    # CPython's free lists, whose freed tuples tracemalloc would count
+    _atom_codes(graph)
+    gc.collect()
     tracemalloc.start()
     try:
         path_features(graph, 7)

@@ -1,5 +1,6 @@
 import builtins
 import hashlib
+import io
 import json
 import math
 import pathlib
@@ -10,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 from moleval.harness.evaluate import (
@@ -28,6 +30,7 @@ from moleval.harness.records import (
     EmptyFile,
     FormatError,
     SchemaError,
+    _lines,
     read_gen_records,
     read_embeddings,
     read_pairs,
@@ -715,6 +718,12 @@ class TestEmbeddings:
         with pytest.raises(ValueError, match="line break"):
             write_embeddings(tmp_path / "e.emb", EmbeddingMatrix((f"a{brk}b",), ((1.0,),)))
         assert not (tmp_path / "e.emb").exists()
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="a\r\n\x0c\x85 "))
+def test_lines_end_only_at_newlines(text):
+    assert _lines(text) == [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
+
 
 class TestEvalRetrieval:
     def _files(self, tmp_path, queries, targets, gold):

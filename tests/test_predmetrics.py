@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from moleval.harness import write_embeddings
+from moleval.harness import read_embeddings, write_embeddings
+import moleval.predmetrics as predmetrics
 from moleval.predmetrics import (
-    _ExactCosines,
     _score_error,
     DegenerateLabels,
     DimMismatch,
@@ -111,6 +112,10 @@ def test_regression_metrics():
     assert got == {"mse": 4.0, "rmse": 2.0, "mae": 2.0}
     with pytest.raises(LengthMismatch):
         regression_metrics([1.0], [1.0, 2.0])
+    # the errors sum past the float range and their mean does not; each
+    # square is already infinite
+    got = regression_metrics([1e308, -1e308, 1e308], [0.0, 0.0, 0.0])
+    assert got == {"mse": math.inf, "rmse": math.inf, "mae": 1e308}
 
 
 def test_pool_examples():
@@ -425,13 +430,13 @@ def test_retrieval_band_edge(monkeypatch):
     dim = 64
     delta = _score_error(dim)
     compared = []
-    orders = _ExactCosines.orders
+    orders = predmetrics._exact_orders
 
-    def counting(self, q, rows, g):
+    def counting(targets, q, rows, g):
         compared.extend(rows.tolist())
-        return orders(self, q, rows, g)
+        return orders(targets, q, rows, g)
 
-    monkeypatch.setattr(_ExactCosines, "orders", counting)
+    monkeypatch.setattr(predmetrics, "_exact_orders", counting)
     axis = np.eye(dim)[0]
 
     def below_axis(gap):  # cosine with the axis close to 1 - gap
@@ -527,6 +532,73 @@ def test_retrieval_leaves_inputs_untouched():
     assert (q_arr.tobytes(), t_arr.tobytes()) == before
     assert (queries.vectors.tobytes(), targets.vectors.tobytes()) == before
     assert not queries.vectors.flags.writeable and not targets.vectors.flags.writeable
+
+
+def _emb1_files(tmp_path, n_queries, seed):
+    """An EMB1 query and target file, 1,000 x 256 targets as in the
+    benchmark's retrieval op, and gold pairs; read back with read_embeddings."""
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal((1000, 256)).astype(np.float32)
+    golds = rng.permutation(1000)[:n_queries]
+    q = t[golds] + rng.standard_normal((n_queries, 256)).astype(np.float32)
+    t_ids = [f"t{i:04d}" for i in range(1000)]
+    q_ids = [f"q{i:02d}" for i in range(n_queries)]
+    write_embeddings(tmp_path / "t.emb", EmbeddingMatrix(t_ids, t))
+    write_embeddings(tmp_path / "q.emb", EmbeddingMatrix(q_ids, q))
+    queries, _ = read_embeddings(tmp_path / "q.emb")
+    targets, _ = read_embeddings(tmp_path / "t.emb")
+    return queries, targets, {q_ids[i]: t_ids[g] for i, g in enumerate(golds)}, t
+
+
+def test_retrieval_memory_bounded(tmp_path):
+    # guards the benchmark's peak_rss_mb: 10 queries against 1,000 x 256 EMB1
+    # targets hold one tile of unit rows at a time, never a float64 copy of
+    # the whole target matrix (2 MB)
+    queries, targets, gold, _ = _emb1_files(tmp_path, 10, 26)
+    tracemalloc.start()
+    try:
+        retrieval_eval(queries, targets, gold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_emb1_values_kept_as_read(tmp_path):
+    queries, targets, gold, t = _emb1_files(tmp_path, 10, 27)
+    out = retrieval_eval(queries, targets, gold)
+    assert out["ranks"] == [1] * 10  # no band: each gold is well ahead
+    assert targets.values.dtype == np.float32 and targets._vectors is None
+    vectors = targets.vectors
+    assert vectors.dtype == np.float64 and vectors.flags.c_contiguous
+    assert not vectors.flags.writeable and targets.vectors is vectors
+    assert vectors.tobytes() == t.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n_queries", [10, 33], ids=["one-query-tile", "two-query-tiles"])
+def test_retrieval_f32_values_match_exact_ranks(n_queries):
+    # float32 storage, 300 x 256 targets in several column tiles; with 33
+    # queries the second query tile reads the kept target tiles. Duplicates
+    # tie as equal rows and block-swapped twins tie exactly, so both band
+    # paths run on float32 values.
+    rng = np.random.default_rng(2600 + n_queries)
+    dim, w = 256, 64
+    t = rng.standard_normal((300, dim)).astype(np.float16).astype(np.float32)
+    t[150:200] = t[:50]
+    t[200:250] = np.concatenate([t[:50, w : 2 * w], t[:50, :w], t[:50, 2 * w :]], axis=1)
+    t[250] = 0.0
+    golds = rng.choice(250, size=n_queries)
+    q = t[golds] + rng.standard_normal((n_queries, dim)).astype(np.float16).astype(np.float32)
+    q[:, w : 2 * w] = q[:, :w]
+    q[1] = 0.0
+    t_ids = [f"t{i:03d}" for i in range(300)]
+    q_ids = [f"q{i:02d}" for i in range(n_queries)]
+    gold = {q_ids[i]: t_ids[g] for i, g in enumerate(golds)}
+    queries, targets = EmbeddingMatrix(q_ids, q), EmbeddingMatrix(t_ids, t)
+    assert targets.values.dtype == np.float32
+    out = retrieval_eval(queries, targets, gold)
+    assert out["ranks"] == _exact_ranks(q_ids, q.tolist(), t_ids, t.tolist(), gold)
+    assert targets._vectors is None
 
 
 def test_embedding_matrix_storage_and_validation():
