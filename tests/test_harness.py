@@ -826,6 +826,24 @@ class TestEvalProperty:
         assert report.details["skip_reasons"]["degenerate-roc-auc"] == 1
         assert report.counts["skipped"] >= 1
 
+    def test_single_class_tasks(self, tmp_path):
+        # no task has both classes: no roc-auc at all, and pr-auc only over
+        # the tasks with a positive
+        negatives = [{"task": t, "label": 0, "score": s} for t, s in (("a", 0.7), ("a", 0.2), ("b", 0.4))]
+        path = _write_jsonl(tmp_path / "p.jsonl", negatives)
+        report = eval_property(path)
+        assert report.metrics == {"f1": 0.0}
+        assert report.counts == {"evaluated": 2, "skipped": 4}
+        assert report.details == {
+            "kind": "classification",
+            "skip_reasons": {"degenerate-roc-auc": 2, "degenerate-pr-auc": 2},
+        }
+        path = _write_jsonl(tmp_path / "p.jsonl", negatives + [{"task": "c", "label": 1, "score": 0.9}])
+        report = eval_property(path)
+        assert report.metrics == {"f1": 1 / 3, "pr-auc": 1.0}
+        assert report.counts == {"evaluated": 3, "skipped": 5}
+        assert report.details["skip_reasons"] == {"degenerate-roc-auc": 3, "degenerate-pr-auc": 2}
+
     def test_regression(self, tmp_path):
         rows = [
             {"task": "t", "pred": 0.0, "truth": 1.0},
