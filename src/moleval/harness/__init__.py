@@ -1,7 +1,7 @@
 """Record ingestion, evaluation reports, dataset profiling, and the CLI."""
 
+from ..metrics import METRIC_NAMES
 from .evaluate import (
-    METRIC_NAMES,
     Report,
     eval_generation,
     eval_property,

@@ -8,11 +8,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .. import interpret
 from ..molgraph import (
@@ -28,7 +25,10 @@ from ..textmetrics import SCHEMES
 from ..transition import MODALITIES, build_matrix, export_matrix, export_provenance
 from .evaluate import eval_generation, eval_property, eval_retrieval, merge_reports
 from .profile import profile_dataset
-from .records import DEFAULT_STOPLIST, _lines, read_pairs, read_results, read_stoplist, read_text
+from .records import (
+    DEFAULT_STOPLIST, _lines, read_mapping_matrix, read_pairs, read_report, read_results,
+    read_stoplist, read_text,
+)
 from .reports import RENDERERS, provenance_of, render, resolve_out
 
 
@@ -121,33 +121,12 @@ def _cmd_profile(args):
     return profile_dataset(args.records)
 
 
-def _read_report(path, digest) -> dict:
-    """A saved report: a JSON object whose task, if given, is a string and
-    whose metrics, if given, map names to numbers."""
-    try:
-        payload = json.loads(read_text(path, digest))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc.msg})") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: not a report (expected a JSON object)")
-    task = payload.get("task")
-    if task is not None and not isinstance(task, str):
-        raise ValueError(f"{path}: task {json.dumps(task)} is not a string")
-    metrics = payload.get("metrics", {})
-    if not isinstance(metrics, dict):
-        raise ValueError(f"{path}: metrics {json.dumps(metrics)} is not an object")
-    for name, value in metrics.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{path}: metric {name!r} is {json.dumps(value)}, not a number")
-    return payload
-
-
 def _cmd_eval(args):
     if args.repeat_merge:
         payloads, digests = [], {}
         for path in args.repeat_merge:
             digest = hashlib.sha256()
-            payloads.append(_read_report(path, digest))
+            payloads.append(read_report(path, digest))
             digests[str(path)] = digest.hexdigest()
         return merge_reports(payloads, provenance_of(digests))
     if args.eval_command == "gen":
@@ -201,26 +180,7 @@ def _load_mapping_matrix(args) -> tuple[interpret.MappingMatrix, dict]:
     sources = {"pairs": args.pairs, "matrix": args.matrix, "stoplist": args.stoplist}
     digests = {role: hashlib.sha256() for role, path in sources.items() if path}
     if args.matrix:
-        data = json.loads(read_text(args.matrix, digests["matrix"]))
-        try:
-            for key in ("row_tokens", "col_tokens"):
-                if not isinstance(data[key], list) or not all(isinstance(t, str) for t in data[key]):
-                    raise TypeError(f"{key} must be a list of strings")
-            counts = data["counts"]
-            if not isinstance(counts, list) or not all(
-                isinstance(row, list)
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row)
-                for row in counts
-            ):
-                raise TypeError("counts must be a list of rows of numbers")
-            matrix = interpret.MappingMatrix(
-                np.array(counts, dtype=float),
-                tuple(data["row_tokens"]),
-                tuple(data["col_tokens"]),
-                degraded=bool(data.get("degraded", False)),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{args.matrix}: not a saved mapping matrix ({exc})") from None
+        matrix = read_mapping_matrix(args.matrix, digests["matrix"])
         # a saved matrix is used as it is, but the provenance still names
         # the --pairs and --stoplist given beside it
         for role in ("pairs", "stoplist"):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..fingerprint import morgan_fp, path_fp, tanimoto
+from ..metrics import METRIC_NAMES
 from ..molgraph import SmilesError, parse_smiles, validity
 from ..predmetrics import (
     DegenerateLabels,
@@ -31,16 +33,6 @@ from ..textmetrics import (
 )
 from .records import read_embeddings, read_gen_records, read_gold, read_property_rows
 from .reports import provenance_of
-
-METRIC_NAMES = frozenset(
-    {
-        "bleu-2", "bleu-4", "rouge-1", "rouge-2", "rouge-l", "meteor",
-        "exact-match", "exact-match-raw", "levenshtein", "validity",
-        "rdk-fts", "morgan-fts", "mrr", "r@1", "r@5", "r@10",
-        "roc-auc", "pr-auc", "f1", "mse", "rmse", "mae",
-    }
-)
-
 
 @dataclass
 class Report:
@@ -68,8 +60,9 @@ class Report:
 
 
 def _means(rows: list[dict[str, float]]) -> dict[str, float]:
-    """The mean of each metric over rows that all name the same ones."""
-    return {name: mean([row[name] for row in rows]) for name in rows[0]}
+    """The mean of each metric over the rows that carry it."""
+    names = dict.fromkeys(name for row in rows for name in row)
+    return {name: mean([row[name] for row in rows if name in row]) for name in names}
 
 
 def _parse_or_none(smiles: str):
@@ -189,43 +182,31 @@ def eval_retrieval(queries_path, targets_path, gold_path) -> Report:
 
 
 def eval_property(records_path) -> Report:
+    """One row of metrics per task, each metric averaged over the tasks that
+    have it; a task lacks roc-auc or pr-auc where its labels cannot give it."""
     digest = hashlib.sha256()
     kind, tasks = read_property_rows(records_path, digest)
-    skip_reasons: dict[str, int] = {}
-    if kind == "classification":
-        scored = {
-            task: ScoredLabels(tuple(data["labels"]), tuple(data["scores"]), task)
-            for task, data in sorted(tasks.items())
-        }
-        roc_values = []
-        pr_values = []
-        for task, labels in scored.items():
+    skip_reasons: Counter[str] = Counter()
+    rows = []
+    for task, data in sorted(tasks.items()):
+        if kind == "regression":
+            rows.append(regression_metrics(data["preds"], data["truths"]))
+            continue
+        labels = ScoredLabels(tuple(data["labels"]), tuple(data["scores"]), task)
+        row = {"f1": f1_mean([labels])}
+        for name, metric in (("roc-auc", roc_auc), ("pr-auc", pr_auc)):
             try:
-                roc_values.append(roc_auc(labels))
+                row[name] = metric(labels)
             except DegenerateLabels:
-                skip_reasons["degenerate-roc-auc"] = skip_reasons.get("degenerate-roc-auc", 0) + 1
-            try:
-                pr_values.append(pr_auc(labels))
-            except DegenerateLabels:
-                skip_reasons["degenerate-pr-auc"] = skip_reasons.get("degenerate-pr-auc", 0) + 1
-        metrics = {"f1": f1_mean(list(scored.values()))}
-        if roc_values:
-            metrics["roc-auc"] = mean(roc_values)
-        if pr_values:
-            metrics["pr-auc"] = mean(pr_values)
-    else:
-        metrics = _means([
-            regression_metrics(data["preds"], data["truths"])
-            for _, data in sorted(tasks.items())
-        ])
-    skipped = sum(skip_reasons.values())
+                skip_reasons[f"degenerate-{name}"] += 1
+        rows.append(row)
     details = {"kind": kind}
     if skip_reasons:
-        details["skip_reasons"] = skip_reasons
+        details["skip_reasons"] = dict(skip_reasons)
     return Report(
         task="eval-property",
-        metrics=metrics,
-        counts={"evaluated": len(tasks), "skipped": skipped},
+        metrics=_means(rows),
+        counts={"evaluated": len(tasks), "skipped": skip_reasons.total()},
         provenance=provenance_of({str(records_path): digest.hexdigest()}),
         details=details,
     )

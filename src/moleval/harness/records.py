@@ -1,7 +1,9 @@
-"""File ingestion: JSON-lines record files, embedding matrices, stoplists.
+"""File ingestion: JSON-lines record files, saved JSON reports and mapping
+matrices, embedding matrices, stoplists.
 
 All readers are strict. Anything malformed raises SchemaError carrying a
-1-based line number, so a corrupted file is reported at the exact spot.
+1-based line number, or naming the file of a saved JSON document, so a
+corrupted file is reported at the exact spot.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..interpret import MappingMatrix
 from ..predmetrics import EmbeddingMatrix
 from ..transition import MODALITIES, TaskResult
 
@@ -83,12 +86,21 @@ def _iter_jsonl(path, digest=None):
             yield lineno, obj
 
 
+def _is_number(value) -> bool:
+    # json reads true and false as bools, which Python counts as ints
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def _require(obj: dict, key: str, kind, lineno: int):
     if key not in obj:
         raise SchemaError(f"missing field {key!r}", lineno)
     value = obj[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise SchemaError(f"field {key!r} must be a number", lineno)
         return float(value)
     if not isinstance(value, kind):
@@ -119,7 +131,7 @@ def read_gen_records(path, digest=None) -> list[GenRecord]:
                 raise SchemaError(f"unknown modality {modality!r}", lineno)
         prediction = _require(obj, "prediction", str, lineno)
         references = _require(obj, "references", list, lineno)
-        if not references or not all(isinstance(r, str) for r in references):
+        if not references or not _is_strings(references):
             raise SchemaError("references must be a non-empty list of strings", lineno)
         records.append(
             GenRecord(rec_id, modality_in, modality_out, prediction, tuple(references))
@@ -149,6 +161,52 @@ def read_text(path, digest=None) -> str:
     if digest is not None:
         digest.update(raw)
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+
+
+def _read_document(path, digest, kind: str) -> dict:
+    """A saved JSON document, which must be one object."""
+    try:
+        document = json.loads(read_text(path, digest))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise SchemaError(f"{path}: not a {kind} (expected a JSON object)")
+    return document
+
+
+def read_report(path, digest=None) -> dict:
+    """A saved report; a task must be a string, and metrics numbers."""
+    report = _read_document(path, digest, "report")
+    task = report.get("task")
+    if task is not None and not isinstance(task, str):
+        raise SchemaError(f"{path}: task {json.dumps(task)} is not a string")
+    metrics = report.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise SchemaError(f"{path}: metrics {json.dumps(metrics)} is not an object")
+    for name, value in metrics.items():
+        if not _is_number(value):
+            raise SchemaError(f"{path}: metric {name!r} is {json.dumps(value)}, not a number")
+    return report
+
+
+def read_mapping_matrix(path, digest=None) -> MappingMatrix:
+    """The matrix of a saved `tokenmap build` report."""
+    document = _read_document(path, digest, "saved mapping matrix")
+    try:
+        for key in ("row_tokens", "col_tokens"):
+            if not _is_strings(document.get(key)):
+                raise TypeError(f"{key} must be a list of strings")
+        counts = document.get("counts")
+        if not isinstance(counts, list) or not all(
+            isinstance(row, list) and all(map(_is_number, row)) for row in counts
+        ):
+            raise TypeError("counts must be a list of rows of numbers")
+        degraded = document.get("degraded", False)
+        if not isinstance(degraded, bool):
+            raise TypeError(f"degraded {json.dumps(degraded)} is not true or false")
+        return MappingMatrix(counts, tuple(document["row_tokens"]), tuple(document["col_tokens"]), degraded)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: not a saved mapping matrix ({exc})") from None
 
 
 def read_results(path, digest=None) -> list[TaskResult]:
@@ -217,7 +275,7 @@ def read_pairs(path, scheme: str = "whitespace", digest=None) -> list[tuple[list
             value = obj[key]
             if isinstance(value, str):
                 sides.append(list(tokenize(value, scheme).tokens))
-            elif isinstance(value, list) and all(isinstance(t, str) for t in value):
+            elif _is_strings(value):
                 sides.append(list(value))
             else:
                 raise SchemaError(

@@ -138,13 +138,11 @@ class EmbeddingMatrix:
     """Embedding rows keyed by id. Accepts an array or nested sequences of
     equal length; values must be finite.
 
-    `values` holds the rows as given, read-only and C-contiguous: a float32
-    array (an EMB1 file's block as read) stays float32, 4 bytes a value, and
-    anything else is held as float64. `vectors` is the (n, dim) float64
-    array of the same values, read-only and C-contiguous: the float64 values
-    themselves, or float32 ones widened exactly on its first read."""
+    `values` is the (n, dim) array of the rows as given, read-only and
+    C-contiguous: a float32 array (an EMB1 file's block as read) stays
+    float32, 4 bytes a value, and anything else is held as float64."""
 
-    __slots__ = ("ids", "values", "_vectors", "_rows")
+    __slots__ = ("ids", "values", "_rows")
 
     def __init__(self, ids, vectors):
         ids = tuple(ids)
@@ -174,19 +172,10 @@ class EmbeddingMatrix:
         if bad.size:
             raise ValueError(f"non-finite value in row {ids[bad[0]]!r}")
         self.ids = ids
-        # a read-only view: the array may be the caller's own, and row() and
-        # vectors hand out slices of it or the array itself
+        # a read-only view, as the array may be the caller's own
         self.values = array.view()
         self.values.flags.writeable = False
-        self._vectors = self.values if array.dtype == np.float64 else None
         self._rows = rows
-
-    @property
-    def vectors(self) -> np.ndarray:
-        if self._vectors is None:
-            self._vectors = self.values.astype(np.float64)
-            self._vectors.flags.writeable = False
-        return self._vectors
 
     @property
     def dim(self) -> int:
@@ -200,9 +189,6 @@ class EmbeddingMatrix:
             return self._rows[item_id]
         except KeyError:
             raise MissingId(f"id {item_id!r} not present") from None
-
-    def row(self, item_id: str) -> np.ndarray:
-        return self.vectors[self.index(item_id)]
 
 
 # OpenBLAS runs a product of at most 65536 * 4 = 2**18 multiply-adds on the

@@ -15,6 +15,8 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
+from .metrics import LOWER_IS_BETTER
+
 MODALITIES = (
     "smiles",
     "inchi",
@@ -26,8 +28,6 @@ MODALITIES = (
     "property",
 )
 INTERNAL = frozenset(("smiles", "inchi", "selfies", "graph"))
-
-_REGRESSION_METRICS = frozenset(("mse", "rmse", "mae"))
 
 
 class UnknownModality(ValueError):
@@ -77,7 +77,7 @@ def build_matrix(results: list[TaskResult]) -> TransitionMatrix:
     usable = [
         r
         for r in results
-        if not (r.output == "property" and r.metric in _REGRESSION_METRICS)
+        if not (r.output == "property" and r.metric in LOWER_IS_BETTER)
     ]
 
     by_cell: dict[tuple[str, str], dict[str, list[float]]] = {}

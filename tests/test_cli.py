@@ -291,6 +291,27 @@ def test_saved_matrix_bad_values_are_data_errors(tmp_path, capsys, change, named
         assert f"{saved}: not a saved mapping matrix ({named}" in capsys.readouterr().err
 
 
+def test_saved_matrix_invalid_json_names_file(tmp_path, capsys):
+    saved = tmp_path / "matrix.json"
+    saved.write_text('{"row_tokens": }', encoding="utf-8")
+    assert main(["tokenmap", "build", "--matrix", str(saved)]) == 2
+    assert f"data error: {saved}: invalid JSON: Expecting value: line 1 column 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degraded", ["no", 0, None])
+def test_saved_matrix_degraded_must_be_boolean(tmp_path, capsys, degraded):
+    saved = tmp_path / "matrix.json"
+    data = {"counts": [[1, 2], [3, 4]], "row_tokens": ["a", "b"], "col_tokens": ["x", "y"], "degraded": degraded}
+    saved.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["tokenmap", "build", "--matrix", str(saved)]) == 2
+    want = f"{saved}: not a saved mapping matrix (degraded {json.dumps(degraded)} is not true or false)"
+    assert want in capsys.readouterr().err
+    data["degraded"] = True
+    saved.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["tokenmap", "build", "--matrix", str(saved)]) == 0
+    assert json.loads(capsys.readouterr().out)["degraded"] is True
+
+
 def test_tokenmap_build_csv_grid(tmp_path, capsys):
     pairs = _pairs_file(tmp_path)
     assert main(["tokenmap", "build", "--pairs", pairs, "--out", "csv"]) == 0

@@ -619,14 +619,14 @@ class TestEmbeddings:
         loaded, _ = read_embeddings(str(path))
         assert loaded.ids == ("a", "b")
         # values chosen exactly representable in f32
-        assert loaded.vectors.tolist() == matrix.vectors.tolist()
+        assert loaded.values.tolist() == matrix.values.tolist()
 
     def test_csv_reader(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("q1,1.0,0.0\nq2,0.0,1.0\n")
         loaded, _ = read_embeddings(str(path))
         assert loaded.ids == ("q1", "q2")
-        assert loaded.vectors[1].tolist() == [0.0, 1.0]
+        assert loaded.values[1].tolist() == [0.0, 1.0]
 
     def test_truncated_binary(self, tmp_path):
         path = tmp_path / "e.emb"
@@ -684,9 +684,10 @@ class TestEmbeddings:
         path = tmp_path / "e.emb"
         write_embeddings(path, EmbeddingMatrix(("a",), ((0.1, -1e-3),)))
         loaded, _ = read_embeddings(str(path))
-        assert loaded.vectors.dtype == np.float64 and loaded.vectors.flags.c_contiguous
+        # kept as the file's float32 values, which widen exactly
+        assert loaded.values.dtype == np.float32 and loaded.values.flags.c_contiguous
         want = np.array([[0.1, -1e-3]], dtype=np.float32).astype(np.float64)
-        assert loaded.vectors.tobytes() == want.tobytes()
+        assert loaded.values.astype(np.float64).tobytes() == want.tobytes()
 
     def test_write_rejects_values_beyond_f32(self, tmp_path):
         with pytest.raises(FloatingPointError):
@@ -703,14 +704,14 @@ class TestEmbeddings:
         binary = tmp_path / "e.emb"
         write_embeddings(binary, matrix)
         loaded, digest = read_embeddings(str(binary))
-        assert loaded.ids == ids and loaded.vectors.tolist() == matrix.vectors.tolist()
+        assert loaded.ids == ids and loaded.values.tolist() == matrix.values.tolist()
         assert digest == hashlib.sha256(binary.read_bytes()).hexdigest()
         csv = tmp_path / "e.csv"
         csv.write_bytes(
             f"{ids[0]},1.0,0.5\n{ids[1]},0.25,2.0\r\n{ids[2]},3.0,-4.0\r".encode("utf-8")
         )
         loaded, digest = read_embeddings(str(csv))
-        assert loaded.ids == ids and loaded.vectors.tolist() == matrix.vectors.tolist()
+        assert loaded.ids == ids and loaded.values.tolist() == matrix.values.tolist()
         assert digest == hashlib.sha256(csv.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])

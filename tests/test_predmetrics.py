@@ -453,7 +453,7 @@ def test_retrieval_band_edge(monkeypatch):
         targets = EmbeddingMatrix(["a", "gold"], np.stack([row, axis]))
         out = retrieval_eval(queries, targets, {"q": "gold"})
         assert len(compared) == calls
-        want = _exact_ranks(["q"], [axis.tolist()], ["a", "gold"], targets.vectors.tolist(), {"q": "gold"})
+        want = _exact_ranks(["q"], [axis.tolist()], ["a", "gold"], targets.values.tolist(), {"q": "gold"})
         assert out["ranks"] == want == [1]
     # inside the band the other way round: the target is ahead of the gold
     compared.clear()
@@ -530,8 +530,8 @@ def test_retrieval_leaves_inputs_untouched():
     targets = EmbeddingMatrix([f"t{i:02d}" for i in range(30)], t_arr)
     retrieval_eval(queries, targets, {f"q{i}": f"t{2 * i + 2:02d}" for i in range(5)})
     assert (q_arr.tobytes(), t_arr.tobytes()) == before
-    assert (queries.vectors.tobytes(), targets.vectors.tobytes()) == before
-    assert not queries.vectors.flags.writeable and not targets.vectors.flags.writeable
+    assert (queries.values.tobytes(), targets.values.tobytes()) == before
+    assert not queries.values.flags.writeable and not targets.values.flags.writeable
 
 
 def _emb1_files(tmp_path, n_queries, seed):
@@ -568,11 +568,11 @@ def test_emb1_values_kept_as_read(tmp_path):
     queries, targets, gold, t = _emb1_files(tmp_path, 10, 27)
     out = retrieval_eval(queries, targets, gold)
     assert out["ranks"] == [1] * 10  # no band: each gold is well ahead
-    assert targets.values.dtype == np.float32 and targets._vectors is None
-    vectors = targets.vectors
-    assert vectors.dtype == np.float64 and vectors.flags.c_contiguous
-    assert not vectors.flags.writeable and targets.vectors is vectors
-    assert vectors.tobytes() == t.astype(np.float64).tobytes()
+    values = targets.values
+    assert values.dtype == np.float32 and values.flags.c_contiguous
+    assert not values.flags.writeable
+    assert values.tobytes() == t.tobytes()
+    assert values.astype(np.float64).tobytes() == t.astype(np.float64).tobytes()
 
 
 @pytest.mark.parametrize("n_queries", [10, 33], ids=["one-query-tile", "two-query-tiles"])
@@ -598,18 +598,18 @@ def test_retrieval_f32_values_match_exact_ranks(n_queries):
     assert targets.values.dtype == np.float32
     out = retrieval_eval(queries, targets, gold)
     assert out["ranks"] == _exact_ranks(q_ids, q.tolist(), t_ids, t.tolist(), gold)
-    assert targets._vectors is None
+    assert targets.values.dtype == np.float32
 
 
 def test_embedding_matrix_storage_and_validation():
     m = _matrix(["a", "b"], [[1, 2], [3, 4]])
-    assert m.vectors.dtype == np.float64 and m.vectors.flags.c_contiguous
-    assert m.vectors.shape == (2, 2) and m.dim == 2
-    assert m.row("b").tolist() == [3.0, 4.0]
+    assert m.values.dtype == np.float64 and m.values.flags.c_contiguous
+    assert m.values.shape == (2, 2) and m.dim == 2
+    assert m.values[m.index("b")].tolist() == [3.0, 4.0]
     with pytest.raises(ValueError, match="read-only"):
-        m.row("b")[0] = 0.0
+        m.values[m.index("b")][0] = 0.0
     with pytest.raises(MissingId):
-        m.row("c")
+        m.index("c")
     with pytest.raises(DimMismatch, match="rows differ in dimension"):
         _matrix(["a", "b"], [[1.0, 2.0], [3.0]])
     with pytest.raises(DimMismatch):
