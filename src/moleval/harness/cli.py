@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -240,8 +241,8 @@ def _parse_grid(text: str) -> list[float]:
     except ValueError:
         raise UsageError(f"grid values must be numbers, got {text!r}") from None
     # negated comparisons also reject NaN, which no loop bound would stop
-    if not step > 0 or not stop >= start:
-        raise UsageError("grid needs step > 0 and stop >= start")
+    if not start >= 0 or not step > 0 or not stop >= start:
+        raise UsageError("grid needs start >= 0, step > 0 and stop >= start")
     if not (stop - start) / step < MAX_GRID_POINTS:
         raise UsageError(f"grid has more than {MAX_GRID_POINTS} points")
     values = []
@@ -253,6 +254,17 @@ def _parse_grid(text: str) -> list[float]:
         values.append(round(value, 10))
         k += 1
     return values
+
+
+def _parse_threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"--T must be a number, got {text!r}") from None
+    # a negated comparison also refuses NaN
+    if not 0 <= value < math.inf:
+        raise UsageError(f"--T must be finite and at least 0, got {text!r}")
+    return value
 
 
 def _cmd_tokenmap_sweep(args):
@@ -387,7 +399,7 @@ def build_parser() -> _Parser:
 
     p = tm_sub.add_parser("select", help="flagged pair selection at one threshold")
     _add_tokenmap_source(p)
-    p.add_argument("--T", dest="t", type=float, default=None)
+    p.add_argument("--T", dest="t", type=_parse_threshold, default=None)
     _add_common(p)
     p.set_defaults(handler=_cmd_tokenmap_select)
 

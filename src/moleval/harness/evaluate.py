@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -19,6 +18,7 @@ from ..predmetrics import (
     regression_metrics,
     retrieval_eval,
     roc_auc,
+    root_mean_square,
 )
 from ..textmetrics import (
     bleu_from_counts,
@@ -227,9 +227,7 @@ def merge_reports(payloads: list[dict], provenance: dict) -> dict:
     for name in sorted(names):
         values = [float(p["metrics"][name]) for p in payloads]
         centre = mean(values)
-        # a product, as (v - centre) ** 2 raises OverflowError where it is inf
-        var = mean([(v - centre) * (v - centre) for v in values])
-        merged[name] = {"mean": centre, "std": math.sqrt(var)}
+        merged[name] = {"mean": centre, "std": root_mean_square(values, centre)}
     return {
         "task": tasks.pop(),
         "metrics": merged,

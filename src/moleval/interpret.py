@@ -194,13 +194,16 @@ def _threshold(counts: np.ndarray, means: np.ndarray, stds: np.ndarray, T: float
     """Cells above their neighborhood by T local deviations: the flags, the
     flagged share, and the share a globally normal matrix would flag at the
     same cutoffs (None when the counts have zero variance)."""
-    cutoffs = means + T * stds
-    flags = counts > cutoffs
-    p_actual = float(flags.sum()) / counts.size
-    sigma = float(counts.std())
-    if sigma == 0.0:
-        return flags, p_actual, None
-    expected = 1.0 - np.vectorize(normal_cdf)((cutoffs - float(counts.mean())) / sigma)
+    # a huge T gives cutoffs past the float range: inf, which flags nothing
+    # and which a globally normal matrix exceeds with probability 0
+    with np.errstate(over="ignore"):
+        cutoffs = means + T * stds
+        flags = counts > cutoffs
+        p_actual = float(flags.sum()) / counts.size
+        sigma = float(counts.std())
+        if sigma == 0.0:
+            return flags, p_actual, None
+        expected = 1.0 - np.vectorize(normal_cdf)((cutoffs - float(counts.mean())) / sigma)
     return flags, p_actual, float(expected.mean())
 
 
@@ -216,8 +219,9 @@ def _z_score(p_actual: float, p_expected: float, cells: int) -> float:
 def local_filter(matrix: MappingMatrix, T: float) -> FilterStats:
     """Flag cells above their neighborhood by T local deviations, then
     compare the flagged share with the globally-normal expectation."""
-    if T < 0:
-        raise ValueError("T must be non-negative")
+    # a negated comparison also refuses NaN
+    if not 0 <= T < math.inf:
+        raise ValueError("T must be finite and non-negative")
     ordered = sort_matrix(matrix)
     counts = ordered.counts
     means, stds = neighborhood_stats(counts)

@@ -108,17 +108,34 @@ def mean(values: list[float]) -> float:
         return statistics.mean(values)
 
 
+def root_mean_square(values: list[float], centre: float = 0.0) -> float:
+    """sqrt(mean((v - centre)²)), as that formula gives it wherever its
+    result is finite or a value is not. Where finite values deviate or
+    square past the float range, they are first scaled by a power of two,
+    so the result is finite wherever the true value is."""
+    # d * d, as d ** 2 raises OverflowError where d * d is inf
+    square = mean([(v - centre) * (v - centre) for v in values])
+    if square < math.inf or not all(map(math.isfinite, [centre, *values])):
+        return math.sqrt(square)
+    _, exponent = math.frexp(max(map(abs, [centre, *values])))
+    scaled = [math.ldexp(v, -exponent) - math.ldexp(centre, -exponent) for v in values]
+    try:
+        return math.ldexp(math.sqrt(mean([d * d for d in scaled])), exponent)
+    except OverflowError:  # the root rounds past the largest float
+        return math.inf
+
+
 def regression_metrics(pred: list[float], truth: list[float]) -> dict[str, float]:
     if len(pred) != len(truth):
         raise LengthMismatch("prediction and truth lengths differ")
     if not pred:
         raise EmptySequence("no values")
     diffs = [p - t for p, t in zip(pred, truth)]
-    # d * d, as d ** 2 raises OverflowError where d * d is inf
-    sq = [d * d for d in diffs]
-    ab = [abs(d) for d in diffs]
-    mse = mean(sq)
-    return {"mse": mse, "rmse": math.sqrt(mse), "mae": mean(ab)}
+    return {
+        "mse": mean([d * d for d in diffs]),
+        "rmse": root_mean_square(diffs),
+        "mae": mean([abs(d) for d in diffs]),
+    }
 
 
 def pool(seq: list[list[float]], mode: str) -> list[float]:

@@ -5,6 +5,10 @@ property row transfers nothing to text modalities; conversions between
 the internal representations default to 1 because lossless tools exist,
 unless a measured generation score for the row overrides them; every
 other cell is either measured or missing.
+
+A result of a lower-is-better metric (a distance or an error) is no
+probability and is dropped; any other result, under a metric name of the
+vocabulary or not, is a score in [0, 1].
 """
 
 from __future__ import annotations
@@ -52,7 +56,8 @@ class TaskResult:
             raise UnknownModality(f"unknown output modality {self.output!r}")
         if not math.isfinite(self.value):
             raise ValueError("result value must be finite")
-        object.__setattr__(self, "value", min(1.0, max(0.0, float(self.value))))
+        if self.metric not in LOWER_IS_BETTER and not 0.0 <= self.value <= 1.0:
+            raise ValueError(f"{self.metric!r} value {self.value!r} lies outside [0, 1]")
 
 
 @dataclass
@@ -72,13 +77,9 @@ def _is_bleu(metric: str) -> bool:
 
 
 def build_matrix(results: list[TaskResult]) -> TransitionMatrix:
-    # regression scores cannot be read as probabilities; drop them for the
-    # property column before any conflict checking
-    usable = [
-        r
-        for r in results
-        if not (r.output == "property" and r.metric in LOWER_IS_BETTER)
-    ]
+    # distances and errors cannot be read as probabilities; drop them before
+    # any conflict checking
+    usable = [r for r in results if r.metric not in LOWER_IS_BETTER]
 
     by_cell: dict[tuple[str, str], dict[str, list[float]]] = {}
     for r in usable:

@@ -229,6 +229,25 @@ def test_transition_conflicting_results_data_error(tmp_path, capsys):
     assert main(["transition", "build", "--results", res]) == 2
 
 
+def test_transition_drops_lower_is_better_results(tmp_path, capsys):
+    # an edit distance of 25 is no transfer probability: the cell stays empty
+    rows = [{"input": "caption", "output": "smiles", "metric": "levenshtein", "value": 25}]
+    res = _write_jsonl(tmp_path / "res.jsonl", rows)
+    assert main(["transition", "build", "--results", res]) == 0
+    cell = json.loads(capsys.readouterr().out)["cells"]["caption"]["smiles"]
+    assert cell == {"value": None, "source": "missing"}
+
+
+def test_transition_score_outside_unit_interval_is_data_error(tmp_path, capsys):
+    rows = [
+        {"input": "iupac", "output": "smiles", "metric": "bleu", "value": 0.5},
+        {"input": "smiles", "output": "caption", "metric": "meteor", "value": 1.7},
+    ]
+    res = _write_jsonl(tmp_path / "res.jsonl", rows)
+    assert main(["transition", "build", "--results", res]) == 2
+    assert "data error: line 2: 'meteor' value 1.7 lies outside [0, 1]" in capsys.readouterr().err
+
+
 def _pairs_file(tmp_path):
     rows = [
         {"input": "the acid smells sharp", "output": "box lic ."},
@@ -312,6 +331,38 @@ def test_saved_matrix_degraded_must_be_boolean(tmp_path, capsys, degraded):
     assert json.loads(capsys.readouterr().out)["degraded"] is True
 
 
+def _small_matrix(tmp_path):
+    saved = tmp_path / "matrix.json"
+    counts = [[50, 3, 0], [2, 41, 7], [0, 9, 33]]
+    saved.write_text(json.dumps({"counts": counts, "row_tokens": ["a", "b", "c"], "col_tokens": ["x", "y", "z"]}))
+    return str(saved)
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1", "-0.5", "1e400", "high"])
+def test_tokenmap_select_threshold_must_be_finite_and_not_negative(tmp_path, capsys, threshold):
+    assert main(["tokenmap", "select", "--matrix", _small_matrix(tmp_path), f"--T={threshold}"]) == 1
+    assert "usage error: --T must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["select", "--T", "1e308"], ["select", "--T", "1.7976931348623157e308"], ["sweep", "--grid", "0:1e308:1e307"]],
+    ids=["select", "select-largest", "sweep"],
+)
+def test_tokenmap_huge_threshold_flags_nothing_without_warning(tmp_path, capsys, command):
+    # a cutoff past the float range is inf: no cell is flagged or expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["tokenmap", *command, "--matrix", _small_matrix(tmp_path)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    data = json.loads(out.out)
+    if command[0] == "select":
+        assert data["pairs"] == [] and data["p_actual"] == 0.0 and data["p_expected"] == 0.0
+    else:
+        assert [row["flag_count"] for row in data["rows"][1:]] == [0] * 10
+
+
 def test_tokenmap_build_csv_grid(tmp_path, capsys):
     pairs = _pairs_file(tmp_path)
     assert main(["tokenmap", "build", "--pairs", pairs, "--out", "csv"]) == 0
@@ -347,7 +398,7 @@ def test_tokenmap_bad_grid(tmp_path):
     assert main(["tokenmap", "sweep", "--pairs", pairs, "--grid", "2:1:0.5"]) == 1
     # more than MAX_GRID_POINTS points, or no finite count at all, is
     # refused before any point is built
-    for grid in ("0:1:1e-7", "0:10000:1", "0:inf:1", "nan:1:0.5", "0:1:nan"):
+    for grid in ("0:1:1e-7", "0:10000:1", "0:inf:1", "nan:1:0.5", "0:1:nan", "-1:1:0.5", "-inf:0:1"):
         assert main(["tokenmap", "sweep", "--pairs", pairs, "--grid", grid]) == 1
 
 
@@ -500,9 +551,10 @@ def test_property_cli(tmp_path, capsys):
 
 
 def test_property_squared_error_beyond_float_range_renders_null(tmp_path, capsys):
+    # the mean square passes the float range, its root does not
     rec = _write_jsonl(tmp_path / "p.jsonl", [{"task": "a", "pred": 1e200, "truth": -1e200}])
     assert main(["eval", "property", "--records", rec]) == 0
-    assert json.loads(capsys.readouterr().out)["metrics"] == {"mae": 2e200, "mse": None, "rmse": None}
+    assert json.loads(capsys.readouterr().out)["metrics"] == {"mae": 2e200, "mse": None, "rmse": 2e200}
 
 
 @pytest.mark.parametrize("tasks", [["t", "t"], ["t", "u"]], ids=["one-task", "two-tasks"])
@@ -512,7 +564,7 @@ def test_property_mean_of_errors_past_float_range(tmp_path, capsys, tasks):
     rows = [{"task": task, "pred": 1e308, "truth": 0} for task in tasks]
     rec = _write_jsonl(tmp_path / "p.jsonl", rows)
     assert main(["eval", "property", "--records", rec]) == 0
-    assert json.loads(capsys.readouterr().out)["metrics"] == {"mae": 1e308, "mse": None, "rmse": None}
+    assert json.loads(capsys.readouterr().out)["metrics"] == {"mae": 1e308, "mse": None, "rmse": 1e308}
 
 
 def test_repeat_merge_mean_past_float_range(tmp_path, capsys):

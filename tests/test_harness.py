@@ -934,10 +934,11 @@ class TestMergeReports:
             merge_reports([{"task": "x", "metrics": {}}], provenance={})
 
     def test_squared_deviation_beyond_float_range_is_inf(self):
-        a = {"task": "eval-property", "metrics": {"mse": 1e200}}
-        b = {"task": "eval-property", "metrics": {"mse": 0.0}}
+        # the squared deviations pass the float range, the std does not
+        a = {"task": "eval-property", "metrics": {"mse": 1e200, "mae": 1e308}}
+        b = {"task": "eval-property", "metrics": {"mse": 0.0, "mae": -1e308}}
         merged = merge_reports([a, b], provenance={})
-        assert merged["metrics"]["mse"] == {"mean": 5e199, "std": math.inf}
+        assert merged["metrics"] == {"mse": {"mean": 5e199, "std": 5e199}, "mae": {"mean": 0.0, "std": 1e308}}
 
 
 class TestProfile:

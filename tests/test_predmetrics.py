@@ -113,9 +113,11 @@ def test_regression_metrics():
     with pytest.raises(LengthMismatch):
         regression_metrics([1.0], [1.0, 2.0])
     # the errors sum past the float range and their mean does not; each
-    # square is already infinite
+    # square is already infinite, and the root of their mean is not
     got = regression_metrics([1e308, -1e308, 1e308], [0.0, 0.0, 0.0])
-    assert got == {"mse": math.inf, "rmse": math.inf, "mae": 1e308}
+    assert got == {"mse": math.inf, "rmse": 1e308, "mae": 1e308}
+    got = regression_metrics([2e200, 1e200], [0.0, -1e200])
+    assert got == {"mse": math.inf, "rmse": 2e200, "mae": 2e200}
 
 
 def test_pool_examples():

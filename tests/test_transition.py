@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from moleval.metrics import LOWER_IS_BETTER
 from moleval.transition import (
     INTERNAL,
     MODALITIES,
@@ -96,11 +97,33 @@ def test_unknown_modality():
         TaskResult("audio", "smiles", "bleu", 0.5)
 
 
-def test_value_clamped():
-    assert TaskResult("smiles", "caption", "meteor", 1.7).value == 1.0
-    assert TaskResult("smiles", "caption", "meteor", -0.4).value == 0.0
-    with pytest.raises(ValueError):
-        TaskResult("smiles", "caption", "meteor", float("nan"))
+def test_value_outside_unit_interval_refused():
+    # a score of a higher-is-better metric, named in the vocabulary or not,
+    # is a probability; a lower-is-better one is only checked finite
+    for metric in ("meteor", "bleu", "bleu,4", "accuracy"):
+        for value in (1.7, -0.4, 1.0000000000000002):
+            with pytest.raises(ValueError, match=r"lies outside \[0, 1\]"):
+                TaskResult("smiles", "caption", metric, value)
+        assert TaskResult("smiles", "caption", metric, 1.0).value == 1.0
+    assert TaskResult("caption", "smiles", "levenshtein", 25.0).value == 25.0
+    assert TaskResult("caption", "iupac", "mae", -0.5).value == -0.5
+    for metric in ("meteor", "levenshtein"):
+        with pytest.raises(ValueError, match="finite"):
+            TaskResult("smiles", "caption", metric, float("nan"))
+
+
+@pytest.mark.parametrize("metric", sorted(LOWER_IS_BETTER))
+def test_lower_is_better_results_dropped_in_every_column(metric):
+    # an edit distance of 25 or an error of 0.02 is no transfer probability
+    for value in (25.0, 0.02):
+        results = [TaskResult(row, col, metric, value) for row in MODALITIES for col in MODALITIES]
+        m = build_matrix(results)
+        assert m.entries == build_matrix([]).entries
+        assert m.provenance == build_matrix([]).provenance
+    m = build_matrix(
+        [TaskResult("caption", "smiles", metric, 25.0), TaskResult("caption", "smiles", "bleu-4", 0.4)]
+    )
+    assert m.cell("caption", "smiles") == 0.4 and m.tag("caption", "smiles") == "measured(bleu-4)"
 
 
 def test_order_independence():
