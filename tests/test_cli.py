@@ -399,7 +399,7 @@ def test_tokenmap_bad_grid(tmp_path):
     # more than MAX_GRID_POINTS points, or no finite count at all, is
     # refused before any point is built
     for grid in ("0:1:1e-7", "0:10000:1", "0:inf:1", "nan:1:0.5", "0:1:nan", "-1:1:0.5", "-inf:0:1"):
-        assert main(["tokenmap", "sweep", "--pairs", pairs, "--grid", grid]) == 1
+        assert main(["tokenmap", "sweep", "--pairs", pairs, f"--grid={grid}"]) == 1
 
 
 def test_grid_limit_is_inclusive():
