@@ -21,14 +21,15 @@ from ..predmetrics import (
     root_mean_square,
 )
 from ..textmetrics import (
-    bleu_from_counts,
     clipped_counts,
+    corpus_bleu,
     exact_match_graphs,
     exact_match_raw,
     levenshtein,
     meteor_lite,
     rouge,
     rouge_from_counts,
+    sentence_bleu,
     tokenize,
 )
 from .records import read_embeddings, read_gen_records, read_gold, read_property_rows
@@ -125,13 +126,19 @@ def eval_generation(records_path, target_kind: str) -> Report:
     digest = hashlib.sha256()
     records = read_gen_records(records_path, digest)
     scheme = "smiles_regex" if target_kind == "molecule" else "whitespace"
-    counts, rows = [], []
+    # corpus BLEU reads the clipped counts summed over every pair, so only
+    # the running totals outlive a record
+    totals = [(0, 0, 0)] * 4
+    sentence_2, sentence_4, rows = [], [], []
     unparseable = 0
     for record in records:
         pred, ref = record.prediction, record.references[0]
         cand_tokens, ref_tokens = tokenize(pred, scheme), tokenize(ref, scheme)
         orders = clipped_counts(cand_tokens.tokens, ref_tokens.tokens)
-        counts.append(orders)
+        totals = [(h + dh, c + dc, r + dr) for (h, c, r), (dh, dc, dr) in zip(totals, orders)]
+        bleu_2, bleu_4 = sentence_bleu(orders)
+        sentence_2.append(bleu_2)
+        sentence_4.append(bleu_4)
         if target_kind == "molecule":
             row, parsed = _molecule_record(pred, ref)
             unparseable += not parsed
@@ -139,14 +146,8 @@ def eval_generation(records_path, target_kind: str) -> Report:
             row = _text_record(cand_tokens, ref_tokens, orders)
         rows.append(row)
 
-    bleus = bleu_from_counts(counts)
-    metrics = {"bleu-2": bleus["bleu-2"], "bleu-4": bleus["bleu-4"], **_means(rows)}
-    details: dict = {
-        "sentence_level": {
-            "bleu-2": bleus["sentence-bleu-2"],
-            "bleu-4": bleus["sentence-bleu-4"],
-        }
-    }
+    metrics = {"bleu-2": corpus_bleu(totals, 2), "bleu-4": corpus_bleu(totals, 4), **_means(rows)}
+    details: dict = {"sentence_level": {"bleu-2": mean(sentence_2), "bleu-4": mean(sentence_4)}}
     if target_kind == "molecule":
         details["unparseable_predictions"] = unparseable
 
@@ -188,6 +189,7 @@ def eval_property(records_path) -> Report:
     kind, tasks = read_property_rows(records_path, digest)
     skip_reasons: Counter[str] = Counter()
     rows = []
+    skipped = 0
     for task, data in sorted(tasks.items()):
         if kind == "regression":
             rows.append(regression_metrics(data["preds"], data["truths"]))
@@ -199,6 +201,7 @@ def eval_property(records_path) -> Report:
                 row[name] = metric(labels)
             except DegenerateLabels:
                 skip_reasons[f"degenerate-{name}"] += 1
+        skipped += len(row) < 3  # a task lacking roc-auc, pr-auc or both counts once
         rows.append(row)
     details = {"kind": kind}
     if skip_reasons:
@@ -206,7 +209,7 @@ def eval_property(records_path) -> Report:
     return Report(
         task="eval-property",
         metrics=_means(rows),
-        counts={"evaluated": len(tasks), "skipped": skip_reasons.total()},
+        counts={"evaluated": len(tasks), "skipped": skipped},
         provenance=provenance_of({str(records_path): digest.hexdigest()}),
         details=details,
     )

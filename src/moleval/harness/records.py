@@ -163,12 +163,24 @@ def read_text(path, digest=None) -> str:
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
 
 
+def _finite_number(text: str) -> float:
+    # json reads NaN, Infinity, -Infinity and a literal past the float range
+    # as non-finite floats, which no saved document holds
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _read_document(path, digest, kind: str) -> dict:
-    """A saved JSON document, which must be one object."""
+    """A saved JSON document, which must be one object of finite numbers."""
+    text = read_text(path, digest)
     try:
-        document = json.loads(read_text(path, digest))
+        document = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     if not isinstance(document, dict):
         raise SchemaError(f"{path}: not a {kind} (expected a JSON object)")
     return document

@@ -74,58 +74,38 @@ def clipped_counts(cand, ref) -> list[tuple[int, int, int]]:
     return [(hits[n], max(0, len(cand) - n + 1), max(0, len(ref) - n + 1)) for n in range(1, 5)]
 
 
-def _corpus_bleu(matched, total, cand_len: int, ref_len: int) -> float:
+def sentence_bleu(orders: list[tuple[int, int, int]]) -> tuple[float, float]:
+    """Sentence BLEU-2 and BLEU-4 of one pair from its `clipped_counts`:
+    zero precisions are smoothed to 1e-9 so short sentences still produce a
+    graded signal, and an empty candidate scores 0."""
+    # order 1 counts one n-gram per token on each side
+    cand_n, ref_n = orders[0][1], orders[0][2]
+    if cand_n == 0:
+        return 0.0, 0.0
+    logs = [math.log(hit / count if hit else 1e-9) for hit, count, _ in orders]
+    log_2 = logs[0] + logs[1]
+    log_4 = log_2 + logs[2] + logs[3]
+    brevity = math.exp(min(0.0, 1.0 - ref_n / cand_n))
+    return brevity * math.exp(log_2 / 2), brevity * math.exp(log_4 / 4)
+
+
+def corpus_bleu(totals: list[tuple[int, int, int]], max_n: int) -> float:
+    """Corpus BLEU of order `max_n` from the `clipped_counts` of every pair
+    summed order by order: the geometric mean of the clipped n-gram
+    precisions times the brevity penalty; a zero precision at any order
+    gives 0."""
     # orders with no n-grams anywhere (corpus shorter than n) are skipped so
-    # that identical inputs score 1.0 regardless of max_n
-    pairs = [(m, t) for m, t in zip(matched, total) if t > 0]
-    if cand_len == 0 or not pairs or any(m == 0 for m, _ in pairs):
+    # that identical inputs score 1.0 regardless of max_n; an empty
+    # candidate side has none at all and scores 0
+    pairs = [(hit, count) for hit, count, _ in totals[:max_n] if count > 0]
+    if not pairs or any(hit == 0 for hit, _ in pairs):
         return 0.0
-    brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
-    return brevity * math.exp(statistics.fmean(math.log(m / t) for m, t in pairs))
-
-
-def bleu_from_counts(counts: list[list[tuple[int, int, int]]]) -> dict[str, float]:
-    """Corpus BLEU-2/4 (geometric mean of clipped n-gram precisions times
-    the brevity penalty; a zero precision at any order gives 0) and mean
-    sentence BLEU-2/4 (zero precisions smoothed to 1e-9 so short sentences
-    still produce a graded signal; an empty candidate scores 0) from the
-    `clipped_counts` of each pair of a corpus."""
-    eps = 1e-9
-    matched = [0] * 4
-    total = [0] * 4
-    cand_len = 0
-    ref_len = 0
-    sentence_2 = []
-    sentence_4 = []
-    for orders in counts:
-        # order 1 counts one n-gram per token on each side
-        cand_n, ref_n = orders[0][1], orders[0][2]
-        cand_len += cand_n
-        ref_len += ref_n
-        # running sums of log precisions: logs[k] covers orders 1..k
-        logs = [0.0]
-        for n, (hit, count, _) in enumerate(orders):
-            matched[n] += hit
-            total[n] += count
-            p = hit / count if count else eps
-            logs.append(logs[-1] + math.log(p if p > 0 else eps))
-        if cand_n == 0:
-            sentence_2.append(0.0)
-            sentence_4.append(0.0)
-            continue
-        brevity = math.exp(min(0.0, 1.0 - ref_n / cand_n))
-        sentence_2.append(brevity * math.exp(logs[2] / 2))
-        sentence_4.append(brevity * math.exp(logs[4] / 4))
-    return {
-        "bleu-2": _corpus_bleu(matched[:2], total[:2], cand_len, ref_len),
-        "bleu-4": _corpus_bleu(matched, total, cand_len, ref_len),
-        "sentence-bleu-2": statistics.fmean(sentence_2),
-        "sentence-bleu-4": statistics.fmean(sentence_4),
-    }
+    brevity = math.exp(min(0.0, 1.0 - totals[0][2] / totals[0][1]))
+    return brevity * math.exp(statistics.fmean(math.log(hit / count) for hit, count in pairs))
 
 
 def bleu(candidates: list[TokenSeq], references: list[TokenSeq], max_n: int) -> float:
-    """Corpus BLEU of order `max_n` (2 or 4); see `bleu_from_counts`."""
+    """Corpus BLEU of order `max_n` (2 or 4); see `corpus_bleu`."""
     if max_n not in (2, 4):
         raise ValueError("max_n must be 2 or 4")
     if len(candidates) != len(references):
@@ -135,14 +115,14 @@ def bleu(candidates: list[TokenSeq], references: list[TokenSeq], max_n: int) -> 
     if not candidates:
         raise EmptyCorpus("no sentence pairs")
     counts = [clipped_counts(c.tokens, r.tokens) for c, r in zip(candidates, references)]
-    return bleu_from_counts(counts)[f"bleu-{max_n}"]
+    return corpus_bleu([tuple(map(sum, zip(*order))) for order in zip(*counts)], max_n)
 
 
 def rouge(candidate: TokenSeq, reference: TokenSeq, variant: str) -> float:
     if len(candidate) == 0 or len(reference) == 0:
         raise EmptyInput("rouge needs non-empty sequences")
     if variant in ("r1", "r2"):
-        return _f1(*clipped_counts(candidate.tokens, reference.tokens)[int(variant[1]) - 1])
+        return rouge_from_counts(clipped_counts(candidate.tokens, reference.tokens), int(variant[1]))
     if variant == "rl":
         cand, ref = candidate.tokens, reference.tokens
         return _f1(_lcs_length(cand, ref), len(cand), len(ref))

@@ -124,6 +124,20 @@ def test_repeat_merge_bad_report_is_data_error(tmp_path, capsys, report, named):
     assert f"{bad}: {named}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_saved_documents_refuse_non_finite_numbers(tmp_path, capsys, literal):
+    # Python's json reads these as floats; a saved report writes null instead
+    report = tmp_path / "r.json"
+    report.write_text('{"task": "eval-property", "metrics": {"f1": %s, "mae": 1.0}}' % literal, encoding="utf-8")
+    assert main(["eval", "property", "--repeat-merge", str(report), str(report)]) == 2
+    assert f"data error: {report}: non-finite number {literal}" in capsys.readouterr().err
+    saved = tmp_path / "matrix.json"
+    saved.write_text('{"counts": [[1, %s], [3, 4]], "row_tokens": ["a", "b"], "col_tokens": ["x", "y"]}' % literal,
+                     encoding="utf-8")
+    assert main(["tokenmap", "build", "--matrix", str(saved)]) == 2
+    assert f"data error: {saved}: non-finite number {literal}" in capsys.readouterr().err
+
+
 def test_convert_round_trip(capsys):
     assert main(["convert", "--from", "smiles", "--to", "selfies", "C1=CC=CC=C1"]) == 0
     stream = capsys.readouterr().out.strip()

@@ -533,6 +533,31 @@ class TestEvalGeneration:
         monkeypatch.undo()
         assert payload == _PINNED_GEN[target_kind]
 
+    @pytest.mark.parametrize("target_kind", ["text", "molecule"])
+    def test_no_counts_outlive_their_record(self, tmp_path, monkeypatch, target_kind):
+        # whole-file memory: corpus BLEU reads running totals, so at each
+        # record at most the previous record's n-gram counts may be alive
+        import moleval.harness.evaluate as evaluate
+
+        class Counts(list):
+            pass  # a list that takes a weak reference
+
+        clipped_counts = evaluate.clipped_counts
+        held = []
+        alive = []
+
+        def counted(cand, ref):
+            alive.append(sum(counts() is not None for counts in held))
+            counts = Counts(clipped_counts(cand, ref))
+            held.append(weakref.ref(counts))
+            return counts
+
+        monkeypatch.setattr(evaluate, "clipped_counts", counted)
+        _gen_set(tmp_path, target_kind)
+        eval_generation(tmp_path / "g.jsonl", target_kind)
+        assert len(alive) == 30
+        assert max(alive) <= 1
+
 
 def _compensated_sum(iterable, start=0):
     """CPython 3.12's sum() (Python/bltinmodule.c): ints are added exactly
@@ -834,7 +859,7 @@ class TestEvalProperty:
         path = _write_jsonl(tmp_path / "p.jsonl", negatives)
         report = eval_property(path)
         assert report.metrics == {"f1": 0.0}
-        assert report.counts == {"evaluated": 2, "skipped": 4}
+        assert report.counts == {"evaluated": 2, "skipped": 2}
         assert report.details == {
             "kind": "classification",
             "skip_reasons": {"degenerate-roc-auc": 2, "degenerate-pr-auc": 2},
@@ -842,7 +867,7 @@ class TestEvalProperty:
         path = _write_jsonl(tmp_path / "p.jsonl", negatives + [{"task": "c", "label": 1, "score": 0.9}])
         report = eval_property(path)
         assert report.metrics == {"f1": 1 / 3, "pr-auc": 1.0}
-        assert report.counts == {"evaluated": 3, "skipped": 5}
+        assert report.counts == {"evaluated": 3, "skipped": 3}
         assert report.details["skip_reasons"] == {"degenerate-roc-auc": 3, "degenerate-pr-auc": 2}
 
     def test_regression(self, tmp_path):
@@ -1335,7 +1360,7 @@ _PINNED_PROPERTY = {
     "classification": {
         "task": "eval-property",
         "metrics": {"f1": 0.45248868778280543, "roc-auc": 0.7827380952380953, "pr-auc": 0.8210242634349777},
-        "counts": {"evaluated": 3, "skipped": 2},
+        "counts": {"evaluated": 3, "skipped": 1},
         "provenance": {
             "inputs": {"p.jsonl": "f2dd8c8ae7a4c2c2ce2f6e0cd62d3c039e3858aebc23a63aaf80e8f8d879bf70"},
             "tool": {"name": "moleval", "version": "0.1.0"},

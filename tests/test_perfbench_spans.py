@@ -5,7 +5,7 @@ from pathlib import Path
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 # traced by the benchmark but gone from moleval (sentence BLEU now comes
-# from bleu_from_counts), so its spans read 0; it stays until the
+# from sentence_bleu), so its spans read 0; it stays until the
 # benchmark's span list changes
 KNOWN_STALE = {"textmetrics.bleu_sentence"}
 

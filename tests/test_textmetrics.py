@@ -14,13 +14,14 @@ from moleval.textmetrics import (
     TokenSeq,
     _lcs_length,
     bleu,
-    bleu_from_counts,
     clipped_counts,
+    corpus_bleu,
     exact_match,
     exact_match_raw,
     levenshtein,
     meteor_lite,
     rouge,
+    sentence_bleu,
     tokenize,
 )
 
@@ -106,13 +107,12 @@ def test_bleu_sentence_oracle_agreement():
         n = rng.randint(1, 4)
         cands = [_random_seq(rng) for _ in range(n)]
         refs = [_random_seq(rng) for _ in range(n)]
-        for max_n in (2, 4):
-            counts = [clipped_counts(c.tokens, r.tokens) for c, r in zip(cands, refs)]
-            got = bleu_from_counts(counts)[f"sentence-bleu-{max_n}"]
+        scores = [sentence_bleu(clipped_counts(c.tokens, r.tokens)) for c, r in zip(cands, refs)]
+        for i, max_n in enumerate((2, 4)):
             want = oracle.bleu_sentence_reference(
                 [c.tokens for c in cands], [r.tokens for r in refs], max_n
             )
-            assert got == pytest.approx(want, abs=1e-9)
+            assert sum(score[i] for score in scores) / n == pytest.approx(want, abs=1e-9)
 
 
 @st.composite
@@ -130,6 +130,25 @@ def _token_pairs(draw):
 def test_clipped_counts_match_reference(pairs):
     got = [clipped_counts(c, r) for c, r in pairs]
     assert got == [[oracle.clipped_reference(c, r, n) for n in range(1, 5)] for c, r in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_pairs())
+def test_sentence_bleu_matches_reference(pair):
+    # empty sides and sides shorter than 4 tokens included
+    cand, ref = pair
+    got = sentence_bleu(clipped_counts(cand, ref))
+    want = tuple(oracle.bleu_sentence_reference([cand], [ref], max_n) for max_n in (2, 4))
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_token_pairs(), min_size=1, max_size=4))
+def test_corpus_bleu_of_summed_counts_matches_reference(pairs):
+    totals = [tuple(map(sum, zip(*order))) for order in zip(*(clipped_counts(c, r) for c, r in pairs))]
+    cands, refs = zip(*pairs)
+    for max_n in (2, 4):
+        assert corpus_bleu(totals, max_n) == pytest.approx(oracle.bleu_reference(cands, refs, max_n), abs=1e-9)
 
 
 # -- rouge ----------------------------------------------------------------------
