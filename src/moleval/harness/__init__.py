@@ -25,7 +25,7 @@ from .records import (
     read_stoplist,
     write_embeddings,
 )
-from .reports import render, resolve_out, sha256_file, to_csv, to_json, to_md
+from .reports import render, resolve_out, to_csv, to_json, to_md
 
 __all__ = [
     "DEFAULT_STOPLIST",
@@ -50,7 +50,6 @@ __all__ = [
     "read_stoplist",
     "render",
     "resolve_out",
-    "sha256_file",
     "to_csv",
     "to_json",
     "to_md",

@@ -27,8 +27,8 @@ from ..transition import MODALITIES, build_matrix, export_matrix, export_provena
 from .evaluate import eval_generation, eval_property, eval_retrieval, merge_reports
 from .profile import profile_dataset
 from .records import (
-    DEFAULT_STOPLIST, _lines, read_mapping_matrix, read_pairs, read_report, read_results,
-    read_stoplist, read_text,
+    DEFAULT_STOPLIST, _text_lines, read_mapping_matrix, read_pairs, read_report, read_results,
+    read_stoplist,
 )
 from .reports import RENDERERS, provenance_of, render, resolve_out
 
@@ -49,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_config(path) -> list[str]:
     """The `key = value` lines of a config file as `--key=value` words."""
     words = []
-    for lineno, line in enumerate(_lines(read_text(path)), 1):
+    for lineno, line in enumerate(_text_lines(path), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -63,9 +63,7 @@ def _read_config(path) -> list[str]:
 def _input_strings(args) -> list[str]:
     items = list(args.items)
     if args.infile:
-        for line in _lines(read_text(args.infile)):
-            if line.strip():
-                items.append(line.strip())
+        items += [text for line in _text_lines(args.infile) if (text := line.strip())]
     if not items:
         raise UsageError("no input strings given (positional arguments or --in)")
     return items

@@ -48,42 +48,62 @@ class GenRecord:
     references: tuple[str, ...]
 
 
-class _Hashing(io.RawIOBase):
-    """A binary file whose bytes feed a hash as they are read."""
+def _newlines(text: str) -> str:
+    # a line ends only at \n, \r\n or \r: str.splitlines would also end one
+    # at U+2028, U+0085, \x0c and the other breaks that JSON allows raw in a
+    # string and that an id, a token or a config value may hold
+    if "\r" not in text:  # most text; a search costs far less than a replace
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
-    def __init__(self, raw, digest):
-        self._raw, self._digest = raw, digest
 
-    def readable(self) -> bool:
-        return True
+def _lines(text: str) -> list[str]:
+    lines = _newlines(text).split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a line break, or is empty
+    return lines
 
-    def readinto(self, buffer) -> int:
-        count = self._raw.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:count])
-        return count
+
+def _text_lines(path, digest=None):
+    """Each line of a UTF-8 text file, streamed. Given a hashlib object,
+    feeds it the file's bytes as they are read, so the file is opened once."""
+    lineno, rest = 0, b""
+    with open(path, "rb") as handle:
+        while True:
+            # reading at least what is held back keeps a long line linear
+            block = handle.read(max(io.DEFAULT_BUFFER_SIZE, len(rest)))
+            if digest is not None:
+                digest.update(block)
+            chunk = rest + block
+            if block:
+                # cut after the last line break, which no UTF-8 character
+                # holds; a final \r stays back, as a \n may follow it
+                cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+                chunk, rest = chunk[:cut], chunk[cut:]
+            try:
+                lines = _lines(chunk.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                line = lineno + _newlines(chunk[: exc.start].decode("utf-8")).count("\n") + 1
+                reason = f"{exc.reason} 0x{chunk[exc.start]:02x}"
+                raise SchemaError(f"{path}: line {line}: not valid UTF-8 ({reason})") from None
+            lineno += len(lines)
+            yield from lines
+            if not block:
+                return
 
 
 def _iter_jsonl(path, digest=None):
-    """(line number, object) of each line. Given a hashlib object, feeds it
-    the file's bytes as they stream in, so the file is opened once."""
-    # a line ends only at \n, \r\n or \r: str.splitlines would also end one
-    # at U+2028, U+0085 and the other breaks JSON allows raw in a string
-    with open(path, "rb") as raw, io.TextIOWrapper(
-        raw if digest is None else io.BufferedReader(_Hashing(raw, digest)),
-        encoding="utf-8",
-        newline=None,
-    ) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                raise SchemaError("blank line", lineno)
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON ({exc.msg})", lineno) from None
-            if not isinstance(obj, dict):
-                raise SchemaError("expected a JSON object", lineno)
-            yield lineno, obj
+    """(line number, object) of each line."""
+    for lineno, line in enumerate(_text_lines(path, digest), 1):
+        if not line.strip():
+            raise SchemaError("blank line", lineno)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON ({exc.msg})", lineno) from None
+        if not isinstance(obj, dict):
+            raise SchemaError("expected a JSON object", lineno)
+        yield lineno, obj
 
 
 def _is_number(value) -> bool:
@@ -154,15 +174,6 @@ def read_gold(path, digest=None) -> dict[str, str]:
     return gold
 
 
-def read_text(path, digest=None) -> str:
-    """The file's text as Path.read_text(encoding="utf-8") gives it. Given a
-    hashlib object, feeds it the file's bytes, so the file is read once."""
-    raw = Path(path).read_bytes()
-    if digest is not None:
-        digest.update(raw)
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
-
-
 def _finite_number(text: str) -> float:
     # json reads NaN, Infinity, -Infinity and a literal past the float range
     # as non-finite floats, which no saved document holds
@@ -174,7 +185,11 @@ def _finite_number(text: str) -> float:
 
 def _read_document(path, digest, kind: str) -> dict:
     """A saved JSON document, which must be one object of finite numbers."""
-    text = read_text(path, digest)
+    raw = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(raw)
+    # line ends as in _lines, which the line and column of an error count
+    text = _newlines(raw.decode("utf-8"))
     try:
         document = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
@@ -334,16 +349,6 @@ def read_embeddings(path) -> tuple[EmbeddingMatrix, str]:
     return parse(raw, path), hashlib.sha256(raw).hexdigest()
 
 
-def _lines(text: str) -> list[str]:
-    # a line ends only at \n, \r\n or \r, as in _iter_jsonl: str.splitlines
-    # would also end one at U+2028, U+0085, \x0c and other breaks an id, a
-    # token or a config value may hold
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()  # the text ends with a line break, or is empty
-    return lines
-
-
 def _read_binary_embeddings(raw: bytes, path) -> EmbeddingMatrix:
     if len(raw) < 12:
         raise FormatError(f"{path}: truncated header")
@@ -418,9 +423,4 @@ DEFAULT_STOPLIST = frozenset(
 
 
 def read_stoplist(path, digest=None) -> frozenset[str]:
-    tokens = set()
-    for line in _lines(read_text(path, digest)):
-        token = line.strip()
-        if token:
-            tokens.add(token)
-    return frozenset(tokens)
+    return frozenset(token for line in _text_lines(path, digest) if (token := line.strip()))

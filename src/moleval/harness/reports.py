@@ -7,16 +7,11 @@ and nothing time- or host-dependent is ever embedded.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
 
 from .. import __version__
-
-
-def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def provenance_of(digests: dict[str, str]) -> dict:

@@ -93,21 +93,19 @@ def parse_smiles(text: str) -> MolGraph:
     open_rings: dict[int, tuple[int, int | None, str | None, int]] = {}
     stack: list[tuple[int | None, int]] = []  # (prev, open paren offset)
 
+    def add_bond(a: int, b: int, order: int | None, stereo: str | None) -> None:
+        if order is None:  # no bond symbol: aromatic between aromatic atoms
+            order = AROMATIC if atoms[a].aromatic and atoms[b].aromatic else SINGLE
+        bonds.append(Bond(a, b, order, stereo))
+        bonded.add((min(a, b), max(a, b)))
+
     def add_atom(atom: Atom, pos: int) -> None:
         nonlocal prev, pending_order, pending_stereo
         atoms.append(atom)
         atom_pos.append(pos)
         idx = len(atoms) - 1
         if prev is not None:
-            order = pending_order
-            if order is None:
-                order = (
-                    AROMATIC
-                    if atoms[prev].aromatic and atom.aromatic
-                    else SINGLE
-                )
-            bonds.append(Bond(prev, idx, order, pending_stereo))
-            bonded.add((prev, idx))
+            add_bond(prev, idx, pending_order, pending_stereo)
         prev = idx
         pending_order = None
         pending_stereo = None
@@ -126,16 +124,7 @@ def parse_smiles(text: str) -> MolGraph:
             order = pending_order
             if order is not None and other_order is not None and order != other_order:
                 raise BadRingClosure("conflicting ring bond orders", pos)
-            if order is None:
-                order = other_order
-            if order is None:
-                order = (
-                    AROMATIC
-                    if atoms[other].aromatic and atoms[prev].aromatic
-                    else SINGLE
-                )
-            bonds.append(Bond(other, prev, order, pending_stereo or other_stereo))
-            bonded.add(pair)
+            add_bond(other, prev, other_order if order is None else order, pending_stereo or other_stereo)
         else:
             open_rings[number] = (prev, pending_order, pending_stereo, pos)
         pending_order = None

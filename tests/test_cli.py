@@ -466,6 +466,56 @@ def test_text_inputs_end_lines_only_at_newlines(tmp_path, brk):
     assert cli_mod._read_config(path) == [f"--seed=3{brk}top_k = 2", "--grid=0:1:0.5"]
 
 
+def _text_input(tmp_path, kind, path):
+    """The argv that reads a text input of this kind from path, and a valid
+    i-th line of it."""
+    pairs = _pairs_file(tmp_path)
+    targets = tmp_path / "t.csv"
+    targets.write_text("a,1.0,0.0\nb,0.0,1.0\n", encoding="utf-8")
+    gen = {"input_modality": "iupac", "output_modality": "caption", "prediction": "x", "references": ["y"]}
+    path = str(path)
+    return {
+        "gen": (["eval", "gen", "--records", path, "--target-kind", "text"],
+                lambda i: json.dumps({"id": f"r{i}", **gen})),
+        "gold": (["eval", "retrieval", "--queries", str(targets), "--targets", str(targets), "--gold", path],
+                 lambda i: json.dumps({"query": f"q{i}", "target": "a"})),
+        "results": (["transition", "build", "--results", path],
+                    lambda i: json.dumps({"input": "iupac", "output": "smiles", "metric": "bleu", "value": 0.5})),
+        "property": (["eval", "property", "--records", path],
+                     lambda i: json.dumps({"task": "t", "pred": i, "truth": 0})),
+        "pairs": (["tokenmap", "build", "--pairs", path], lambda i: json.dumps({"input": f"a{i}", "output": "b"})),
+        "profile": (["profile", "--records", path], lambda i: json.dumps({"id": f"r{i}", "smiles": "CCO"})),
+        "stoplist": (["tokenmap", "build", "--pairs", pairs, "--stoplist", path], lambda i: f"w{i}"),
+        "config": (["tokenmap", "build", "--pairs", pairs, "--config", path], lambda i: "top_k = 2"),
+        "in": (["parse", "--in", path], lambda i: "CCO"),
+    }[kind]
+
+
+@pytest.mark.parametrize("before", [0, 2500], ids=["first-line", "past-first-chunk"])
+@pytest.mark.parametrize("kind", ["gen", "gold", "results", "property", "pairs", "profile", "stoplist", "config", "in"])
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys, kind, before):
+    path = tmp_path / "input.txt"
+    argv, line = _text_input(tmp_path, kind, path)
+    ends = ["\n", "\r\n", "\r"]
+    text = "".join(line(i) + ends[i % 3] for i in range(before)).encode("utf-8")
+    assert len(text) > 8192 or not before
+    # a Latin-1 é inside a line, then more valid lines
+    path.write_bytes(text + b"ab\xe9cd\n" + "".join(line(before + 1 + i) + "\n" for i in range(3)).encode("utf-8"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {path}: line {before + 1}: not valid UTF-8 (invalid continuation byte 0xe9)\n"
+
+
+@pytest.mark.parametrize("kind, named", [("gen", "no records"), ("gold", "no gold pairs"), ("results", "no results"),
+                                         ("property", "no property rows"), ("pairs", "no pairs"),
+                                         ("profile", "no records")])
+def test_empty_record_file_is_data_error_naming_it(tmp_path, capsys, kind, named):
+    path = tmp_path / "empty.jsonl"
+    path.write_bytes(b"")
+    assert main(_text_input(tmp_path, kind, path)[0]) == 2
+    assert capsys.readouterr().err == f"data error: {named} in {path}\n"
+
+
 def _ring_label(number):
     return str(number) if number < 10 else f"%{number}"
 

@@ -6,12 +6,13 @@ import math
 import pathlib
 import random
 import struct
+import types
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import _oracles as oracle
 from moleval.harness.evaluate import (
@@ -31,13 +32,14 @@ from moleval.harness.records import (
     FormatError,
     SchemaError,
     _lines,
+    _text_lines,
     read_gen_records,
     read_embeddings,
     read_pairs,
     read_property_rows,
     write_embeddings,
 )
-from moleval.harness.reports import sha256_file, to_csv, to_json, to_md
+from moleval.harness.reports import to_csv, to_json, to_md
 from moleval.predmetrics import (
     DimMismatch,
     EmbeddingMatrix,
@@ -484,7 +486,7 @@ class TestEvalGeneration:
         report = eval_generation(path, target_kind)
         monkeypatch.undo()
         assert opened[path] == 1
-        assert report.provenance["inputs"] == {path: sha256_file(path)}
+        assert report.provenance["inputs"] == {path: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()}
         assert report.counts["evaluated"] == 400
 
     def test_deterministic_rendering(self, tmp_path):
@@ -751,6 +753,44 @@ def test_lines_end_only_at_newlines(text):
     assert _lines(text) == [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
 
 
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(st.sampled_from(["a", "é", "\r", "\n", "\r\n", "\u2028", "\x85", "\x0c"]), max_size=40),
+    st.integers(0, 3 * io.DEFAULT_BUFFER_SIZE),
+    st.integers(0, 40),
+)
+@example(["a", "\r"], 0, 0)  # a lone \r at the end of the file
+@example(["\n", "a"], 0, 0)  # no final line break
+@example([], 0, 0)  # an empty file
+@example(["\r\n", "é"], io.DEFAULT_BUFFER_SIZE - 1, 0)  # \r\n across the first read
+@example(["\r", "\n"], io.DEFAULT_BUFFER_SIZE - 1, 0)
+def test_text_lines_stream_the_line_rule(tmp_path, pieces, filler, at):
+    # the streamed lines are those of the whole decoded file, and the digest
+    # is of its bytes, wherever the reads fall
+    pieces.insert(min(at, len(pieces)), "a" * filler)
+    raw = "".join(pieces).encode("utf-8")
+    path = tmp_path / "lines.txt"
+    path.write_bytes(raw)
+    digest = hashlib.sha256()
+    assert list(_text_lines(path, digest)) == _lines(raw.decode("utf-8"))
+    assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_text_lines_stream_whatever_the_line_ends(tmp_path, end):
+    # the first line comes after at most two reads, and a line much longer
+    # than a read takes few reads, as each read is at least as long as the
+    # bytes held back
+    path = tmp_path / "lines.txt"
+    path.write_bytes((("x" * 99 + end) * 10_000 + "y" * 2**22 + end).encode("utf-8"))
+    reads = []
+    lines = _text_lines(path, types.SimpleNamespace(update=lambda block: reads.append(len(block))))
+    assert next(lines) == "x" * 99
+    assert sum(reads) <= 2 * io.DEFAULT_BUFFER_SIZE
+    assert list(lines)[-2:] == ["x" * 99, "y" * 2**22]
+    assert len(reads) < 200
+
+
 class TestEvalRetrieval:
     def _files(self, tmp_path, queries, targets, gold):
         qp = tmp_path / "q.emb"
@@ -809,7 +849,7 @@ class TestEvalRetrieval:
         report = eval_retrieval(*paths)
         monkeypatch.undo()
         assert [opened[p] for p in paths] == [1, 1, 1]
-        assert report.provenance["inputs"] == {p: sha256_file(p) for p in paths}
+        assert report.provenance["inputs"] == {p: hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest() for p in paths}
 
     def test_full_report_is_pinned(self, tmp_path, monkeypatch):
         _retrieval_set(tmp_path)
@@ -1079,7 +1119,7 @@ class TestProfile:
         payload = profile_dataset(path)
         monkeypatch.undo()
         assert opened[path] == 1
-        assert payload["provenance"]["inputs"] == {path: sha256_file(path)}
+        assert payload["provenance"]["inputs"] == {path: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()}
         assert payload["counts"]["records"] == 400
 
     def test_selfies_writer_runs_only_above_the_size_bound(self, tmp_path, monkeypatch):
@@ -1391,7 +1431,7 @@ class TestCommandInputsReadOnce:
         monkeypatch.undo()
         assert [opened[p] for p in paths] == [1] * len(paths)
         payload = json.loads(capsys.readouterr().out)
-        assert payload["provenance"]["inputs"] == {p: sha256_file(p) for p in paths}
+        assert payload["provenance"]["inputs"] == {p: hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest() for p in paths}
         return payload
 
     def test_transition_build(self, tmp_path, monkeypatch, capsys):
@@ -1426,6 +1466,20 @@ class TestCommandInputsReadOnce:
         pathlib.Path(saved).write_bytes(saved_text.replace("\n", "\r\n").encode("utf-8"))
         argv = ["tokenmap", sub, "--matrix", saved, "--pairs", pairs, "--stoplist", stoplist, *extra]
         self._run(monkeypatch, capsys, argv, [pairs, saved, stoplist])
+
+    def test_config_and_in_files(self, tmp_path, monkeypatch, capsys):
+        # neither is hashed: a config file or --in file is read for its words
+        infile = tmp_path / "in.txt"
+        infile.write_bytes(b"CCO\r\nc1ccccc1\rCC(=O)O\n" * 400)
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"# defaults\r\nout = json\rseed = 3\n")
+        paths = [str(infile), str(config)]
+        opened = _count_opens(monkeypatch)
+        assert main(["parse", "--in", paths[0], "--config", paths[1]]) == 0
+        monkeypatch.undo()
+        assert [opened[p] for p in paths] == [1, 1]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counts"] == {"given": 1200, "valid": 1200}
 
     def test_repeat_merge(self, tmp_path, monkeypatch, capsys):
         records = _write_jsonl(tmp_path / "g.jsonl", [_gen_row(i, "CCO", ["OCC"]) for i in range(3)])
