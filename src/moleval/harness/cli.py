@@ -7,7 +7,6 @@ impossible input files), 3 internal error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from ..transition import MODALITIES, build_matrix, export_matrix, export_provena
 from .evaluate import eval_generation, eval_property, eval_retrieval, merge_reports
 from .profile import profile_dataset
 from .records import (
-    DEFAULT_STOPLIST, _text_lines, read_mapping_matrix, read_pairs, read_report, read_results,
+    DEFAULT_STOPLIST, _read_bytes, _text_lines, read_mapping_matrix, read_pairs, read_report, read_results,
     read_stoplist,
 )
 from .reports import RENDERERS, provenance_of, render, resolve_out
@@ -122,12 +121,9 @@ def _cmd_profile(args):
 
 def _cmd_eval(args):
     if args.repeat_merge:
-        payloads, digests = [], {}
-        for path in args.repeat_merge:
-            digest = hashlib.sha256()
-            payloads.append(read_report(path, digest))
-            digests[str(path)] = digest.hexdigest()
-        return merge_reports(payloads, provenance_of(digests))
+        inputs = {}
+        payloads = [read_report(path, inputs) for path in args.repeat_merge]
+        return merge_reports(payloads, provenance_of(inputs))
     if args.eval_command == "gen":
         if args.records is None:
             raise UsageError("eval gen needs --records (or --repeat-merge)")
@@ -149,8 +145,8 @@ def _cmd_eval(args):
 
 
 def _cmd_transition_build(args):
-    digest = hashlib.sha256()
-    results = read_results(args.results, digest)
+    inputs = {}
+    results = read_results(args.results, inputs)
     matrix = build_matrix(results)
     if args.provenance:
         Path(args.provenance).write_text(export_provenance(matrix), encoding="utf-8")
@@ -169,34 +165,33 @@ def _cmd_transition_build(args):
         "task": "transition-build",
         "modalities": list(MODALITIES),
         "cells": cells,
-        "provenance": provenance_of({str(args.results): digest.hexdigest()}),
+        "provenance": provenance_of(inputs),
     }
 
 
 def _load_mapping_matrix(args) -> tuple[interpret.MappingMatrix, dict]:
     """The matrix and the provenance of every source given (--pairs,
     --matrix, --stoplist), each source hashed from the one read of it."""
-    sources = {"pairs": args.pairs, "matrix": args.matrix, "stoplist": args.stoplist}
-    digests = {role: hashlib.sha256() for role, path in sources.items() if path}
+    inputs = {}
     if args.matrix:
-        matrix = read_mapping_matrix(args.matrix, digests["matrix"])
+        matrix = read_mapping_matrix(args.matrix, inputs)
         # a saved matrix is used as it is, but the provenance still names
         # the --pairs and --stoplist given beside it
-        for role in ("pairs", "stoplist"):
-            if role in digests:
-                digests[role].update(Path(sources[role]).read_bytes())
+        for path in (args.pairs, args.stoplist):
+            if path:
+                _read_bytes(path, inputs)
     else:
         if not args.pairs:
             raise UsageError("tokenmap needs --pairs or --matrix")
-        pairs = read_pairs(args.pairs, args.scheme, digests["pairs"])
+        pairs = read_pairs(args.pairs, args.scheme, inputs)
         if args.stoplist is not None:
-            stoplist = read_stoplist(args.stoplist, digests.get("stoplist"))
+            stoplist = read_stoplist(args.stoplist, inputs)
         else:
             stoplist = DEFAULT_STOPLIST
         matrix = interpret.build_mapping_matrix(
             pairs, top_k=args.top_k, stoplist=stoplist, count_mode=args.count_mode
         )
-    return matrix, provenance_of({sources[role]: digest.hexdigest() for role, digest in digests.items()})
+    return matrix, provenance_of(inputs)
 
 
 def _cmd_tokenmap_build(args):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -123,8 +122,8 @@ def eval_generation(records_path, target_kind: str) -> Report:
     predictions score zero where chemistry is needed but stay counted."""
     if target_kind not in ("molecule", "text"):
         raise ValueError(f"unknown target kind {target_kind!r}")
-    digest = hashlib.sha256()
-    records = read_gen_records(records_path, digest)
+    inputs = {}
+    records = read_gen_records(records_path, inputs)
     scheme = "smiles_regex" if target_kind == "molecule" else "whitespace"
     # corpus BLEU reads the clipped counts summed over every pair, so only
     # the running totals outlive a record
@@ -155,16 +154,17 @@ def eval_generation(records_path, target_kind: str) -> Report:
         task=f"eval-gen-{target_kind}",
         metrics=metrics,
         counts={"evaluated": len(records), "skipped": 0},
-        provenance=provenance_of({str(records_path): digest.hexdigest()}),
+        provenance=provenance_of(inputs),
         details=details,
     )
 
 
 def eval_retrieval(queries_path, targets_path, gold_path) -> Report:
-    queries, queries_digest = read_embeddings(queries_path)
-    targets, targets_digest = read_embeddings(targets_path)
-    gold_digest = hashlib.sha256()
-    gold = read_gold(gold_path, gold_digest)
+    inputs = {}
+    queries = read_embeddings(queries_path, inputs)
+    # one file given as both sides is read once
+    targets = queries if str(targets_path) == str(queries_path) else read_embeddings(targets_path, inputs)
+    gold = read_gold(gold_path, inputs)
     result = retrieval_eval(queries, targets, gold, ks=(1, 5, 10))
     metrics = {
         "mrr": result["mrr"],
@@ -176,8 +176,7 @@ def eval_retrieval(queries_path, targets_path, gold_path) -> Report:
         task="eval-retrieval",
         metrics=metrics,
         counts={"evaluated": len(gold), "skipped": 0},
-        provenance=provenance_of({str(queries_path): queries_digest, str(targets_path): targets_digest,
-                                  str(gold_path): gold_digest.hexdigest()}),
+        provenance=provenance_of(inputs),
         details={"ranks": list(result["ranks"])},
     )
 
@@ -185,8 +184,8 @@ def eval_retrieval(queries_path, targets_path, gold_path) -> Report:
 def eval_property(records_path) -> Report:
     """One row of metrics per task, each metric averaged over the tasks that
     have it; a task lacks roc-auc or pr-auc where its labels cannot give it."""
-    digest = hashlib.sha256()
-    kind, tasks = read_property_rows(records_path, digest)
+    inputs = {}
+    kind, tasks = read_property_rows(records_path, inputs)
     skip_reasons: Counter[str] = Counter()
     rows = []
     skipped = 0
@@ -210,7 +209,7 @@ def eval_property(records_path) -> Report:
         task="eval-property",
         metrics=_means(rows),
         counts={"evaluated": len(tasks), "skipped": skipped},
-        provenance=provenance_of({str(records_path): digest.hexdigest()}),
+        provenance=provenance_of(inputs),
         details=details,
     )
 

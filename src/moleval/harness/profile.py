@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 
 from ..molgraph import (
@@ -81,8 +80,8 @@ def profile_dataset(records_path) -> dict:
     unencodable: list[str] = []
     scaffold_counts: Counter = Counter()
     described = {key: [] for key in ("mol_weight", "heavy_atoms", "rings", "aromatic_rings")}
-    digest = hashlib.sha256()
-    for row in read_profile_rows(records_path, digest):
+    inputs = {}
+    for row in read_profile_rows(records_path, inputs):
         records += 1
         for key, per_row in lengths.items():
             if key in row:
@@ -126,7 +125,7 @@ def profile_dataset(records_path) -> dict:
             "invalid_smiles": sorted(invalid),
             "selfies_unencodable": sorted(unencodable),
         },
-        "provenance": provenance_of({str(records_path): digest.hexdigest()}),
+        "provenance": provenance_of(inputs),
     }
     if labels:
         payload["split_check"] = _split_check(labels)

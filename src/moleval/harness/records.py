@@ -3,7 +3,9 @@ matrices, embedding matrices, stoplists.
 
 All readers are strict. Anything malformed raises SchemaError carrying a
 1-based line number, or naming the file of a saved JSON document, so a
-corrupted file is reported at the exact spot.
+corrupted file is reported at the exact spot. Given a provenance map
+`inputs`, a reader sets `inputs[str(path)]` to the sha256 hex digest of the
+bytes it parsed.
 """
 
 from __future__ import annotations
@@ -64,9 +66,28 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def _text_lines(path, digest=None):
-    """Each line of a UTF-8 text file, streamed. Given a hashlib object,
-    feeds it the file's bytes as they are read, so the file is opened once."""
+def _decode(data: bytes, path, lineno: int = 0) -> str:
+    """UTF-8 text; a bad byte is a SchemaError naming path and its 1-based
+    line, counted on from the lineno lines before data."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = lineno + _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
+        reason = f"{exc.reason} 0x{data[exc.start]:02x}"
+        raise SchemaError(f"{path}: line {line}: not valid UTF-8 ({reason})") from None
+
+
+def _read_bytes(path, inputs=None) -> bytes:
+    raw = Path(path).read_bytes()
+    if inputs is not None:
+        inputs[str(path)] = hashlib.sha256(raw).hexdigest()
+    return raw
+
+
+def _text_lines(path, inputs=None):
+    """Each line of a UTF-8 text file, streamed; the digest is of the bytes as
+    they are read, so the file is opened once."""
+    digest = None if inputs is None else hashlib.sha256()
     lineno, rest = 0, b""
     with open(path, "rb") as handle:
         while True:
@@ -80,21 +101,20 @@ def _text_lines(path, digest=None):
                 # holds; a final \r stays back, as a \n may follow it
                 cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
                 chunk, rest = chunk[:cut], chunk[cut:]
-            try:
-                lines = _lines(chunk.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                line = lineno + _newlines(chunk[: exc.start].decode("utf-8")).count("\n") + 1
-                reason = f"{exc.reason} 0x{chunk[exc.start]:02x}"
-                raise SchemaError(f"{path}: line {line}: not valid UTF-8 ({reason})") from None
+            lines = _lines(_decode(chunk, path, lineno))
             lineno += len(lines)
             yield from lines
             if not block:
+                if digest is not None:
+                    inputs[str(path)] = digest.hexdigest()
                 return
 
 
-def _iter_jsonl(path, digest=None):
-    """(line number, object) of each line."""
-    for lineno, line in enumerate(_text_lines(path, digest), 1):
+def _iter_jsonl(path, inputs, what: str):
+    """(line number, object) of each line. A reader makes each line an item
+    or raises, so a file of no line, and only that, has no `what`."""
+    lineno = 0
+    for lineno, line in enumerate(_text_lines(path, inputs), 1):
         if not line.strip():
             raise SchemaError("blank line", lineno)
         try:
@@ -104,6 +124,8 @@ def _iter_jsonl(path, digest=None):
         if not isinstance(obj, dict):
             raise SchemaError("expected a JSON object", lineno)
         yield lineno, obj
+    if not lineno:
+        raise EmptyFile(f"no {what} in {path}")
 
 
 def _is_number(value) -> bool:
@@ -136,10 +158,10 @@ def _finite(obj: dict, key: str, lineno: int) -> float:
     return value
 
 
-def read_gen_records(path, digest=None) -> list[GenRecord]:
+def read_gen_records(path, inputs=None) -> list[GenRecord]:
     records = []
     seen_ids = set()
-    for lineno, obj in _iter_jsonl(path, digest):
+    for lineno, obj in _iter_jsonl(path, inputs, "records"):
         rec_id = _require(obj, "id", str, lineno)
         if rec_id in seen_ids:
             raise SchemaError(f"duplicate id {rec_id!r}", lineno)
@@ -156,21 +178,17 @@ def read_gen_records(path, digest=None) -> list[GenRecord]:
         records.append(
             GenRecord(rec_id, modality_in, modality_out, prediction, tuple(references))
         )
-    if not records:
-        raise EmptyFile(f"no records in {path}")
     return records
 
 
-def read_gold(path, digest=None) -> dict[str, str]:
+def read_gold(path, inputs=None) -> dict[str, str]:
     gold = {}
-    for lineno, obj in _iter_jsonl(path, digest):
+    for lineno, obj in _iter_jsonl(path, inputs, "gold pairs"):
         query = _require(obj, "query", str, lineno)
         target = _require(obj, "target", str, lineno)
         if query in gold:
             raise SchemaError(f"duplicate query {query!r}", lineno)
         gold[query] = target
-    if not gold:
-        raise EmptyFile(f"no gold pairs in {path}")
     return gold
 
 
@@ -183,13 +201,10 @@ def _finite_number(text: str) -> float:
     return value
 
 
-def _read_document(path, digest, kind: str) -> dict:
+def _read_document(path, inputs, kind: str) -> dict:
     """A saved JSON document, which must be one object of finite numbers."""
-    raw = Path(path).read_bytes()
-    if digest is not None:
-        digest.update(raw)
     # line ends as in _lines, which the line and column of an error count
-    text = _newlines(raw.decode("utf-8"))
+    text = _newlines(_decode(_read_bytes(path, inputs), path))
     try:
         document = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
@@ -201,9 +216,9 @@ def _read_document(path, digest, kind: str) -> dict:
     return document
 
 
-def read_report(path, digest=None) -> dict:
+def read_report(path, inputs=None) -> dict:
     """A saved report; a task must be a string, and metrics numbers."""
-    report = _read_document(path, digest, "report")
+    report = _read_document(path, inputs, "report")
     task = report.get("task")
     if task is not None and not isinstance(task, str):
         raise SchemaError(f"{path}: task {json.dumps(task)} is not a string")
@@ -216,9 +231,9 @@ def read_report(path, digest=None) -> dict:
     return report
 
 
-def read_mapping_matrix(path, digest=None) -> MappingMatrix:
+def read_mapping_matrix(path, inputs=None) -> MappingMatrix:
     """The matrix of a saved `tokenmap build` report."""
-    document = _read_document(path, digest, "saved mapping matrix")
+    document = _read_document(path, inputs, "saved mapping matrix")
     try:
         for key in ("row_tokens", "col_tokens"):
             if not _is_strings(document.get(key)):
@@ -236,9 +251,9 @@ def read_mapping_matrix(path, digest=None) -> MappingMatrix:
         raise SchemaError(f"{path}: not a saved mapping matrix ({exc})") from None
 
 
-def read_results(path, digest=None) -> list[TaskResult]:
+def read_results(path, inputs=None) -> list[TaskResult]:
     results = []
-    for lineno, obj in _iter_jsonl(path, digest):
+    for lineno, obj in _iter_jsonl(path, inputs, "results"):
         modality_in = _require(obj, "input", str, lineno)
         modality_out = _require(obj, "output", str, lineno)
         metric = _require(obj, "metric", str, lineno)
@@ -247,17 +262,15 @@ def read_results(path, digest=None) -> list[TaskResult]:
             results.append(TaskResult(modality_in, modality_out, metric, value))
         except ValueError as exc:
             raise SchemaError(str(exc), lineno) from None
-    if not results:
-        raise EmptyFile(f"no results in {path}")
     return results
 
 
-def read_property_rows(path, digest=None):
+def read_property_rows(path, inputs=None):
     """Returns ("classification", {task: {"labels", "scores"}}) or
     ("regression", {task: {"preds", "truths"}}). A file holds one kind."""
     kind = None
     tasks: dict[str, dict[str, list]] = {}
-    for lineno, obj in _iter_jsonl(path, digest):
+    for lineno, obj in _iter_jsonl(path, inputs, "property rows"):
         task = _require(obj, "task", str, lineno)
         if "label" in obj or "score" in obj:
             row_kind = "classification"
@@ -283,18 +296,16 @@ def read_property_rows(path, digest=None):
             bucket = tasks.setdefault(task, {"preds": [], "truths": []})
             bucket["preds"].append(pred)
             bucket["truths"].append(truth)
-    if not tasks:
-        raise EmptyFile(f"no property rows in {path}")
     return kind, tasks
 
 
-def read_pairs(path, scheme: str = "whitespace", digest=None) -> list[tuple[list[str], list[str]]]:
+def read_pairs(path, scheme: str = "whitespace", inputs=None) -> list[tuple[list[str], list[str]]]:
     """Token mapping input. Each line holds "input" and "output", either
     raw strings (tokenized under scheme) or pre-tokenized string lists."""
     from ..textmetrics import tokenize
 
     pairs = []
-    for lineno, obj in _iter_jsonl(path, digest):
+    for lineno, obj in _iter_jsonl(path, inputs, "pairs"):
         sides = []
         for key in ("input", "output"):
             if key not in obj:
@@ -309,19 +320,17 @@ def read_pairs(path, scheme: str = "whitespace", digest=None) -> list[tuple[list
                     f"field {key!r} must be a string or list of strings", lineno
                 )
         pairs.append((sides[0], sides[1]))
-    if not pairs:
-        raise EmptyFile(f"no pairs in {path}")
     return pairs
 
 
 _PROFILE_TEXT_FIELDS = ("selfies", "iupac", "caption")
 
 
-def read_profile_rows(path, digest=None):
+def read_profile_rows(path, inputs=None):
     """Yields each row as a dict of its id, smiles and present text fields
     and split; raises EmptyFile after the last line if there was no row."""
     seen_ids = set()
-    for lineno, obj in _iter_jsonl(path, digest):
+    for lineno, obj in _iter_jsonl(path, inputs, "records"):
         rec_id = _require(obj, "id", str, lineno)
         if rec_id in seen_ids:
             raise SchemaError(f"duplicate id {rec_id!r}", lineno)
@@ -331,22 +340,20 @@ def read_profile_rows(path, digest=None):
             if key in obj:
                 row[key] = _require(obj, key, str, lineno)
         yield row
-    if not seen_ids:
-        raise EmptyFile(f"no records in {path}")
 
 
 _EMB_MAGIC = b"EMB1"
 
 
-def read_embeddings(path) -> tuple[EmbeddingMatrix, str]:
-    """The matrix and the sha256 hex digest of the file, read once.
+def read_embeddings(path, inputs=None) -> EmbeddingMatrix:
+    """The matrix of an embedding file, read once.
 
     Binary layout: magic "EMB1", little-endian u32 row count, u32
     dimension, rows*dim f32 values, then newline-separated UTF-8 ids.
     Files without the magic are read as CSV (id, then float columns)."""
-    raw = Path(path).read_bytes()
+    raw = _read_bytes(path, inputs)
     parse = _read_binary_embeddings if raw[:4] == _EMB_MAGIC else _read_csv_embeddings
-    return parse(raw, path), hashlib.sha256(raw).hexdigest()
+    return parse(raw, path)
 
 
 def _read_binary_embeddings(raw: bytes, path) -> EmbeddingMatrix:
@@ -360,24 +367,17 @@ def _read_binary_embeddings(raw: bytes, path) -> EmbeddingMatrix:
         raise FormatError(f"{path}: truncated vector data")
     # a read-only view of the bytes read, kept as float32
     vectors = np.frombuffer(raw, "<f4", count=rows * dim, offset=12).reshape(rows, dim)
-    try:
-        id_block = raw[data_end:].decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: id block is not valid UTF-8") from None
-    ids = _lines(id_block)
+    # the line of a byte that is not UTF-8 is counted in id lines
+    ids = _lines(_decode(raw[data_end:], path))
     if len(ids) != rows:
         raise FormatError(f"{path}: {len(ids)} ids for {rows} rows")
     return _make_matrix(ids, vectors, path)
 
 
 def _read_csv_embeddings(raw: bytes, path) -> EmbeddingMatrix:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not valid UTF-8") from None
     ids = []
     vectors = []
-    for lineno, line in enumerate(_lines(text), 1):
+    for lineno, line in enumerate(_lines(_decode(raw, path)), 1):
         if not line.strip():
             raise FormatError(f"{path}: blank line {lineno}")
         cells = line.split(",")
@@ -422,5 +422,5 @@ DEFAULT_STOPLIST = frozenset(
 )
 
 
-def read_stoplist(path, digest=None) -> frozenset[str]:
-    return frozenset(token for line in _text_lines(path, digest) if (token := line.strip()))
+def read_stoplist(path, inputs=None) -> frozenset[str]:
+    return frozenset(token for line in _text_lines(path, inputs) if (token := line.strip()))

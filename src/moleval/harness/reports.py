@@ -14,9 +14,9 @@ from pathlib import Path
 from .. import __version__
 
 
-def provenance_of(digests: dict[str, str]) -> dict:
-    """Provenance of inputs whose sha256 digests are known, keyed by path."""
-    return {"inputs": digests, "tool": {"name": "moleval", "version": __version__}}
+def provenance_of(inputs: dict[str, str]) -> dict:
+    """Provenance of the inputs a reader hashed: sha256 hex digests by path."""
+    return {"inputs": inputs, "tool": {"name": "moleval", "version": __version__}}
 
 
 def _clean(value):

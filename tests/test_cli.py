@@ -13,7 +13,8 @@ import pytest
 import moleval.harness.cli as cli_mod
 from moleval.harness.cli import MAX_GRID_POINTS, _parse_grid, build_parser, main
 from moleval.transition import MODALITIES, build_matrix, export_matrix
-from moleval.harness.records import read_results, read_stoplist
+from moleval.harness.records import read_results, read_stoplist, write_embeddings
+from moleval.predmetrics import EmbeddingMatrix
 
 
 def _write_jsonl(path, rows):
@@ -504,6 +505,37 @@ def test_non_utf8_input_names_file_and_line(tmp_path, capsys, kind, before):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"data error: {path}: line {before + 1}: not valid UTF-8 (invalid continuation byte 0xe9)\n"
+
+
+@pytest.mark.parametrize("kind", ["report", "matrix", "csv", "emb1"])
+def test_non_utf8_document_or_embeddings_names_file_and_line(tmp_path, capsys, kind):
+    # a saved JSON document and an embedding file are decoded by the rule of
+    # the streamed inputs; in an EMB1 file the line counts id lines
+    path = tmp_path / f"input.{kind}"
+    if kind == "report":
+        records = _write_jsonl(tmp_path / "g.jsonl", _gen_rows())
+        assert main(["eval", "gen", "--records", records, "--target-kind", "molecule", "--out", str(path)]) == 0
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        argv = ["eval", "gen", "--repeat-merge", str(path), str(path)]
+    elif kind == "matrix":
+        assert main(["tokenmap", "build", "--pairs", _pairs_file(tmp_path), "--out", str(path)]) == 0
+        argv = ["tokenmap", "build", "--matrix", str(path)]
+    else:
+        if kind == "csv":
+            path.write_bytes(b"a,1.0,0.0\r\nb,0.0,1.0\rc,1.0,1.0\n")
+        else:
+            write_embeddings(path, EmbeddingMatrix(("a", "b", "c"), ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))))
+        targets = tmp_path / "t.csv"
+        targets.write_text("a,1.0,0.0\n", encoding="utf-8")
+        gold = _write_jsonl(tmp_path / "gold.jsonl", [{"query": "a", "target": "a"}])
+        argv = ["eval", "retrieval", "--queries", str(path), "--targets", str(targets), "--gold", gold]
+    data = path.read_bytes()
+    start = 12 + 3 * 2 * 4 if kind == "emb1" else 0  # the id block of an EMB1 file
+    lines = data[start:].splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(data[:start] + b"".join(lines))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {path}: line 3: not valid UTF-8 (invalid start byte 0xff)\n"
 
 
 @pytest.mark.parametrize("kind, named", [("gen", "no records"), ("gold", "no gold pairs"), ("results", "no results"),

@@ -6,7 +6,6 @@ import math
 import pathlib
 import random
 import struct
-import types
 import weakref
 from collections import Counter
 
@@ -23,7 +22,7 @@ from moleval.harness.evaluate import (
     merge_reports,
 )
 from moleval import selfies
-from moleval.harness import profile as profile_module
+from moleval.harness import profile as profile_module, records as records_module
 from moleval.harness.cli import main
 from moleval.molgraph import MolGraph, parse_smiles
 from moleval.harness.profile import profile_dataset
@@ -643,7 +642,7 @@ class TestEmbeddings:
         )
         path = tmp_path / "e.emb"
         write_embeddings(path, matrix)
-        loaded, _ = read_embeddings(str(path))
+        loaded = read_embeddings(str(path))
         assert loaded.ids == ("a", "b")
         # values chosen exactly representable in f32
         assert loaded.values.tolist() == matrix.values.tolist()
@@ -651,7 +650,7 @@ class TestEmbeddings:
     def test_csv_reader(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("q1,1.0,0.0\nq2,0.0,1.0\n")
-        loaded, _ = read_embeddings(str(path))
+        loaded = read_embeddings(str(path))
         assert loaded.ids == ("q1", "q2")
         assert loaded.values[1].tolist() == [0.0, 1.0]
 
@@ -710,7 +709,7 @@ class TestEmbeddings:
     def test_reader_widens_f32_values(self, tmp_path):
         path = tmp_path / "e.emb"
         write_embeddings(path, EmbeddingMatrix(("a",), ((0.1, -1e-3),)))
-        loaded, _ = read_embeddings(str(path))
+        loaded = read_embeddings(str(path))
         # kept as the file's float32 values, which widen exactly
         assert loaded.values.dtype == np.float32 and loaded.values.flags.c_contiguous
         want = np.array([[0.1, -1e-3]], dtype=np.float32).astype(np.float64)
@@ -730,16 +729,17 @@ class TestEmbeddings:
         matrix = EmbeddingMatrix(ids, ((1.0, 0.5), (0.25, 2.0), (3.0, -4.0)))
         binary = tmp_path / "e.emb"
         write_embeddings(binary, matrix)
-        loaded, digest = read_embeddings(str(binary))
+        inputs = {}
+        loaded = read_embeddings(str(binary), inputs)
         assert loaded.ids == ids and loaded.values.tolist() == matrix.values.tolist()
-        assert digest == hashlib.sha256(binary.read_bytes()).hexdigest()
+        assert inputs == {str(binary): hashlib.sha256(binary.read_bytes()).hexdigest()}
         csv = tmp_path / "e.csv"
         csv.write_bytes(
             f"{ids[0]},1.0,0.5\n{ids[1]},0.25,2.0\r\n{ids[2]},3.0,-4.0\r".encode("utf-8")
         )
-        loaded, digest = read_embeddings(str(csv))
+        loaded = read_embeddings(str(csv), inputs)
         assert loaded.ids == ids and loaded.values.tolist() == matrix.values.tolist()
-        assert digest == hashlib.sha256(csv.read_bytes()).hexdigest()
+        assert inputs[str(csv)] == hashlib.sha256(csv.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
     def test_write_rejects_ids_with_line_ends(self, tmp_path, brk):
@@ -766,29 +766,37 @@ def test_lines_end_only_at_newlines(text):
 @example(["\r", "\n"], io.DEFAULT_BUFFER_SIZE - 1, 0)
 def test_text_lines_stream_the_line_rule(tmp_path, pieces, filler, at):
     # the streamed lines are those of the whole decoded file, and the digest
-    # is of its bytes, wherever the reads fall
+    # recorded at its end is of its bytes, wherever the reads fall
     pieces.insert(min(at, len(pieces)), "a" * filler)
     raw = "".join(pieces).encode("utf-8")
     path = tmp_path / "lines.txt"
     path.write_bytes(raw)
-    digest = hashlib.sha256()
-    assert list(_text_lines(path, digest)) == _lines(raw.decode("utf-8"))
-    assert digest.hexdigest() == hashlib.sha256(raw).hexdigest()
+    inputs = {}
+    assert list(_text_lines(path, inputs)) == _lines(raw.decode("utf-8"))
+    assert inputs == {str(path): hashlib.sha256(raw).hexdigest()}
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-def test_text_lines_stream_whatever_the_line_ends(tmp_path, end):
+def test_text_lines_stream_whatever_the_line_ends(tmp_path, monkeypatch, end):
     # the first line comes after at most two reads, and a line much longer
     # than a read takes few reads, as each read is at least as long as the
     # bytes held back
     path = tmp_path / "lines.txt"
     path.write_bytes((("x" * 99 + end) * 10_000 + "y" * 2**22 + end).encode("utf-8"))
     reads = []
-    lines = _text_lines(path, types.SimpleNamespace(update=lambda block: reads.append(len(block))))
+
+    class CountedReads(io.BufferedReader):
+        def read(self, size=-1):
+            block = super().read(size)
+            reads.append(len(block))
+            return block
+
+    monkeypatch.setattr(records_module, "open", lambda path, mode: CountedReads(io.FileIO(path)), raising=False)
+    lines = _text_lines(path)
     assert next(lines) == "x" * 99
     assert sum(reads) <= 2 * io.DEFAULT_BUFFER_SIZE
     assert list(lines)[-2:] == ["x" * 99, "y" * 2**22]
-    assert len(reads) < 200
+    assert len(reads) < 200 and sum(reads) == path.stat().st_size
 
 
 class TestEvalRetrieval:
@@ -1421,9 +1429,10 @@ _PINNED_PROPERTY = {
 
 
 class TestCommandInputsReadOnce:
-    """transition build, the tokenmap subcommands and --repeat-merge hash
-    each input from the one read that parses it; the provenance digests stay
-    those of the files' bytes, whatever the line ends."""
+    """Every command hashes each input from the one read that parses it; the
+    provenance names exactly the files given, each with the digest of its
+    bytes, whatever the line ends, so a reader that stopped before the end of
+    a file would leave its key out."""
 
     def _run(self, monkeypatch, capsys, argv, paths):
         opened = _count_opens(monkeypatch)
@@ -1489,3 +1498,41 @@ class TestCommandInputsReadOnce:
                          "--out", report]) == 0
         payload = self._run(monkeypatch, capsys, ["eval", "gen", "--repeat-merge", *reports], reports)
         assert payload["counts"] == {"runs": 3}
+
+    def test_eval_gen(self, tmp_path, monkeypatch, capsys):
+        rows = [_gen_row(i, "the acid é", ["an acid ç"], out="caption") for i in range(900)]
+        path = _write_mixed_endings(tmp_path / "g.jsonl", rows)
+        payload = self._run(monkeypatch, capsys, ["eval", "gen", "--records", path, "--target-kind", "text"], [path])
+        assert payload["counts"]["evaluated"] == 900
+
+    @pytest.mark.parametrize("form", ["emb1", "csv", "one-file"])
+    def test_eval_retrieval(self, tmp_path, monkeypatch, capsys, form):
+        # one file given as --queries and --targets is read once, under its one key
+        ids = [f"é{i}" for i in range(900)]
+        values = np.random.default_rng(3).standard_normal((900, 8)).astype(np.float32)
+        queries, targets = str(tmp_path / "q.emb"), str(tmp_path / "t.emb")
+        for path in (queries, targets):
+            if form == "csv":
+                text = "".join(",".join([i, *map(str, row)]) + ("\r\n", "\n")[n % 2]
+                               for n, (i, row) in enumerate(zip(ids, values.tolist())))
+                pathlib.Path(path).write_bytes(text.encode("utf-8"))
+            else:
+                write_embeddings(path, EmbeddingMatrix(ids, values))
+        if form == "one-file":
+            targets = queries
+        gold = _write_mixed_endings(tmp_path / "gold.jsonl", [{"query": i, "target": i} for i in ids])
+        argv = ["eval", "retrieval", "--queries", queries, "--targets", targets, "--gold", gold]
+        payload = self._run(monkeypatch, capsys, argv, list(dict.fromkeys([queries, targets, gold])))
+        assert payload["metrics"]["r@1"] == 1.0
+
+    def test_eval_property(self, tmp_path, monkeypatch, capsys):
+        rows = [{"task": f"tâche {i % 3}", "label": i % 2, "score": i / 900} for i in range(900)]
+        path = _write_mixed_endings(tmp_path / "p.jsonl", rows)
+        payload = self._run(monkeypatch, capsys, ["eval", "property", "--records", path], [path])
+        assert payload["counts"]["evaluated"] == 3
+
+    def test_profile(self, tmp_path, monkeypatch, capsys):
+        rows = [{"id": f"r{i}", "smiles": "CCO", "caption": "un alcool é", "split": "train"} for i in range(900)]
+        path = _write_mixed_endings(tmp_path / "d.jsonl", rows)
+        payload = self._run(monkeypatch, capsys, ["profile", "--records", path], [path])
+        assert payload["counts"]["records"] == 900

@@ -547,8 +547,8 @@ def _emb1_files(tmp_path, n_queries, seed):
     q_ids = [f"q{i:02d}" for i in range(n_queries)]
     write_embeddings(tmp_path / "t.emb", EmbeddingMatrix(t_ids, t))
     write_embeddings(tmp_path / "q.emb", EmbeddingMatrix(q_ids, q))
-    queries, _ = read_embeddings(tmp_path / "q.emb")
-    targets, _ = read_embeddings(tmp_path / "t.emb")
+    queries = read_embeddings(tmp_path / "q.emb")
+    targets = read_embeddings(tmp_path / "t.emb")
     return queries, targets, {q_ids[i]: t_ids[g] for i, g in enumerate(golds)}, t
 
 
