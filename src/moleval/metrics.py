@@ -1,4 +1,5 @@
-"""The metric names a report may carry, and those where lower is better."""
+"""The metric names a report may carry, those where lower is better, and
+the F-measure that F1 and ROUGE share."""
 
 METRIC_NAMES = frozenset(
     {
@@ -9,3 +10,13 @@ METRIC_NAMES = frozenset(
     }
 )
 LOWER_IS_BETTER = frozenset({"levenshtein", "mse", "rmse", "mae"})
+
+
+def f_measure(hits: int, predicted: int, actual: int) -> float:
+    """F1, the harmonic mean of precision hits/predicted and recall
+    hits/actual; 0 when there are no hits."""
+    if hits == 0:
+        return 0.0
+    p = hits / predicted
+    r = hits / actual
+    return 2 * p * r / (p + r)

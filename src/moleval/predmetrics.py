@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import f_measure
+
 
 class DegenerateLabels(ValueError):
     pass
@@ -83,11 +85,7 @@ def _f1(task: ScoredLabels, threshold: float) -> float:
     tp = sum(1 for y, p in zip(task.labels, preds) if y == 1 and p == 1)
     fp = sum(1 for y, p in zip(task.labels, preds) if y == 0 and p == 1)
     fn = sum(1 for y, p in zip(task.labels, preds) if y == 1 and p == 0)
-    if tp == 0:
-        return 0.0  # no predicted or no true positives
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
+    return f_measure(tp, tp + fp, tp + fn)
 
 
 def f1_mean(tasks: list[ScoredLabels], threshold: float = 0.5) -> float:
@@ -145,7 +143,7 @@ def pool(seq: list[list[float]], mode: str) -> list[float]:
     if any(len(v) != dim for v in seq):
         raise DimMismatch("vectors differ in dimension")
     if mode == "avg":
-        return [statistics.fmean(v[k] for v in seq) for k in range(dim)]
+        return [mean([v[k] for v in seq]) for k in range(dim)]
     if mode == "max":
         return [max(v[k] for v in seq) for k in range(dim)]
     raise ValueError(f"unknown pooling mode {mode!r}")

@@ -8,6 +8,7 @@ from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
 
+from .metrics import f_measure
 from .molgraph import MolGraph, SmilesError, canonical_smiles, parse_smiles, validity
 from .molgraph.parser import SMILES_TOKEN
 from .selfies import tokenize_selfies
@@ -125,22 +126,14 @@ def rouge(candidate: TokenSeq, reference: TokenSeq, variant: str) -> float:
         return rouge_from_counts(clipped_counts(candidate.tokens, reference.tokens), int(variant[1]))
     if variant == "rl":
         cand, ref = candidate.tokens, reference.tokens
-        return _f1(_lcs_length(cand, ref), len(cand), len(ref))
+        return f_measure(_lcs_length(cand, ref), len(cand), len(ref))
     raise ValueError(f"unknown rouge variant {variant!r}")
 
 
 def rouge_from_counts(orders: list[tuple[int, int, int]], n: int) -> float:
     """ROUGE-n (n = 1 or 2) from one pair's `clipped_counts`; equals
     `rouge(candidate, reference, f"r{n}")` on non-empty sequences."""
-    return _f1(*orders[n - 1])
-
-
-def _f1(overlap: float, cand_total: float, ref_total: float) -> float:
-    if overlap == 0 or cand_total == 0 or ref_total == 0:
-        return 0.0
-    p = overlap / cand_total
-    r = overlap / ref_total
-    return 2 * p * r / (p + r)
+    return f_measure(*orders[n - 1])
 
 
 def _lcs_length(cand, ref) -> int:

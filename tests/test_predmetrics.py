@@ -124,6 +124,7 @@ def test_pool_examples():
     assert pool([[1.0, 3.0], [3.0, 5.0]], "avg") == [2.0, 4.0]
     assert pool([[1.0, 3.0], [3.0, 5.0]], "max") == [3.0, 5.0]
     assert pool([[7.0, 2.0]], "avg") == [7.0, 2.0]
+    assert pool([[1e308], [1e308]], "avg") == [1e308]  # the sum overflows, the mean does not
     with pytest.raises(EmptySequence):
         pool([], "avg")
     with pytest.raises(DimMismatch):
