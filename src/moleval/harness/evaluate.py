@@ -81,7 +81,10 @@ def _molecule_record(pred: str, ref: str) -> tuple[dict[str, float], bool]:
     fingerprints. Equal canonical forms imply an isomorphism that keeps
     element, aromatic flag, charge, total H and bond order, so degree and
     ring membership too; the atom codes read nothing else, so both sides
-    have the same features.
+    have the same features. Exact match (`same_form`) reads the same
+    argument the other way: unequal atom invariants are no match, and a
+    map between the two sides that keeps every atom token and bond is one,
+    so most pairs need no canonical search.
     """
     pred_graph = _parse_or_none(pred)
     ref_graph = pred_graph if pred == ref else _parse_or_none(ref)

@@ -1,6 +1,6 @@
 """Molecular graphs: SMILES parsing, canonical form, descriptors, scaffolds."""
 
-from .canon import UnsupportedFeature, canonical_smiles
+from .canon import UnsupportedFeature, canonical_smiles, same_form
 from .elements import (
     AROMATIC_SUBSET,
     ORGANIC_SUBSET,
@@ -52,6 +52,7 @@ __all__ = [
     "max_valence",
     "murcko_scaffold",
     "parse_smiles",
+    "same_form",
     "summarize_descriptors",
     "validity",
 ]

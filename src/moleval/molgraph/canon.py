@@ -22,6 +22,8 @@ from .elements import AROMATIC_SUBSET, ORGANIC_SUBSET
 from .model import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, MolGraph
 
 _BOND_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
+# ring digits the writer has: 1-9 and %10-%99
+_RING_DIGITS = 99
 
 
 class UnsupportedFeature(ValueError):
@@ -35,20 +37,8 @@ def canonical_smiles(graph: MolGraph) -> str:
     atom permutations of the same graph but is an internal convention,
     not aligned with any external toolkit's canonical form.
     """
-    # everything the search and the writer read, derived once per call:
-    # each atom's rank by its graph invariant, its token (whose H count is
-    # the invariant's total H), and its (bond order, neighbour, bond token)
-    # links
-    invariants = graph.atom_invariants()
+    invariants, tokens, links = _prologue(graph)
     ranks = _dense(invariants)
-    tokens = [
-        _atom_token(atom, inv.total_h, bare) for atom, inv, bare in zip(graph.atoms, invariants, graph.bare_hs())
-    ]
-    links: list[list[tuple[int, int, str]]] = [[] for _ in graph.atoms]
-    for bond in graph.bonds:
-        token = _bond_token(graph, bond.a, bond.b, bond.order)
-        links[bond.a].append((bond.order, bond.b, token))
-        links[bond.b].append((bond.order, bond.a, token))
     components = graph.components()
     if len(components) == 1:
         return _search(links, tokens, ranks)
@@ -61,6 +51,50 @@ def canonical_smiles(graph: MolGraph) -> str:
         comp_ranks = _dense([ranks[a] for a in comp])
         pieces.append(_search(comp_links, [tokens[a] for a in comp], comp_ranks))
     return ".".join(sorted(pieces))
+
+
+def same_form(a: MolGraph, b: MolGraph) -> bool:
+    """`canonical_smiles(a) == canonical_smiles(b)`, raising what that would
+    raise, mostly without a search.
+
+    Equal strings imply an isomorphism that keeps every atom invariant, so
+    unequal invariant multisets differ. With at most 99 ring bonds the writer
+    never runs out of ring digits, so once every atom token is written a
+    graph compared with itself is equal. Otherwise, when the first leaves of
+    the search over each whole graph map one onto the other by rank, keeping
+    every atom token and link, the graphs are isomorphic and write one
+    string. Any other pair takes both searches.
+    """
+    if len(a.rings()) <= _RING_DIGITS and len(b.rings()) <= _RING_DIGITS:
+        invariants, tokens, links = _prologue(a)
+        if b is a:
+            return True
+        b_invariants, b_tokens, b_links = _prologue(b)
+        if sorted(invariants) != sorted(b_invariants):
+            return False
+        if not invariants:  # two empty graphs, both written ""
+            return True
+        leaf, b_leaf = _first_leaf(links, _dense(invariants)), _first_leaf(b_links, _dense(b_invariants))
+        if _leaf_map(links, tokens, leaf, [sorted(atom_links) for atom_links in b_links], b_tokens, b_leaf) is not None:
+            return True
+    form = canonical_smiles(a)
+    return b is a or form == canonical_smiles(b)
+
+
+def _prologue(graph: MolGraph):
+    """Everything the search and the writer read, derived once per graph:
+    each atom's invariant, its token (whose H count is the invariant's total
+    H), and its (bond order, neighbour, bond token) links."""
+    invariants = graph.atom_invariants()
+    tokens = [
+        _atom_token(atom, inv.total_h, bare) for atom, inv, bare in zip(graph.atoms, invariants, graph.bare_hs())
+    ]
+    links: list[list[tuple[int, int, str]]] = [[] for _ in graph.atoms]
+    for bond in graph.bonds:
+        token = _bond_token(graph, bond.a, bond.b, bond.order)
+        links[bond.a].append((bond.order, bond.b, token))
+        links[bond.b].append((bond.order, bond.a, token))
+    return invariants, tokens, links
 
 
 # -- ranking ---------------------------------------------------------------
@@ -196,20 +230,6 @@ def _search(links, tokens: list[str], ranks: list[int]) -> str:
     if leaf is not None:
         return _write(links, tokens, leaf)
     sorted_links = [sorted(atom_links) for atom_links in links]
-
-    def automorphism(leaf_from, leaf_to):
-        # the atom of each rank in leaf_to, then each atom's image
-        atom_at = [0] * len(leaf_to)
-        for atom, r in enumerate(leaf_to):
-            atom_at[r] = atom
-        image = [atom_at[r] for r in leaf_from]
-        for a, b in enumerate(image):
-            if tokens[a] != tokens[b]:
-                return None
-            if sorted_links[b] != sorted([(order, image[nbr], tok) for order, nbr, tok in links[a]]):
-                return None
-        return image
-
     found: list[list[int]] = []  # automorphisms as atom -> image lists
     first_path: list[int] = []
     first = best = None  # leaves as atom -> rank lists
@@ -249,13 +269,13 @@ def _search(links, tokens: list[str], ranks: list[int]) -> str:
             first, best, first_path = leaf, leaf, child_path
             best_text = _write(links, tokens, leaf)
             continue
-        image = automorphism(first, leaf)
+        image = _leaf_map(links, tokens, first, sorted_links, tokens, leaf)
         if image is not None:
             found.append(image)
             depth = next(d for d, (a, b) in enumerate(zip(first_path, child_path)) if a != b)
             del stack[depth + 1 :]
             continue
-        image = automorphism(best, leaf) if best is not first else None
+        image = _leaf_map(links, tokens, best, sorted_links, tokens, leaf) if best is not first else None
         if image is not None:
             found.append(image)
             continue
@@ -263,6 +283,34 @@ def _search(links, tokens: list[str], ranks: list[int]) -> str:
         if text < best_text:
             best, best_text = leaf, text
     return best_text
+
+
+def _first_leaf(links, ranks: list[int]) -> list[int]:
+    """The first leaf of the search over a graph: the refined root, then the
+    first atom of each target cell individualized and refined in turn."""
+    part = _Partition.from_ranks(ranks)
+    part.refine(links, set(range(len(ranks))))
+    while (leaf := part.leaf()) is None:
+        atom = part.target()[0]
+        part.individualize(atom)
+        part.refine(links, {nbr for _, nbr, _ in links[atom]})
+    return leaf
+
+
+def _leaf_map(links, tokens, leaf, to_links, to_tokens, to_leaf) -> list[int] | None:
+    """Each atom's image under the map that sends the atom of each rank in
+    `leaf` to the atom of that rank in `to_leaf`, or None unless it keeps
+    every atom token and link; `to_links` are the target's sorted links."""
+    atom_at = [0] * len(to_leaf)
+    for atom, r in enumerate(to_leaf):
+        atom_at[r] = atom
+    image = [atom_at[r] for r in leaf]
+    for a, b in enumerate(image):
+        if tokens[a] != to_tokens[b]:
+            return None
+        if to_links[b] != sorted([(order, image[nbr], tok) for order, nbr, tok in links[a]]):
+            return None
+    return image
 
 
 # -- writing ---------------------------------------------------------------
@@ -350,7 +398,7 @@ def _write(links, tokens: list[str], ranks: list[int]) -> str:
 
     # pass 2: emit in visit order, branches but the last in parentheses;
     # ring digits are handed out in the order ring openings are emitted
-    free = list(range(1, 100))
+    free = list(range(1, _RING_DIGITS + 1))
     open_now: dict[tuple[int, int], int] = {}
     out = []
     work: list = [(start, "")]

@@ -9,7 +9,7 @@ from itertools import chain
 from dataclasses import dataclass
 
 from .metrics import f_measure
-from .molgraph import MolGraph, SmilesError, canonical_smiles, parse_smiles, validity
+from .molgraph import MolGraph, SmilesError, parse_smiles, same_form, validity
 from .molgraph.parser import SMILES_TOKEN
 from .selfies import tokenize_selfies
 
@@ -259,16 +259,15 @@ def exact_match(candidate: str, reference: str) -> bool:
 
 def exact_match_graphs(cand: MolGraph | None, ref: MolGraph | None) -> bool:
     """The exact-match rule over parsed graphs, None standing for a string
-    that did not parse: both valid with equal canonical forms; a graph the
-    writer cannot express is simply False. A graph compared with itself is
-    checked and canonicalized once."""
+    that did not parse: both valid with equal canonical forms (`same_form`);
+    a graph the writer cannot express is simply False. A graph compared with
+    itself is checked once."""
     if cand is None or ref is None or not validity(cand):
         return False
     if ref is not cand and not validity(ref):
         return False
     try:
-        form = canonical_smiles(cand)
-        return ref is cand or form == canonical_smiles(ref)
+        return same_form(cand, ref)
     except ValueError:
         return False
 

@@ -155,7 +155,11 @@ def retrieval(work: Path) -> bool:
 
 def generation(work: Path, workload: str, kind: str, reference, tolerance: float) -> bool:
     """The workload's corpus in one file: eval gen under 50 MB, each metric of
-    `reference(rows)`, rounded to 6 significant digits, within `tolerance`."""
+    `reference(rows)` within `tolerance` of the report's value once both are
+    rounded to 6 significant digits, and of the unrounded value that an
+    in-process `eval_generation` gives."""
+    from moleval.harness.evaluate import eval_generation
+
     records = joined_corpus(workload, work)
     rows = [json.loads(line) for line in records.open(encoding="utf-8")]
     raw = report(f"eval gen of {len(rows):,} {kind} records", ["eval", "gen", "--records", str(records),
@@ -163,11 +167,16 @@ def generation(work: Path, workload: str, kind: str, reference, tolerance: float
     if raw is None:
         return False
     payload = json.loads(raw)
-    got = {**payload["metrics"], **{f"sentence {k}": v for k, v in payload["details"]["sentence_level"].items()}}
     want = reference(rows)
-    bad = {name: (got[name], value) for name, value in want.items()
-           if abs(got[name] - float(f"{value:.6g}")) > tolerance}
-    return all([verdict(f"metrics agreeing with the reference: {len(want) - len(bad)} of {len(want)} {bad}", not bad),
+
+    def agreement(label: str, body: dict, rounded: bool) -> bool:
+        got = {**body["metrics"], **{f"sentence {k}": v for k, v in body["details"]["sentence_level"].items()}}
+        bad = {name: (got[name], value) for name, value in want.items()
+               if abs(got[name] - (float(f"{value:.6g}") if rounded else value)) > tolerance}
+        return verdict(f"{label} agreeing with the reference: {len(want) - len(bad)} of {len(want)} {bad}", not bad)
+
+    return all([agreement("report metrics", payload, True),
+                agreement("unrounded metrics", eval_generation(records, kind).payload(), False),
                 provenance_ok(payload, records)])
 
 

@@ -1,6 +1,7 @@
 """Exact match against the oracle's string rule: two parsed molecules match
 when both are valid and the unpruned canonical search in tests/_oracles.py
-writes them alike, and a molecule the writer refuses matches nothing."""
+writes them alike, and a molecule the writer refuses matches nothing. Most
+pairs are decided without a canonical search; the rest take two."""
 
 import importlib
 import random
@@ -9,7 +10,17 @@ import sys
 from pathlib import Path
 
 from _oracles import canonical_smiles_reference, random_molecule, validity_reference
-from moleval.molgraph import AROMATIC, Atom, Bond, MolGraph, SmilesError, parse_smiles
+from moleval.molgraph import (
+    AROMATIC,
+    Atom,
+    Bond,
+    MolGraph,
+    SmilesError,
+    canon,
+    canonical_smiles,
+    parse_smiles,
+    same_form,
+)
 from moleval.textmetrics import exact_match_graphs
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
@@ -218,3 +229,73 @@ def test_a_ladder_of_101_rings():
     aza = _ladder(102)
     aza.atoms[50] = Atom("N")
     assert exact_match_graphs(aza, other) == _reference(aza, other) is False
+
+
+# -- how each pair is decided -------------------------------------------------
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+def test_same_form_is_comparing_canonical_strings():
+    rng = random.Random(3209)
+    lib = _library()
+    graphs = [random_molecule(rng, max_atoms=rng.choice((6, 12, 18))) for _ in range(200)]
+    graphs += [parse_smiles(text) for text in lib.LIBRARY[::4]]
+    graphs += [_selenophene(), _grid(28), _grid(20), _ladder(102), parse_smiles("C1CCC2CCCCC2C1")]
+    pairs = [(g, g) for g in graphs] + [(g, _shuffled(g, rng)) for g in graphs]
+    pairs += [(g, _swapped(g, rng)) for g in graphs] + [(g, rng.choice(graphs)) for g in graphs]
+    pairs += [(parse_smiles("C1CCC(C1)C1CCCC1"), graphs[-1]), (graphs[-1], _selenophene()), (MolGraph(), MolGraph())]
+    for a, b in pairs:
+        assert _outcome(lambda: same_form(a, b)) == _outcome(lambda: canonical_smiles(a) == canonical_smiles(b))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(canon, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(canon, name, counted)
+    return calls
+
+
+def test_reorderings_need_no_search(monkeypatch):
+    rng = random.Random(3210)
+    lib = _library()
+    graphs = [parse_smiles(text) for text in lib.LIBRARY]
+    graphs += [parse_smiles(lib.C60), parse_smiles(lib.TETRA_TERT_BUTYLMETHANE), parse_smiles(lib.CHAIN_1500)]
+    searches = _counting(monkeypatch, "_search")
+    for graph in graphs:
+        assert exact_match_graphs(_shuffled(graph, rng), graph)
+        assert exact_match_graphs(graph, graph)
+    assert exact_match_graphs(parse_smiles("CC(=O)[O-].[Na+]"), parse_smiles("[Na+].[O-]C(C)=O"))
+    assert not exact_match_graphs(graphs[0], graphs[1])
+    assert searches == []
+
+
+def test_equal_invariants_of_two_molecules_take_both_searches(monkeypatch):
+    searched = _counting(monkeypatch, "canonical_smiles")
+    assert not exact_match_graphs(parse_smiles("C1CCC2CCCCC2C1"), parse_smiles("C1CCC(C1)C1CCCC1"))
+    assert len(searched) == 2
+
+
+def test_more_than_99_ring_bonds_take_the_searches(monkeypatch):
+    searched = _counting(monkeypatch, "canonical_smiles")
+    ladder = _ladder(102)
+    assert exact_match_graphs(ladder, _shuffled(ladder, random.Random(3211)))
+    assert len(searched) == 2
+    # one graph compared with itself is searched once, as a writer refusal
+    # only the search shows could arise past 99 ring bonds
+    assert exact_match_graphs(ladder, ladder)
+    assert len(searched) == 3
+    short = _ladder(100)
+    assert len(short.rings()) == 99
+    assert exact_match_graphs(short, short)
+    assert len(searched) == 3
