@@ -6,13 +6,16 @@ algorithms than the package uses, so agreement is meaningful.
 
 from __future__ import annotations
 
+import importlib
 import math
 import operator
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 from moleval.molgraph.canon import UnsupportedFeature, _bond_token, _write
 from moleval.molgraph.elements import ORGANIC_SUBSET, allowed_valences, default_valence
@@ -204,6 +207,17 @@ def random_molecule(rng: random.Random, max_atoms: int = 12) -> MolGraph:
         graph = MolGraph(atoms, bonds)
         atoms[idx].explicit_h = graph.total_h(idx)
     return MolGraph(atoms, bonds)
+
+
+def benchmark_library():
+    """The benchmark's fixed inputs, perfbench/library.py: its drug-like
+    SMILES, its hostile set and its `reorder`."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("library")
+    finally:
+        sys.path.remove(perfbench)
 
 
 def disjoint_union(graphs) -> MolGraph:
@@ -749,6 +763,18 @@ def canonical_inputs_reference(graph: MolGraph):
                 links[local[bond.b]].append((bond.order, local[bond.a], token))
         out.append((links, [tokens[a] for a in comp], dense_reference([invariants[a] for a in comp])))
     return out
+
+
+def random_spelling(graph: MolGraph, rng: random.Random) -> str:
+    """The graph written from random atom ranks, its components shuffled:
+    a SMILES of the same molecule in another atom order."""
+    parts = []
+    for links, tokens, _ in canonical_inputs_reference(graph):
+        ranks = list(range(len(tokens)))
+        rng.shuffle(ranks)
+        parts.append(_write(links, tokens, ranks))
+    rng.shuffle(parts)
+    return ".".join(parts)
 
 
 def canonical_smiles_reference(graph: MolGraph) -> str:

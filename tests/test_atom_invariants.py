@@ -1,29 +1,16 @@
 """The one atom invariant, MolGraph.atom_invariants, which canonical ranks
 and the fingerprint atom codes both read."""
 
-import importlib
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
-from _oracles import _atom_codes_reference, random_molecule
+from _oracles import _atom_codes_reference, benchmark_library, random_molecule
 from moleval.fingerprint import _initial_codes, morgan_fp, path_fp
 from moleval.molgraph import MolGraph, UnsupportedFeature, canonical_smiles, parse_smiles
 
-PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
-
-
-def _library():
-    sys.path.insert(0, PERFBENCH)
-    try:
-        return importlib.import_module("library")
-    finally:
-        sys.path.remove(PERFBENCH)
-
 
 def _texts():
-    lib = _library()
+    lib = benchmark_library()
     return list(lib.LIBRARY) + [
         lib.C60,
         lib.CHAIN_1500,

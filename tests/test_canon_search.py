@@ -4,13 +4,11 @@ Pruning may skip only leaves that write a string already seen, so every
 canonical string, and every error class, must equal the reference's.
 """
 
-import importlib
 import random
-import sys
 import time
-from pathlib import Path
 
 from _oracles import (
+    benchmark_library,
     canonical_inputs_reference,
     canonical_smiles_reference,
     dense_reference,
@@ -21,7 +19,6 @@ from _oracles import (
 )
 from moleval.molgraph import Bond, MolGraph, canon, canonical_smiles, murcko_scaffold, parse_smiles
 
-PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 C60 = (
     "c12c3c4c5c1c1c6c7c2c2c8c3c3c9c4c4c%10c5c5c1c1c6c6c%11c7c2c2c7c8c3c3c8c9"
@@ -64,14 +61,6 @@ def _agree(graph):
     return _outcome(canonical_smiles, graph) == _outcome(canonical_smiles_reference, graph)
 
 
-def _library():
-    sys.path.insert(0, PERFBENCH)
-    try:
-        return importlib.import_module("library").LIBRARY
-    finally:
-        sys.path.remove(PERFBENCH)
-
-
 def _dimer(graph, atom):
     """Two copies of a graph joined by a bond between the two copies of one
     atom: a graph with an automorphism that swaps the copies."""
@@ -93,7 +82,7 @@ def test_random_dimers_agree_with_unpruned_search():
 
 
 def test_library_molecules_and_scaffolds_agree_with_unpruned_search():
-    library = _library()
+    library = benchmark_library().LIBRARY
     assert len(library) >= 100
     for text in library:
         graph = parse_smiles(text)

@@ -3,13 +3,10 @@ when both are valid and the unpruned canonical search in tests/_oracles.py
 writes them alike, and a molecule the writer refuses matches nothing. Most
 pairs are decided without a canonical search; the rest take two."""
 
-import importlib
 import random
 import re
-import sys
-from pathlib import Path
 
-from _oracles import canonical_smiles_reference, random_molecule, validity_reference
+from _oracles import benchmark_library, canonical_smiles_reference, random_molecule, validity_reference
 from moleval.molgraph import (
     AROMATIC,
     Atom,
@@ -23,19 +20,10 @@ from moleval.molgraph import (
 )
 from moleval.textmetrics import exact_match_graphs
 
-PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 _TOKEN = re.compile(r"\[[^\]]+\]|Br|Cl|%\d\d|[A-Za-z]|[=#:/\\-]|[()]|\d")
 # what a one-token edit puts in place of an atom token: the same element
 # with another isotope or hydrogen count, another element, a charge
 _ATOM_EDITS = ("C", "N", "O", "S", "Cl", "[13CH2]", "[13CH3]", "[CH2]", "[CH]", "[NH+]", "[O-]", "[2H]")
-
-
-def _library():
-    sys.path.insert(0, PERFBENCH)
-    try:
-        return importlib.import_module("library")
-    finally:
-        sys.path.remove(PERFBENCH)
 
 
 def _reference(a, b) -> bool:
@@ -133,7 +121,7 @@ def test_a_molecule_matches_itself():
 
 
 def test_library_molecules_in_forty_orders_agree_with_the_oracle():
-    library = _library().LIBRARY
+    library = benchmark_library().LIBRARY
     assert len(library) >= 100
     rng = random.Random(3203)
     for text in library:
@@ -149,7 +137,7 @@ def test_library_molecules_in_forty_orders_agree_with_the_oracle():
 
 
 def test_cages_stars_and_chains_in_other_orders():
-    lib = _library()
+    lib = benchmark_library()
     rng = random.Random(3204)
     c60 = parse_smiles(lib.C60)
     for other in (parse_smiles(lib.reorder(lib.C60, rng)), _shuffled(c60, rng)):
@@ -243,7 +231,7 @@ def _outcome(call):
 
 def test_same_form_is_comparing_canonical_strings():
     rng = random.Random(3209)
-    lib = _library()
+    lib = benchmark_library()
     graphs = [random_molecule(rng, max_atoms=rng.choice((6, 12, 18))) for _ in range(200)]
     graphs += [parse_smiles(text) for text in lib.LIBRARY[::4]]
     graphs += [_selenophene(), _grid(28), _grid(20), _ladder(102), parse_smiles("C1CCC2CCCCC2C1")]
@@ -268,7 +256,7 @@ def _counting(monkeypatch, name):
 
 def test_reorderings_need_no_search(monkeypatch):
     rng = random.Random(3210)
-    lib = _library()
+    lib = benchmark_library()
     graphs = [parse_smiles(text) for text in lib.LIBRARY]
     graphs += [parse_smiles(lib.C60), parse_smiles(lib.TETRA_TERT_BUTYLMETHANE), parse_smiles(lib.CHAIN_1500)]
     searches = _counting(monkeypatch, "_search")

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import moleval.fingerprint as fingerprint
 from _oracles import (
+    benchmark_library,
     morgan_features_reference,
     path_features_reference,
     random_molecule,
+    random_spelling,
     tanimoto_reference,
 )
 from moleval.fingerprint import (
@@ -400,9 +402,45 @@ def test_morgan_fp_pinned_bits(name):
     assert hex(morgan_fp(parse_smiles(PINNED_SMILES[name])).bits) == PINNED_MORGAN_FP[name]
 
 
-@pytest.mark.parametrize("pred, ref", [("OCC", "[OH]CC"), ("C[C@H](N)O", "CC(N)O")])
+# eval gen scores an exact match 1.0 on both similarities without
+# fingerprinting it: both sides must have the same 64-bit features
+@pytest.mark.parametrize(
+    "pred, ref",
+    [
+        ("OCC", "[OH]CC"), ("C[C@H](N)O", "CC(N)O"),
+        # salts and charges
+        ("[Na+].[Cl-]", "[Cl-].[Na+]"), ("CC(=O)[O-].[Na+]", "[Na+].[O-]C(C)=O"),
+        ("[NH4+].[Cl-]", "[Cl-].[NH4+]"), ("[NH3+]CC(=O)[O-]", "[O-]C(=O)C[NH3+]"),
+        ("C[N+](C)(C)C", "[N+](C)(C)(C)C"),
+        # bracket hydrogens
+        ("c1cc[nH]c1", "[nH]1cccc1"), ("[CH3]O", "CO"), ("C[NH3+]", "[NH3+]C"), ("[OH2]", "O"),
+        (TBU_STAR, "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C"),
+    ],
+)
 def test_exact_matches_fingerprint_alike(pred, ref):
     a, b = parse_smiles(pred), parse_smiles(ref)
     assert exact_match_graphs(a, b)
+    assert path_features(a, 7) == path_features(b, 7)
+    assert morgan_features(a, 2) == morgan_features(b, 2)
     assert tanimoto(path_fp(a), path_fp(b)) == 1.0
     assert tanimoto(morgan_fp(a), morgan_fp(b)) == 1.0
+
+
+def test_exact_matches_in_other_atom_orders_fingerprint_alike():
+    lib = benchmark_library()
+    rng = random.Random(3301)
+    pairs = []
+    orders = [(text, 40) for text in lib.LIBRARY] + [(lib.C60, 5), (lib.TETRA_TERT_BUTYLMETHANE, 5)]
+    for text, n in orders:
+        graph = parse_smiles(text)
+        pairs += [(graph, parse_smiles(lib.reorder(text, rng))) for _ in range(n)]
+    for _ in range(300):
+        graph = random_molecule(rng, max_atoms=rng.choice((6, 12, 18)))
+        pairs.append((graph, parse_smiles(random_spelling(graph, rng))))
+    exact = [(a, b) for a, b in pairs if exact_match_graphs(a, b)]
+    assert len(exact) >= 4500
+    features = {}
+    for a, b in exact:
+        if id(a) not in features:
+            features[id(a)] = path_features(a, 7), morgan_features(a, 2)
+        assert (path_features(b, 7), morgan_features(b, 2)) == features[id(a)], b

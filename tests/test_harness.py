@@ -330,12 +330,13 @@ class TestEvalGeneration:
 
         sides = [(pred,) if pred == ref else (pred, ref) for pred, ref in pairs]
         graphs = [[parses(text) for text in side] for side in sides]
-        # an exact match is fingerprinted once, like a prediction equal to
-        # its reference, bracket hydrogens or not
+        # an exact match, bracket hydrogens or not, and a prediction equal
+        # to its reference score 1.0 on both similarities unfingerprinted;
+        # every other parsed pair is fingerprinted once per side
         fingerprinted = sum(
-            1 if w["exact-match"] else len(g) for g, w in zip(graphs, want) if None not in g
+            len(g) for g, w in zip(graphs, want) if None not in g and len(g) == 2 and not w["exact-match"]
         )
-        assert fingerprinted < sum(len(g) for g in graphs if None not in g)
+        assert 0 < fingerprinted < sum(len(g) for g in graphs if None not in g)
         # the validity metric checks each parsed prediction; exact match
         # also checks a distinct parsed reference once the prediction passes
         checked = sum(
@@ -406,29 +407,30 @@ class TestEvalGeneration:
         assert set(per_graph["valid"].values()) == {1}
 
     def test_shared_fingerprints_match_the_oracle(self, tmp_path, monkeypatch):
-        # an exact match shares its reference's fingerprints; every record
-        # must still score as the oracle scores it, each side fingerprinted
-        # on its own
+        # an exact match, or a prediction equal to its reference, scores 1.0
+        # on both similarities with no fingerprint walk; every record must
+        # still score as the oracle scores it, each side fingerprinted on
+        # its own
         import moleval.harness.evaluate as evaluate
-        from moleval.molgraph.canon import _write
 
+        lib = oracle.benchmark_library()
+        # the unpruned search takes about 5 s on the 1,500-atom chain and 8 s
+        # on tetra-tert-butylmethane, so the strings it writes for them,
+        # which test_exact_match relies on too, stand for it here
+        forms = {
+            tuple(sorted(parse_smiles(text).atom_invariants())): form
+            for text, form in ((lib.CHAIN_1500, lib.CHAIN_1500),
+                               (lib.TETRA_TERT_BUTYLMETHANE, lib.TETRA_TERT_BUTYLMETHANE_REORDERED))
+        }
+        search = oracle.canonical_smiles_reference
+        monkeypatch.setattr(oracle, "canonical_smiles_reference",
+                            lambda graph: forms.get(tuple(sorted(graph.atom_invariants()))) or search(graph))
         rng = random.Random(2020)
-
-        def rewritten(graph):
-            # the graph written from random atom ranks, components shuffled
-            parts = []
-            for links, tokens, _ in oracle.canonical_inputs_reference(graph):
-                ranks = list(range(len(tokens)))
-                rng.shuffle(ranks)
-                parts.append(_write(links, tokens, ranks))
-            rng.shuffle(parts)
-            return ".".join(parts)
-
         pairs = []
         for _ in range(40):
             graph = oracle.random_molecule(rng, max_atoms=rng.choice((8, 16)))
             ref = oracle.canonical_smiles_reference(graph)
-            pairs += [(rewritten(graph), ref), (ref, rewritten(graph))]
+            pairs += [(oracle.random_spelling(graph, rng), ref), (ref, oracle.random_spelling(graph, rng))]
         pairs += [
             # Kekulé against aromatic spellings, and aromatic rewrites
             ("C1=CC=CC=C1", "c1ccccc1"), ("Cn1cnc2c1c(=O)n(C)c(=O)n2C", "CN1C=NC2=C1C(=O)N(C)C(=O)N2C"),
@@ -443,6 +445,10 @@ class TestEvalGeneration:
             ("[OH]CC", "OCC"), ("c1cc[nH]c1", "[nH]1cccc1"), ("c1cc[nH]c1", "C1=CNC=C1"),
             ("C[NH3+]", "[NH3+]C"), ("[NH3+]CC(=O)[O-]", "[O-]C(=O)C[NH3+]"), ("[CH3]O", "CO"),
         ]
+        # the benchmark's hostile exact pairs
+        hostile = [(lib.CHAIN_1500, lib.CHAIN_1500), (lib.reorder(lib.C60, rng), lib.C60),
+                   (lib.TETRA_TERT_BUTYLMETHANE_REORDERED, lib.TETRA_TERT_BUTYLMETHANE)]
+        pairs += hostile
 
         want = [oracle.molecule_record_reference(pred, ref) for pred, ref in pairs]
         shared = [pred != ref and w["exact-match"] == 1.0 for (pred, ref), w in zip(pairs, want)]
@@ -452,21 +458,26 @@ class TestEvalGeneration:
         ]
         assert sum(shared) >= 60 and sum(bracket_h) >= 6
 
-        fingerprinted = []
-        path_fp = evaluate.path_fp
+        walks = Counter()
 
-        def counting_path_fp(graph):
-            fingerprinted.append(graph)
-            return path_fp(graph)
+        def counting(name, fn):
+            def wrapper(graph):
+                walks[name] += 1
+                return fn(graph)
+            return wrapper
 
-        monkeypatch.setattr(evaluate, "path_fp", counting_path_fp)
+        for name in ("path_fp", "morgan_fp"):
+            monkeypatch.setattr(evaluate, name, counting(name, getattr(evaluate, name)))
         names = ("validity", "exact-match", "exact-match-raw", "levenshtein", "rdk-fts", "morgan-fts")
         for (pred, ref), w, share in zip(pairs, want, shared):
-            del fingerprinted[:]
+            walks.clear()
             got, _ = evaluate._molecule_record(pred, ref)
             for name in names:
                 assert got[name] == pytest.approx(w[name], abs=1e-12), (pred, ref, name)
-            assert len(fingerprinted) == (1 if share or pred == ref else 2), (pred, ref)
+            n = 0 if share or pred == ref else 2
+            assert (walks["path_fp"], walks["morgan_fp"]) == (n, n), (pred, ref)
+            if (pred, ref) in hostile:
+                assert got["exact-match"] == got["rdk-fts"] == got["morgan-fts"] == 1.0
         rows = [_gen_row(i, pred, [ref]) for i, (pred, ref) in enumerate(pairs)]
         report = eval_generation(_write_jsonl(tmp_path / "g.jsonl", rows), "molecule")
         for name in names:

@@ -1,34 +1,21 @@
 """Metamorphic properties over the benchmark's library molecules: what a
 molecule scores must not depend on how its SMILES is written."""
 
-import importlib
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
-from _oracles import kekule_form
+from _oracles import benchmark_library, kekule_form
 from moleval.fingerprint import morgan_fp, path_fp, tanimoto
 from moleval.molgraph import canonical_smiles, descriptors, parse_smiles
 from moleval.selfies import decode_selfies, encode_selfies
 from moleval.textmetrics import exact_match_graphs
 
-PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
-
-
-def _library():
-    sys.path.insert(0, PERFBENCH)
-    try:
-        return importlib.import_module("library")
-    finally:
-        sys.path.remove(PERFBENCH)
-
 
 def _descriptors_over_orders(names):
     """For each library molecule, the named descriptors of it and of 40
     random atom orders of it."""
-    library = _library()
+    library = benchmark_library()
     rng = random.Random(7)
     for text in library.LIBRARY:
         want = {name: descriptors(parse_smiles(text))[name] for name in names}
@@ -62,7 +49,7 @@ def test_aromatic_rings_do_not_depend_on_atom_order():
 def test_aromatic_spellings_score_alike():
     aromatic = [
         text
-        for text in _library().LIBRARY
+        for text in benchmark_library().LIBRARY
         if any(atom.aromatic for atom in parse_smiles(text).atoms)
     ]
     assert len(aromatic) >= 70
