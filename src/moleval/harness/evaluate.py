@@ -73,29 +73,29 @@ def _parse_or_none(smiles: str):
 
 
 def _molecule_record(pred: str, ref: str) -> tuple[dict[str, float], bool]:
-    """Per-record molecule metrics, and whether the prediction parsed; each
-    distinct side is parsed, checked and fingerprinted once, so a
-    prediction equal to its reference shares the reference's graph.
+    """Per-record molecule metrics, and whether the prediction parsed. Each
+    distinct side is parsed and checked once, and fingerprinted at most once.
 
-    A prediction that exact-matches its reference also shares its
-    fingerprints. Equal canonical forms imply an isomorphism that keeps
-    element, aromatic flag, charge, total H and bond order, so degree and
-    ring membership too; the atom codes read nothing else, so both sides
-    have the same features. Exact match (`same_form`) reads the same
-    argument the other way: unequal atom invariants are no match, and a
-    map between the two sides that keeps every atom token and bond is one,
-    so most pairs need no canonical search.
+    A prediction equal to its reference, or exact-matching it, scores 1.0 on
+    both fingerprint similarities without a fingerprint walk. Equal canonical
+    forms imply an isomorphism that keeps element, aromatic flag, charge,
+    total H and bond order, so degree and ring membership too; the atom codes
+    read nothing else, so both sides have equal fingerprints, whose Tanimoto
+    is 1.0, empty ones too. Exact match (`same_form`) reads the same argument
+    the other way: unequal atom invariants are no match, and a map between
+    the two sides that keeps every atom token and bond is one, so most pairs
+    need no canonical search.
     """
     pred_graph = _parse_or_none(pred)
     ref_graph = pred_graph if pred == ref else _parse_or_none(ref)
     exact = exact_match_graphs(pred_graph, ref_graph)
     rdk = morgan = 0.0
     if pred_graph is not None and ref_graph is not None:
-        sides = (pred_graph,) if ref_graph is pred_graph or exact else (pred_graph, ref_graph)
-        paths = [path_fp(graph) for graph in sides]
-        morgans = [morgan_fp(graph) for graph in sides]
-        rdk = tanimoto(paths[0], paths[-1])
-        morgan = tanimoto(morgans[0], morgans[-1])
+        if ref_graph is pred_graph or exact:
+            rdk = morgan = 1.0
+        else:
+            rdk = tanimoto(path_fp(pred_graph), path_fp(ref_graph))
+            morgan = tanimoto(morgan_fp(pred_graph), morgan_fp(ref_graph))
     row = {
         "exact-match": 1.0 if exact else 0.0,
         "exact-match-raw": 1.0 if exact_match_raw(pred, ref) else 0.0,

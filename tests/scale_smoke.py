@@ -200,13 +200,16 @@ def text_reference(rows: list[dict]) -> dict:
 
 def molecule_reference(rows: list[dict]) -> dict:
     """rdk-fts and morgan-fts by fingerprinting each parsed side on its own,
-    so an exact match cannot score through shared fingerprints; exact-match
-    by the oracles' validity and unpruned canonical search."""
+    so an exact match cannot score 1.0 unfingerprinted; exact-match by the
+    oracles' validity and unpruned canonical search. Prints how many parsed
+    records exact-match or are one string, which eval gen scores 1.0 on
+    both similarities without a fingerprint walk."""
     from _oracles import canonical_smiles_reference, validity_reference
     from moleval.fingerprint import morgan_fp, path_fp, tanimoto
     from moleval.molgraph import SmilesError, parse_smiles
 
     scores = []  # rdk-fts, morgan-fts and exact-match of each record
+    unwalked = 0
     for row in rows:
         try:
             pred, ref = parse_smiles(row["prediction"]), parse_smiles(row["references"][0])
@@ -219,8 +222,11 @@ def molecule_reference(rows: list[dict]) -> dict:
                 same = canonical_smiles_reference(pred) == canonical_smiles_reference(ref)
             except ValueError:  # a writer refusal counts as no match
                 pass
+        unwalked += same or row["prediction"] == row["references"][0]
         scores.append((tanimoto(path_fp(pred), path_fp(ref)), tanimoto(morgan_fp(pred), morgan_fp(ref)),
                        float(same)))
+    print(f"records that exact-match or are one string, scored without a fingerprint walk: "
+          f"{unwalked:,} of {len(rows):,}")
     return {name: sum(column) / len(scores)
             for name, column in zip(("rdk-fts", "morgan-fts", "exact-match"), zip(*scores))}
 
