@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from ..fingerprint import morgan_fp, path_fp, tanimoto
 from ..metrics import METRIC_NAMES
-from ..molgraph import SmilesError, parse_smiles, validity
+from ..molgraph import SmilesError, exact_match_graphs, parse_smiles, validity
 from ..predmetrics import (
     DegenerateLabels,
     ScoredLabels,
@@ -22,7 +22,6 @@ from ..predmetrics import (
 from ..textmetrics import (
     clipped_counts,
     corpus_bleu,
-    exact_match_graphs,
     exact_match_raw,
     levenshtein,
     meteor_lite,
@@ -81,10 +80,7 @@ def _molecule_record(pred: str, ref: str) -> tuple[dict[str, float], bool]:
     forms imply an isomorphism that keeps element, aromatic flag, charge,
     total H and bond order, so degree and ring membership too; the atom codes
     read nothing else, so both sides have equal fingerprints, whose Tanimoto
-    is 1.0, empty ones too. Exact match (`same_form`) reads the same argument
-    the other way: unequal atom invariants are no match, and a map between
-    the two sides that keeps every atom token and bond is one, so most pairs
-    need no canonical search.
+    is 1.0, empty ones too.
     """
     pred_graph = _parse_or_none(pred)
     ref_graph = pred_graph if pred == ref else _parse_or_none(ref)

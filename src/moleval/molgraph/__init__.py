@@ -1,6 +1,6 @@
 """Molecular graphs: SMILES parsing, canonical form, descriptors, scaffolds."""
 
-from .canon import UnsupportedFeature, canonical_smiles, same_form
+from .canon import UnsupportedFeature, canonical_smiles, exact_match_graphs, same_form
 from .elements import (
     AROMATIC_SUBSET,
     ORGANIC_SUBSET,
@@ -49,6 +49,7 @@ __all__ = [
     "canonical_smiles",
     "default_valence",
     "descriptors",
+    "exact_match_graphs",
     "max_valence",
     "murcko_scaffold",
     "parse_smiles",

@@ -20,6 +20,7 @@ from itertools import accumulate
 
 from .elements import AROMATIC_SUBSET, ORGANIC_SUBSET
 from .model import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, MolGraph
+from .props import validity
 
 _BOND_TOKEN = {SINGLE: "", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
 # ring digits the writer has: 1-9 and %10-%99
@@ -79,6 +80,18 @@ def same_form(a: MolGraph, b: MolGraph) -> bool:
             return True
     form = canonical_smiles(a)
     return b is a or form == canonical_smiles(b)
+
+
+def exact_match_graphs(cand: MolGraph | None, ref: MolGraph | None) -> bool:
+    """The exact-match rule over parsed graphs, None standing for a string
+    that did not parse: both valid with equal canonical forms (`same_form`);
+    a graph the writer cannot express is simply False."""
+    if cand is None or ref is None or not validity(cand) or not validity(ref):
+        return False
+    try:
+        return same_form(cand, ref)
+    except ValueError:
+        return False
 
 
 def _prologue(graph: MolGraph):

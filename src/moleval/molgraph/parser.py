@@ -145,7 +145,7 @@ def parse_smiles(text: str) -> MolGraph:
             if hcount:
                 explicit_h = int(hcount[1:]) if len(hcount) > 1 else 1
             charge_text = m.group("charge") or ""
-            if charge_text in ("", None):
+            if not charge_text:
                 charge = 0
             elif charge_text[-1].isdigit():
                 charge = int(charge_text[1:]) * (1 if charge_text[0] == "+" else -1)

@@ -9,7 +9,6 @@ from itertools import chain
 from dataclasses import dataclass
 
 from .metrics import f_measure
-from .molgraph import MolGraph, SmilesError, parse_smiles, same_form, validity
 from .molgraph.parser import SMILES_TOKEN
 from .selfies import tokenize_selfies
 
@@ -244,32 +243,6 @@ def levenshtein(a: str, b: str) -> int:
         pv = mh | (full & ~(xv | ph))
         mv = ph & xv
     return score
-
-
-def exact_match(candidate: str, reference: str) -> bool:
-    """True when both strings are valid molecules with equal canonical
-    forms; unparseable or invalid input is simply False."""
-    try:
-        cand = parse_smiles(candidate)
-        ref = parse_smiles(reference)
-    except SmilesError:
-        return False
-    return exact_match_graphs(cand, ref)
-
-
-def exact_match_graphs(cand: MolGraph | None, ref: MolGraph | None) -> bool:
-    """The exact-match rule over parsed graphs, None standing for a string
-    that did not parse: both valid with equal canonical forms (`same_form`);
-    a graph the writer cannot express is simply False. A graph compared with
-    itself is checked once."""
-    if cand is None or ref is None or not validity(cand):
-        return False
-    if ref is not cand and not validity(ref):
-        return False
-    try:
-        return same_form(cand, ref)
-    except ValueError:
-        return False
 
 
 def exact_match_raw(candidate: str, reference: str) -> bool:

@@ -15,10 +15,10 @@ from moleval.molgraph import (
     SmilesError,
     canon,
     canonical_smiles,
+    exact_match_graphs,
     parse_smiles,
     same_form,
 )
-from moleval.textmetrics import exact_match_graphs
 
 _TOKEN = re.compile(r"\[[^\]]+\]|Br|Cl|%\d\d|[A-Za-z]|[=#:/\\-]|[()]|\d")
 # what a one-token edit puts in place of an atom token: the same element
@@ -118,6 +118,25 @@ def test_a_molecule_matches_itself():
     for _ in range(300):
         graph = random_molecule(rng, max_atoms=rng.choice((6, 12, 18)))
         assert exact_match_graphs(graph, graph) == _reference(graph, graph)
+
+
+def test_spellings_unparseable_and_invalid_input():
+    assert exact_match_graphs(_parsed("OCC"), _parsed("CCO"))
+    assert not exact_match_graphs(_parsed("CCO"), _parsed("CCN"))
+    assert not exact_match_graphs(_parsed("C1CC"), _parsed("CCO"))  # unparseable candidate
+    assert not exact_match_graphs(_parsed("C(C)(C)(C)(C)C"), _parsed("CCO"))  # invalid valence
+
+
+def test_the_rule_is_defined_once_in_molgraph():
+    import moleval.harness.evaluate as evaluate
+    import moleval.molgraph as molgraph
+    import moleval.textmetrics as textmetrics
+
+    assert molgraph.exact_match_graphs is evaluate.exact_match_graphs
+    assert molgraph.exact_match_graphs.__module__ == "moleval.molgraph.canon"
+    # the text metrics hold no second exact-match rule and parse nothing
+    gone = ("exact_match", "exact_match_graphs", "parse_smiles", "validity", "same_form", "MolGraph")
+    assert [name for name in gone if hasattr(textmetrics, name)] == []
 
 
 def test_library_molecules_in_forty_orders_agree_with_the_oracle():

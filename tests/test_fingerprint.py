@@ -30,8 +30,7 @@ from moleval.fingerprint import (
     path_fp,
     tanimoto,
 )
-from moleval.molgraph import parse_smiles
-from moleval.textmetrics import exact_match_graphs
+from moleval.molgraph import exact_match_graphs, parse_smiles
 
 C60 = (
     "c12c3c4c5c1c1c6c7c2c2c8c3c3c9c4c4c%10c5c5c1c1c6c6c%11c7c2c2c7c8c3c3c8c9"

@@ -284,7 +284,6 @@ class TestEvalGeneration:
 
     def test_each_smiles_parsed_once(self, tmp_path, monkeypatch):
         import moleval.harness.evaluate as evaluate
-        import moleval.textmetrics as textmetrics
 
         parsed = []
 
@@ -292,8 +291,7 @@ class TestEvalGeneration:
             parsed.append(text)
             return parse_smiles(text)
 
-        for module in (evaluate, textmetrics):
-            monkeypatch.setattr(module, "parse_smiles", counting_parse)
+        monkeypatch.setattr(evaluate, "parse_smiles", counting_parse)
         rows = [_gen_row(1, "CCO", ["OCC"]), _gen_row(2, "C1CC", ["c1ccccc1"])]
         report = eval_generation(_write_jsonl(tmp_path / "g.jsonl", rows), "molecule")
         assert sorted(parsed) == sorted(["CCO", "OCC", "C1CC", "c1ccccc1"])
@@ -304,7 +302,6 @@ class TestEvalGeneration:
         import moleval.harness.evaluate as evaluate
         import moleval.molgraph.canon as canon
         import moleval.molgraph.props as props
-        import moleval.textmetrics as textmetrics
         from moleval.molgraph import MolGraph, SmilesError, canonical_smiles
 
         rng = random.Random(1313)
@@ -356,8 +353,7 @@ class TestEvalGeneration:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (evaluate, textmetrics):
-            monkeypatch.setattr(module, "parse_smiles", counting("parse_smiles", parse_smiles))
+        monkeypatch.setattr(evaluate, "parse_smiles", counting("parse_smiles", parse_smiles))
         monkeypatch.setattr(evaluate, "path_fp", counting("path_fp", fingerprint.path_fp))
         monkeypatch.setattr(evaluate, "morgan_fp", counting("morgan_fp", fingerprint.morgan_fp))
         monkeypatch.setattr(canon, "canonical_smiles", counting("canonical_smiles", canonical_smiles))

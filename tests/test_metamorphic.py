@@ -7,9 +7,8 @@ import pytest
 
 from _oracles import benchmark_library, kekule_form
 from moleval.fingerprint import morgan_fp, path_fp, tanimoto
-from moleval.molgraph import canonical_smiles, descriptors, parse_smiles
+from moleval.molgraph import canonical_smiles, descriptors, exact_match_graphs, parse_smiles
 from moleval.selfies import decode_selfies, encode_selfies
-from moleval.textmetrics import exact_match_graphs
 
 
 def _descriptors_over_orders(names):

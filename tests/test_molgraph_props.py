@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,15 @@ def test_bare_sulfur_and_phosphorus_take_next_valence(text):
     graph = parse_smiles(text)
     assert graph.total_h(1) == 1
     assert validity(graph)
+
+
+def test_the_molecule_path_does_not_import_numpy():
+    # a numpy path_features once raised the benchmark's peak RSS past its
+    # bound: parsing, checking, canonical forms, fingerprints, SELFIES and
+    # the text metrics stay pure Python, in a fresh interpreter
+    code = (
+        "import sys, moleval.molgraph, moleval.fingerprint, moleval.selfies, moleval.textmetrics; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -16,7 +16,6 @@ from moleval.textmetrics import (
     bleu,
     clipped_counts,
     corpus_bleu,
-    exact_match,
     exact_match_raw,
     levenshtein,
     meteor_lite,
@@ -311,9 +310,7 @@ def test_levenshtein_metric_properties(a, b, c):
 # -- exact match --------------------------------------------------------------------
 
 def test_exact_match_canonical():
-    assert exact_match("OCC", "CCO")
-    assert not exact_match("CCO", "CCN")
-    assert not exact_match("C1CC", "CCO")  # unparseable candidate
-    assert not exact_match("C(C)(C)(C)(C)C", "CCO")  # invalid valence
+    # the canonical rule is moleval.molgraph.exact_match_graphs, tested in
+    # test_exact_match; only the raw string rule lives here
     assert exact_match_raw("CCO", "CCO")
     assert not exact_match_raw("OCC", "CCO")
